@@ -276,6 +276,19 @@ class GaloisSubgroup:
         raise AttributeError("GaloisSubgroup is immutable")
 
     @classmethod
+    def _closed(cls, modulus: int, residues: Iterable[int]) -> "GaloisSubgroup":
+        """A subgroup from residues that are closed by construction.
+
+        For callers that build units containing 1 and closed under
+        multiplication; skips the O(|H|^2) checks of ``__init__`` but still
+        reduces the residues mod ``modulus`` (mod 1, the residue 1 is 0).
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "residues", frozenset(r % modulus for r in residues))
+        return self
+
+    @classmethod
     def full(cls, n: int) -> "GaloisSubgroup":
         return cls(n, [k for k in range(1, n + 1) if math.gcd(k, n) == 1])
 

@@ -4,16 +4,23 @@ Orders d_ell(q), quadratic-residue fixedness of sqrt(q) and sqrt(-q), the
 Galois subgroups generated by powers of ell and by k = 1 mod d, and
 root-existence predicates for X^r - zeta_a over the ell-adic numbers (decided
 at the residue level; Hensel lifting applies since ell does not divide r).
+
+The suites ask the same few thousand questions many times over, so the pure
+integer functions (primality, orders mod ell, elements of given order, the
+subgroups H_d) are memoized.  Arguments are validated before the cache is
+consulted, and a call that raises is never cached.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cyclotomic import GaloisSubgroup
 
 
+@lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test (desk-scale inputs)."""
     if n < 2:
@@ -77,6 +84,12 @@ def mult_order(q, ell: int) -> int:
     q = _as_int(q) % ell
     if q == 0:
         raise ValueError(f"ell = {ell} divides q")
+    return _order_mod(q, ell)
+
+
+@lru_cache(maxsize=None)
+def _order_mod(q: int, ell: int) -> int:
+    """Order of a validated residue 0 < q < ell modulo the odd prime ell."""
     d, acc = 1, q
     while acc != 1:
         acc = (acc * q) % ell
@@ -125,20 +138,24 @@ def hell_subgroup(ell: int, n: int) -> GaloisSubgroup:
         for k in range(1, n + 1)
         if math.gcd(k, n) == 1 and (k % n_prime) in powers
     ]
-    return GaloisSubgroup(n, residues)
+    # Units whose image mod n_prime lies in the cyclic group <ell>: closed.
+    return GaloisSubgroup._closed(n, residues)
 
 
+@lru_cache(maxsize=None)
 def hd_subgroup(d: int, n: int) -> GaloisSubgroup:
     """The subgroup {k in (Z/nZ)^x : k = 1 mod d}; requires d | n."""
     if n < 1 or d < 1:
         raise ValueError("d and n must be positive")
     if n % d != 0:
         raise ValueError(f"d = {d} must divide the modulus n = {n}")
-    return GaloisSubgroup(
-        n, [k for k in range(1, n + 1) if math.gcd(k, n) == 1 and k % d == 1 % d]
+    # The kernel of (Z/nZ)^x -> (Z/dZ)^x: closed.
+    return GaloisSubgroup._closed(
+        n, [k for k in range(1, n + 1, d) if math.gcd(k, n) == 1]
     )
 
 
+@lru_cache(maxsize=None)
 def _element_of_order(a: int, ell: int) -> int:
     """Smallest element of multiplicative order a in F_ell^x; requires a | ell - 1."""
     for u in range(1, ell):

@@ -43,6 +43,7 @@ __all__ = [
     "central_order_two_element",
     "verify_cor55a",
     "verify_prop51a",
+    "verify_cor55",
 ]
 
 
@@ -318,22 +319,26 @@ def _cor55_setup(n: int, p: int, e: int, k: int):
     return q, c, lang_image(principal_cochar_value(n, c), q)
 
 
+def verify_cor55(n: int, p: int, e: int, k: int) -> tuple[bool, bool]:
+    """The checks (``verify_cor55a``, ``verify_prop51a``) on one Lang image,
+    computed once."""
+    q, _, image = _cor55_setup(n, p, e, k)
+    scalar = image.scalar_value()
+    if scalar is None:
+        return False, False
+    expected = FiniteFieldElement.from_int(p, jacobi_symbol(k, q) ** (n - 1))
+    one = FiniteFieldElement.from_int(p, 1)
+    minus = FiniteFieldElement.from_int(p, (-1) ** (n - 1))
+    return scalar == expected, scalar == one or scalar == minus
+
+
 def verify_cor55a(n: int, p: int, e: int, k: int) -> bool:
     """Check that the Lang image of the cocharacter value at sqrt(k) is the
     scalar jacobi_symbol(k, q)^(n-1) * Id, with q = p^e."""
-    q, _, image = _cor55_setup(n, p, e, k)
-    expected = FiniteFieldElement.from_int(p, jacobi_symbol(k, q) ** (n - 1))
-    scalar = image.scalar_value()
-    return scalar is not None and scalar == expected
+    return verify_cor55(n, p, e, k)[0]
 
 
 def verify_prop51a(n: int, p: int, e: int, k: int) -> bool:
     """Check that the same Lang image is central of order dividing 2:
     the identity or (-1)^(n-1) * Id."""
-    _, _, image = _cor55_setup(n, p, e, k)
-    scalar = image.scalar_value()
-    if scalar is None:
-        return False
-    one = FiniteFieldElement.from_int(p, 1)
-    minus = FiniteFieldElement.from_int(p, (-1) ** (n - 1))
-    return scalar == one or scalar == minus
+    return verify_cor55(n, p, e, k)[1]

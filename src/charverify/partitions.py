@@ -4,6 +4,12 @@ A partition is a weakly decreasing tuple of positive integers.  A beta-set of
 length L for a partition (lambda_1, ..., lambda_k) with k <= L is the set of
 beads {lambda_i + (L - i) : 1 <= i <= L} (parts padded with zeros).  Removing a
 rim d-hook is the bead move b -> b - d with b in the set, b - d not in the set.
+
+d-cores are read off the d-runner abacus (G. James and A. Kerber, *The
+Representation Theory of the Symmetric Group*, 2.7): sliding every bead as far
+up its runner as it goes leaves the core, and the distance slid is the weight.
+Rim-hook removal in every order is kept as the oracle behind
+``d_core(..., check_all_orders=True)``.
 """
 
 from __future__ import annotations
@@ -193,31 +199,44 @@ def hooks(lam, d: int) -> list[tuple[int, Partition, int]]:
 def d_core(lam, d: int, check_all_orders: bool = False) -> tuple[Partition, int]:
     """The d-core and d-weight of a partition.
 
-    Greedy strategy: repeatedly remove the rim d-hook at the largest movable
-    bead.  With ``check_all_orders=True`` every maximal removal sequence is
-    explored (as a DAG over bead-set states) and the terminal state is checked
-    to be unique.
+    Computed on the abacus and memoized on (parts, d).  With
+    ``check_all_orders=True`` every maximal rim-hook removal sequence is also
+    explored (as a DAG over bead-set states) and its terminal state is checked
+    to be unique and equal to the abacus core.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
-    beta = beta_set(lam, len(lam) + d)
-    weight = 0
-    while True:
-        movable = [b for b in beta if b - d >= 0 and (b - d) not in beta]
-        if not movable:
-            break
-        beta = remove_rim_hook(beta, max(movable), d)
-        weight += 1
-    core = beta.normalized().to_partition()
+    core, weight = _abacus_core(lam.parts, d)
     if check_all_orders:
         terminals = _all_terminal_cores(beta_set(lam, len(lam) + d), d)
         if terminals != {core}:
             raise AssertionError(
                 f"removal order changes the {d}-core of {lam}: {sorted(terminals)}"
             )
-    assert (lam.size - core.size) % d == 0
-    assert (lam.size - core.size) // d == weight
+    removed = lam.size - core.size
+    assert removed % d == 0
+    assert removed // d == weight
+    return core, weight
+
+
+@lru_cache(maxsize=None)
+def _abacus_core(parts: tuple[int, ...], d: int) -> tuple[Partition, int]:
+    """Core and weight from the bead count on each of the d runners."""
+    length = len(parts) + d
+    beads = [p + length - 1 - i for i, p in enumerate(parts)]
+    beads += range(d - 1, -1, -1)
+    counts = [0] * d
+    for b in beads:
+        counts[b % d] += 1
+    core_beads = sorted(
+        (runner + d * level for runner in range(d) for level in range(counts[runner])),
+        reverse=True,
+    )
+    weight = (sum(beads) - sum(core_beads)) // d
+    core = Partition(
+        p for p in (b - (length - 1 - i) for i, b in enumerate(core_beads)) if p > 0
+    )
     return core, weight
 
 

@@ -133,11 +133,11 @@ def _suite_lemma71(max_ell=100, max_r=20, max_p0=50, max_r_implication=12):
     # Predicate vs brute force: zeta_a is an r-th power in F_ell iff every
     # (equivalently any) element of order a is.
     for ell in _primes(3, max_ell):
+        orders = {u: mult_order(u, ell) for u in range(1, ell)}
         for r in range(1, max_r + 1):
             if r % ell == 0:
                 continue
             rth_powers = {pow(x, r, ell) for x in range(1, ell)}
-            orders = {u: mult_order(u, ell) for u in range(1, ell)}
             for a in range(1, ell):
                 if (ell - 1) % a != 0:
                     continue
@@ -351,12 +351,13 @@ def _suite_cor55(max_p=23, max_n=6):
             for n in range(2, max_n + 1):
                 for k in range(1, p):
                     checks += 2
-                    if not langmap_mod.verify_cor55a(n, p, e, k):
+                    jacobi_ok, central_ok = langmap_mod.verify_cor55(n, p, e, k)
+                    if not jacobi_ok:
                         bad.append(
                             f"Jacobi-symbol formula fails at "
                             f"n={n}, p={p}, e={e}, k={k}"
                         )
-                    if not langmap_mod.verify_prop51a(n, p, e, k):
+                    if not central_ok:
                         bad.append(
                             f"Lang image not central at "
                             f"n={n}, p={p}, e={e}, k={k}"

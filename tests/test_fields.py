@@ -342,6 +342,20 @@ _parts = st.lists(st.integers(1, 8), min_size=0, max_size=6).map(
     lambda xs: tuple(sorted(xs, reverse=True))
 )
 
+# Resolution is defined in the tame case only: r is drawn coprime to ell.
+_tame_ell_and_r = st.sampled_from([5, 7, 11, 13]).flatmap(
+    lambda ell: st.tuples(
+        st.just(ell), st.integers(1, 5).filter(lambda r: r % ell != 0)
+    )
+)
+
+
+def test_wild_root_index_rejected():
+    # (2, 1) has 2-core (2, 1), so for eps = -1 a root of X**5 - omega with
+    # omega != 1 is adjoined, and ell = 5 divides that root index.
+    with pytest.raises(ValueError):
+        extension_field_typeA(-1, Partition((2, 1)), 5, 2, 5)
+
 
 class TestProperties:
     @given(_parts, st.sampled_from([1, -1]))
@@ -355,12 +369,12 @@ class TestProperties:
     @given(
         _parts,
         st.sampled_from([1, -1]),
-        st.sampled_from([5, 7, 11, 13]),
+        _tame_ell_and_r,
         st.sampled_from([2, 3, 4, 8, 9]),
-        st.integers(1, 5),
     )
     @settings(max_examples=80, deadline=None)
-    def test_resolution_drops_parts_only(self, parts, eps, ell, q, r):
+    def test_resolution_drops_parts_only(self, parts, eps, ell_and_r, q):
+        ell, r = ell_and_r
         if q % ell == 0:
             return
         lam = Partition(parts)

@@ -144,6 +144,7 @@ def test_hell_subgroup_contains_powers_of_ell_brute_force():
                 if math.gcd(k, n) == 1 and (k % n_prime) in powers
             }
             assert H.residues == frozenset(expected)
+            assert H == GaloisSubgroup(n, expected)  # closed under products
             if math.gcd(ell, n) == 1:
                 assert (ell % n) in H or n == 1
 
@@ -155,6 +156,32 @@ def test_hd_subgroup_frozen_examples():
     assert hd_subgroup(1, 12) == GaloisSubgroup.full(12)
     with pytest.raises(ValueError):
         hd_subgroup(5, 12)
+
+
+def test_hd_subgroup_brute_force():
+    """hd_subgroup skips the closure check; rebuilding it from its definition
+    through the checking constructor gives the same subgroup, n = 1 (where
+    the residue 1 is 0) included."""
+    for n in range(1, 61):
+        units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                expected = GaloisSubgroup(n, [k for k in units if k % d == 1 % d])
+                assert hd_subgroup(d, n) == expected, (d, n)
+    assert hd_subgroup(1, 1).residues == frozenset({0})
+
+
+def test_memoized_functions_raise_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            mult_order(5, 5)
+        with pytest.raises(ValueError):
+            mult_order(3, 9)
+        with pytest.raises(ValueError):
+            hd_subgroup(5, 12)
+        with pytest.raises(ValueError):
+            hd_subgroup(0, 12)
+    assert mult_order(12, 5) == mult_order(2, 5) == 4  # keyed on q mod ell
 
 
 def test_hd_even_odd_coincidence_sweep():

@@ -93,9 +93,11 @@ def test_d_core_frozen_examples():
 
 
 def test_d_core_order_independence_exhaustive():
-    for n in range(11):
+    """The abacus core equals the unique terminal state of rim-hook removal
+    in every order, for every partition of n <= 12 and d <= 12."""
+    for n in range(13):
         for lam in partitions_of(n):
-            for d in range(2, 7):
+            for d in range(1, 13):
                 core, weight = d_core(lam, d, check_all_orders=True)
                 assert lam.size == core.size + d * weight
 
