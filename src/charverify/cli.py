@@ -21,7 +21,6 @@ import argparse
 import ast
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import fields as fields_mod
 from . import qpoly as qpoly_mod
@@ -243,13 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--csv", metavar="PATH", help="write a CSV summary to PATH"
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run up to N suites concurrently (results stay ordered)",
-    )
-    parser.add_argument(
         "--data",
         metavar="PATH",
         help="override the curated data file (table1 suite); the "
@@ -340,21 +332,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise ValueError(
                     f"parameter {key!r} is not accepted by any selected suite"
                 )
-        jobs = max(1, options.jobs)
-        if jobs == 1 or len(names) == 1:
-            reports = [
-                run_suite(n, _suite_params(n, overrides, data_path))
-                for n in names
-            ]
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                futures = [
-                    pool.submit(
-                        run_suite, n, _suite_params(n, overrides, data_path)
-                    )
-                    for n in names
-                ]
-                reports = [f.result() for f in futures]
+        reports = [
+            run_suite(n, _suite_params(n, overrides, data_path)) for n in names
+        ]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

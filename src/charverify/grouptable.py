@@ -7,6 +7,16 @@ through the discrete Fourier sum over powers of the class representative.
 All lifted values are cyclotomic numbers; orthogonality can then be verified
 in exact arithmetic, independently of how a character table was predicted.
 
+The F_p linear algebra runs on numpy int64 arrays.  Each simultaneous
+eigenspace is kept as a basis in reduced row echelon form with its pivot
+columns, so the coordinates of a class-matrix image in that basis are its
+entries at the pivots; the construction checks that those coordinates
+rebuild the image and raises AssertionError if they do not.  Every kernel
+reduces mod p after at most max(r, exponent) products of two residues, and
+the construction refuses up front (OverflowError) a field in which that sum
+could leave int64.  The lift to cyclotomic values is one matmul per class
+with the discrete Fourier matrix of the representative's order.
+
 Groups are given by explicit element sets with a multiplication callable;
 elements must be hashable and totally orderable (tuples of ints work).
 """
@@ -17,7 +27,9 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .cyclotomic import CyclotomicNumber
+import numpy as np
+
+from .cyclotomic import CyclotomicNumber, _reduction_rows
 from .ladic import is_prime
 
 
@@ -69,10 +81,10 @@ class FiniteGroup:
         return self._order_and_inverse(g)[0]
 
     def exponent(self) -> int:
-        out = 1
-        for g in self.elements:
-            out = math.lcm(out, self.element_order(g))
-        return out
+        """lcm of the element orders; order is a class function, so the
+        class representatives suffice."""
+        classes = self.conjugacy_classes()
+        return math.lcm(*(self.element_order(c[0]) for c in classes))
 
     def conjugacy_classes(self) -> list[list]:
         """Classes as sorted element lists; identity class first, the rest
@@ -107,108 +119,85 @@ class FiniteGroup:
         }
         return self._classes
 
-    def class_of(self, g) -> int:
-        self.conjugacy_classes()
-        return self._class_of[g]
-
 
 # ---------------------------------------------------------------------------
-# linear algebra over F_p
+# linear algebra over F_p, on int64 arrays
 # ---------------------------------------------------------------------------
 
 
-def _mat_vec(M, v, p):
-    return [sum(M[i][j] * v[j] for j in range(len(v))) % p for i in range(len(M))]
+def _check_int64(n: int, p: int) -> None:
+    """Refuse a field whose residues could overflow int64 in these kernels.
+
+    Every kernel reduces mod p after summing at most n products of two
+    residues in [0, p), so n * p^2 < 2^63 keeps all intermediates exact.
+    """
+    if n * p * p >= 2**63:
+        raise OverflowError(
+            f"sums of {n} products mod {p} overflow int64 (need n*p^2 < 2^63)"
+        )
 
 
-def _solve(basis: list[list[int]], target: list[int], p: int) -> list[int]:
-    """Coordinates of target in the span of basis (assumed consistent)."""
-    n = len(target)
-    k = len(basis)
-    # augmented system: columns = basis vectors
-    rows = [[basis[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    piv_cols = []
+def _rref(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of M over F_p: its nonzero rows and their
+    pivot columns."""
+    R = np.array(M, dtype=np.int64) % p
+    n_rows, n_cols = R.shape
+    pivots: list[int] = []
     r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, n) if rows[i][c] % p != 0), None)
-        if piv is None:
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        nonzero = np.flatnonzero(R[r:, c])
+        if nonzero.size == 0:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] % p != 0:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
+        piv = r + int(nonzero[0])
+        if piv != r:
+            R[[r, piv]] = R[[piv, r]]
+        R[r] = R[r] * pow(int(R[r, c]), -1, p) % p
+        factors = R[:, c].copy()
+        factors[r] = 0
+        R = (R - np.outer(factors, R[r])) % p
+        pivots.append(c)
         r += 1
-    coords = [0] * k
-    for row_idx, c in enumerate(piv_cols):
-        coords[c] = rows[row_idx][k] % p
-    return coords
+    return R[:r], pivots
 
 
-def _nullspace(M: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of the kernel of the square matrix M over F_p (deterministic)."""
-    n = len(M)
-    rows = [list(r) for r in M]
-    pivots = {}
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if rows[i][c] % p != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][c] % p != 0:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots[c] = r
-        r += 1
+def _nullspace(M: np.ndarray, p: int) -> np.ndarray:
+    """Basis of the kernel of M over F_p, one vector per row: the free
+    columns of the RREF in increasing order, each set to 1 in turn."""
+    R, pivots = _rref(M, p)
+    n = M.shape[1]
     free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * n
-        v[fc] = 1
-        for c, row_idx in pivots.items():
-            v[c] = (-rows[row_idx][fc]) % p
-        basis.append(v)
+    basis = np.zeros((len(free), n), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-R[:, free]).T % p
     return basis
 
 
-def _charpoly(M: list[list[int]], p: int) -> list[int]:
-    """Characteristic polynomial of M over F_p (Faddeev-LeVerrier), lowest first."""
-    n = len(M)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    A = [row[:] for row in M]
-    Mk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # identity
+def _charpoly(A: np.ndarray, p: int) -> list[int]:
+    """Characteristic polynomial of A over F_p (Faddeev-LeVerrier, needs
+    n < p), lowest coefficient first."""
+    n = A.shape[0]
+    coeffs = [0] * n + [1]
+    Mk = np.eye(n, dtype=np.int64)
     for k in range(1, n + 1):
-        N = [
-            [sum(A[i][t] * Mk[t][j] for t in range(n)) % p for j in range(n)]
-            for i in range(n)
-        ]
-        trace = sum(N[i][i] for i in range(n)) % p
-        c = (-pow(k, -1, p) * trace) % p
+        N = A @ Mk % p
+        c = -pow(k, -1, p) * int(np.trace(N)) % p
         coeffs[n - k] = c
         Mk = N
-        for i in range(n):
-            Mk[i][i] = (Mk[i][i] + c) % p
+        Mk[np.diag_indices(n)] += c
+        Mk %= p
     return coeffs
 
 
-def _poly_roots(coeffs: list[int], p: int) -> list[int]:
-    """All roots in F_p of the polynomial (lowest-first coeffs), by scan."""
-    roots = []
-    for x in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            roots.append(x)
-    return roots
+def _poly_roots(coeffs: Sequence[int], p: int) -> list[int]:
+    """All roots in F_p of the polynomial (lowest-first coeffs), by one
+    Horner pass over every residue."""
+    x = np.arange(p, dtype=np.int64)
+    acc = np.zeros(p, dtype=np.int64)
+    for c in reversed(coeffs):
+        acc = (acc * x + int(c)) % p
+    return np.flatnonzero(acc == 0).tolist()
 
 
 def _primitive_root(p: int) -> int:
@@ -234,12 +223,14 @@ def _primitive_root(p: int) -> int:
 
 
 class CharacterTable:
-    """An exact character table: classes, sizes, and cyclotomic value rows."""
+    """An exact character table: classes, sizes, representative orders and
+    cyclotomic value rows."""
 
-    def __init__(self, group, class_reps, class_sizes, characters):
+    def __init__(self, group, class_reps, class_sizes, class_orders, characters):
         self.group = group
         self.class_reps = list(class_reps)
         self.class_sizes = list(class_sizes)
+        self.class_orders = list(class_orders)
         self.characters = [tuple(row) for row in characters]
         self.degrees = [
             int(row[0].rational_value()) for row in self.characters
@@ -262,128 +253,99 @@ class CharacterTable:
         p = exponent + 1
         while p <= 2 * n_g or (p - 1) % exponent != 0 or not is_prime(p):
             p += exponent
+        _check_int64(max(r, exponent), p)
         z = _primitive_root(p)
 
-        class_of = group.class_of
-        inv_rep = [group.inverse(g) for g in reps]
-        inv_class = [class_of(g) for g in inv_rep]
+        class_of = group._class_of  # element -> class index, set with the classes
+        mul, inverse = group.mul, group.inverse
+        inv_class = [class_of[inverse(g)] for g in reps]
 
-        def structure_matrix(i: int) -> list[list[int]]:
+        def structure_matrix(i: int) -> np.ndarray:
             # (M_i)_{jk} = #{x in C_i : x^{-1} rep_k in C_j}
-            M = [[0] * r for _ in range(r)]
-            for x in classes[i]:
-                x_inv = group.inverse(x)
-                for k in range(r):
-                    y = group.mul(x_inv, reps[k])
-                    M[class_of(y)][k] += 1
-            return M
+            hits = [class_of[mul(inverse(x), g)] for x in classes[i] for g in reps]
+            flat = np.array(hits, dtype=np.int64) * r + np.tile(
+                np.arange(r, dtype=np.int64), sizes[i]
+            )
+            return np.bincount(flat, minlength=r * r).reshape(r, r)
 
-        # split the simultaneous eigenspaces
-        spaces = [[_unit_vector(r, j) for j in range(r)]]
-        matrices: dict[int, list[list[int]]] = {}
+        # Split the simultaneous eigenspaces.  Each space is an RREF basis
+        # (rows) with its pivot columns, so the coordinates of a vector of
+        # the span are its entries at the pivots.
+        spaces = [(np.eye(r, dtype=np.int64), list(range(r)))]
         for i in range(1, r):
-            if all(len(S) == 1 for S in spaces):
+            if all(len(pivots) == 1 for _, pivots in spaces):
                 break
-            matrices[i] = structure_matrix(i)
+            M_T = structure_matrix(i).T % p
             new_spaces = []
-            for S in spaces:
-                if len(S) == 1:
-                    new_spaces.append(S)
+            for B, pivots in spaces:
+                if len(pivots) == 1:
+                    new_spaces.append((B, pivots))
                     continue
-                images = [_mat_vec(matrices[i], b, p) for b in S]
-                A = [_solve(S, img, p) for img in images]
-                # action matrix in basis coordinates: columns are images
-                A_T = [[A[j][i2] for j in range(len(S))] for i2 in range(len(S))]
-                roots = sorted(set(_poly_roots(_charpoly(A_T, p), p)))
-                for lam in roots:
-                    shifted = [
-                        [
-                            (A_T[x][y] - (lam if x == y else 0)) % p
-                            for y in range(len(S))
-                        ]
-                        for x in range(len(S))
-                    ]
-                    kern = _nullspace(shifted, p)
-                    vecs = [
-                        [
-                            sum(kv[j] * S[j][t] for j in range(len(S))) % p
-                            for t in range(r)
-                        ]
-                        for kv in kern
-                    ]
-                    if vecs:
-                        new_spaces.append(vecs)
-            if sum(len(S) for S in new_spaces) != r:
+                images = B @ M_T % p
+                A = images[:, pivots]  # row j: coordinates of M_i b_j
+                if not np.array_equal(A @ B % p, images):
+                    raise AssertionError("class matrix leaves an eigenspace")
+                eye = np.eye(len(pivots), dtype=np.int64)
+                for lam in _poly_roots(_charpoly(A, p), p):
+                    kern = _nullspace((A.T - lam * eye) % p, p)
+                    if len(kern):
+                        new_spaces.append(_rref(kern @ B % p, p))
+            if sum(len(pivots) for _, pivots in new_spaces) != r:
                 raise AssertionError("eigenspace refinement lost dimensions")
             spaces = new_spaces
-        if not all(len(S) == 1 for S in spaces):
+        if not all(len(pivots) == 1 for _, pivots in spaces):
             raise AssertionError("class matrices failed to separate characters")
 
-        # normalize: omega(identity) = 1
-        omegas = []
-        for (v,) in spaces:
-            if v[0] % p == 0:
-                raise AssertionError("eigenvector vanishes on the identity class")
-            inv0 = pow(v[0], -1, p)
-            omegas.append([(x * inv0) % p for x in v])
+        # An RREF row is normalized at its pivot: omega(identity) = 1 exactly
+        # when the pivot is the identity class.
+        if any(pivots != [0] for _, pivots in spaces):
+            raise AssertionError("eigenvector vanishes on the identity class")
+        omegas = np.array([B[0] for B, _ in spaces], dtype=np.int64)
 
-        # degrees and values mod p
-        chars_mod_p = []
-        for omega in omegas:
-            s = 0
-            for k in range(r):
-                s += omega[k] * omega[inv_class[k]] * pow(sizes[k], -1, p)
-            s %= p
-            # chi(1)^2 = |G| / s
-            deg_sq = (n_g * pow(s, -1, p)) % p
-            deg = next(
-                (t for t in range(1, int(math.isqrt(n_g)) + 1) if (t * t - deg_sq) % p == 0),
-                None,
-            )
-            if deg is None:
+        # degrees and values mod p: chi(1)^2 = |G| / sum_k omega_k omega_k' / |C_k|
+        inv_sizes = np.array([pow(s, -1, p) for s in sizes], dtype=np.int64)
+        norms = (omegas * omegas[:, inv_class] % p) @ inv_sizes % p
+        squares = np.arange(1, math.isqrt(n_g) + 1, dtype=np.int64) ** 2 % p
+        degrees = []
+        for s in norms.tolist():
+            match = np.flatnonzero(squares == n_g * pow(s, -1, p) % p)
+            if match.size == 0:
                 raise AssertionError("no integer degree matches mod p")
-            row = [
-                (deg * omega[k] * pow(sizes[k], -1, p)) % p for k in range(r)
-            ]
-            chars_mod_p.append((deg, row))
+            degrees.append(int(match[0]) + 1)
+        deg_col = np.array(degrees, dtype=np.int64)[:, None]
+        rows_mod_p = deg_col * omegas % p * inv_sizes % p
 
-        # exact lift through Fourier sums over powers of each representative
+        # exact lift: the multiplicity of w^j on <g> is a Fourier sum over
+        # the values at the powers of g, one matmul per class
         rep_orders = [group.element_order(g) for g in reps]
-        rep_power_class = []
-        for k, g in enumerate(reps):
-            o = rep_orders[k]
-            pcs = []
+        dft: dict[int, np.ndarray] = {}
+        values_by_class = []
+        for g, o in zip(reps, rep_orders):
+            power_classes = []
             acc = group.identity
             for _ in range(o):
-                pcs.append(class_of(acc))
-                acc = group.mul(acc, g)
-            # pcs[i] = class of g^i, i = 0..o-1
-            rep_power_class.append(pcs)
-
-        characters = []
-        for deg, row in chars_mod_p:
-            values = []
-            for k in range(r):
-                o = rep_orders[k]
+                power_classes.append(class_of[acc])
+                acc = mul(acc, g)
+            if o not in dft:
                 w = pow(z, (p - 1) // o, p)
-                o_inv = pow(o, -1, p)
-                coeffs = {}
-                for j in range(o):
-                    a_j = 0
-                    for i in range(o):
-                        a_j += row[rep_power_class[k][i]] * pow(w, (-i * j) % o, p)
-                    a_j = (a_j * o_inv) % p
-                    if a_j:
-                        if a_j > deg:
-                            raise AssertionError(
-                                "lifted multiplicity exceeds the degree bound"
-                            )
-                        coeffs[j] = Fraction(a_j)
-                values.append(CyclotomicNumber(o, coeffs))
-            characters.append(values)
+                w_powers = np.array([pow(w, e, p) for e in range(o)], dtype=np.int64)
+                e = np.arange(o)
+                dft[o] = w_powers[-np.outer(e, e) % o] * pow(o, -1, p) % p
+            mults = rows_mod_p[:, power_classes] @ dft[o] % p
+            if (mults > deg_col).any():
+                raise AssertionError("lifted multiplicity exceeds the degree bound")
+            # sum_j mults_j zeta_o^j in the power basis of Q(zeta_o)
+            coords = mults @ np.array(_reduction_rows(o), dtype=np.int64)
+            values_by_class.append(
+                [
+                    CyclotomicNumber(o, {i: Fraction(c) for i, c in enumerate(row) if c})
+                    for row in coords.tolist()
+                ]
+            )
+        characters = [list(row) for row in zip(*values_by_class)]
 
         characters.sort(key=lambda row: (int(row[0].rational_value()), _row_key(row)))
-        return cls(group, reps, sizes, characters)
+        return cls(group, reps, sizes, rep_orders, characters)
 
     # -- exact verification helpers ----------------------------------------
 
@@ -413,12 +375,6 @@ class CharacterTable:
 
     def sum_of_degree_squares(self) -> int:
         return sum(d * d for d in self.degrees)
-
-
-def _unit_vector(n: int, j: int) -> list[int]:
-    v = [0] * n
-    v[j] = 1
-    return v
 
 
 def _row_key(row) -> tuple:

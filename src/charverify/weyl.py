@@ -350,9 +350,17 @@ def centralizer_group(series: str, r: int, twisted: bool, x: tuple) -> FiniteGro
     """C_W(x) for a coset element x, as an explicit FiniteGroup.
 
     For twisted A the coset element is -P(x) and the sign commutes with
-    everything, so the condition reduces to commutation of words.
+    everything, so the condition reduces to commutation of words; in every
+    series the twist only names the coset x lies in.  The group is cached
+    on (series, rank, word), so a repeated centralizer is the same object
+    and its character table (keyed on the group in ``_dixon_of``) is built
+    once.
     """
-    series = _canon_series(series)
+    return _centralizer_of_word(_canon_series(series), r, x)
+
+
+@lru_cache(maxsize=None)
+def _centralizer_of_word(series: str, r: int, x: tuple) -> FiniteGroup:
     elements = group_elements(series, r)
     cent = tuple(w for w in elements if sp_mul(w, x) == sp_mul(x, w))
     if len(cent) == len(elements):
@@ -364,9 +372,11 @@ def centralizer_group(series: str, r: int, twisted: bool, x: tuple) -> FiniteGro
     )
 
 
-def _product_group(factors: list[FiniteGroup], even_part: bool = False) -> FiniteGroup:
+@lru_cache(maxsize=None)
+def _product_group(factors: tuple[FiniteGroup, ...], even_part: bool = False) -> FiniteGroup:
     """Direct product of wreath-product factors, optionally cut to the
-    subgroup where the total color sum is even."""
+    subgroup where the total color sum is even.  Cached like
+    ``centralizer_group``; the factors are the cached wreath groups."""
 
     def mul(x, y):
         return tuple(g.mul(xg, yg) for g, xg, yg in zip(factors, x, y))
@@ -401,15 +411,11 @@ def predicted_relative_weyl(series: str, r: int, twisted: bool, d: int) -> Finit
     series = _canon_series(series)
     word = canonical_regular_word(series, r, twisted, d)
     cycle_types = _multiset(sp_cycles(word))
-    if series == "A":
-        factors = [
-            get_full_group(c, mult) for (c, _), mult in sorted(cycle_types.items())
-        ]
-        return _product_group(factors)
-    factors = [
-        get_full_group(2 * c, mult) for (c, _), mult in sorted(cycle_types.items())
-    ]
-    return _product_group(factors, even_part=(series == "D"))
+    base = 1 if series == "A" else 2
+    factors = tuple(
+        get_full_group(base * c, mult) for (c, _), mult in sorted(cycle_types.items())
+    )
+    return _product_group(factors, series == "D")
 
 
 def relative_weyl_descriptor(series: str, r: int, twisted: bool, d: int) -> str:
@@ -445,8 +451,14 @@ def _dixon_of(group: FiniteGroup) -> CharacterTable:
 
 
 def group_fingerprint(group: FiniteGroup) -> tuple:
-    """(order, sorted irreducible degrees) -- the identification invariant."""
-    return (group.order, tuple(sorted(_dixon_of(group).degrees)))
+    """(order, sorted irreducible degrees, sorted (class size,
+    representative order) pairs) -- the identification invariant."""
+    table = _dixon_of(group)
+    return (
+        group.order,
+        tuple(sorted(table.degrees)),
+        tuple(sorted(zip(table.class_sizes, table.class_orders))),
+    )
 
 
 def character_values_hd_fixed(table: CharacterTable, d: int) -> bool:

@@ -251,17 +251,6 @@ class TestMainEntry:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_jobs_flag_preserves_order(self, tmp_path):
-        serial = tmp_path / "serial.json"
-        parallel = tmp_path / "parallel.json"
-        args = [
-            "--suite", "table1", "--suite", "cor74", "--suite", "lemma72",
-            "--params", "max_n=6,max_rank=3,max_d=3",
-        ]
-        assert main(args + ["--json", str(serial)]) == 0
-        assert main(args + ["--json", str(parallel), "--jobs", "3"]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
-
     def test_data_override(self, tmp_path, capsys):
         from charverify.fields import load_cuspidal_field_data
 

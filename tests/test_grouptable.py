@@ -1,12 +1,23 @@
 """Tests for the generic exact character-table machinery."""
 
 import itertools
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from charverify.cyclotomic import CyclotomicNumber, root_of_unity
-from charverify.grouptable import CharacterTable, FiniteGroup
+from charverify.grouptable import (
+    CharacterTable,
+    FiniteGroup,
+    _charpoly,
+    _check_int64,
+    _nullspace,
+    _poly_roots,
+    _rref,
+)
+from charverify.weyl import group_fingerprint, weyl_group
 
 
 def perm_mul(a, b):
@@ -172,7 +183,176 @@ class TestDixon:
                 for _, num, den in v.to_triples():
                     assert den == 1
 
+    def test_weyl_fingerprint_separates_dihedral_from_quaternion(self):
+        # W(B2) is the dihedral group of order 8; Q8 has the same order,
+        # degrees and class sizes, but three classes of elements of order 4
+        fp_d = group_fingerprint(weyl_group("B", 2))
+        fp_q = group_fingerprint(quaternion_group())
+        assert fp_d[:2] == fp_q[:2] == (8, (1, 1, 1, 1, 2))
+        assert fp_d != fp_q
+
     def test_first_column_is_degree(self):
         table = CharacterTable.dixon(quaternion_group())
         for row, deg in zip(table.characters, table.degrees):
             assert row[0] == Fraction(deg)
+
+
+# ---------------------------------------------------------------------------
+# scalar F_p oracles for the int64 kernels of grouptable
+# ---------------------------------------------------------------------------
+
+
+def rref_oracle(M, p):
+    """Reduced row echelon form by scalar Gauss-Jordan elimination:
+    (nonzero rows, pivot columns)."""
+    rows = [[x % p for x in row] for row in M]
+    n_rows, n_cols = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        piv = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [(x * inv) % p for x in rows[r]]
+        for i in range(n_rows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def nullspace_oracle(M, p):
+    """Kernel basis of M over F_p: one vector per free column, in order."""
+    rows, pivots = rref_oracle(M, p)
+    n = len(M[0])
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[fc] = 1
+        for row, c in zip(rows, pivots):
+            v[c] = (-row[fc]) % p
+        basis.append(v)
+    return basis
+
+
+def charpoly_oracle(M, p):
+    """Characteristic polynomial over F_p (scalar Faddeev-LeVerrier),
+    lowest coefficient first."""
+    n = len(M)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    Mk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        N = [
+            [sum(M[i][t] * Mk[t][j] for t in range(n)) % p for j in range(n)]
+            for i in range(n)
+        ]
+        c = (-pow(k, -1, p) * sum(N[i][i] for i in range(n))) % p
+        coeffs[n - k] = c
+        Mk = N
+        for i in range(n):
+            Mk[i][i] = (Mk[i][i] + c) % p
+    return coeffs
+
+
+def poly_roots_oracle(coeffs, p):
+    """Roots in F_p of the lowest-first polynomial, by scalar scan."""
+    roots = []
+    for x in range(p):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % p
+        if acc == 0:
+            roots.append(x)
+    return roots
+
+
+def random_matrices(p, seed, count=12):
+    """Seeded square and rectangular matrices mod p; every third one has
+    deficient rank (a product through a thinner middle dimension)."""
+    rng = random.Random(seed)
+    out = []
+    for t in range(count):
+        n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 7)
+        k = rng.randint(0, min(n_rows, n_cols) - 1) if t % 3 == 2 else n_cols
+        left = [[rng.randrange(p) for _ in range(k)] for _ in range(n_rows)]
+        right = [[rng.randrange(p) for _ in range(n_cols)] for _ in range(k)]
+        if k == n_cols:
+            right = [[int(i == j) for j in range(n_cols)] for i in range(k)]
+        out.append(
+            [
+                [sum(left[i][u] * right[u][j] for u in range(k)) % p for j in range(n_cols)]
+                for i in range(n_rows)
+            ]
+        )
+    return out
+
+
+PRIMES = (7, 101, 7681)
+
+
+class TestFpKernels:
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_rref_matches_oracle(self, p):
+        for M in random_matrices(p, seed=p):
+            R, pivots = _rref(np.array(M), p)
+            rows, want_pivots = rref_oracle(M, p)
+            assert pivots == want_pivots
+            assert R.tolist() == rows
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_nullspace_matches_oracle(self, p):
+        for M in random_matrices(p, seed=p + 1):
+            N = _nullspace(np.array(M), p)
+            assert N.tolist() == nullspace_oracle(M, p)
+            assert len(N) + len(rref_oracle(M, p)[1]) == len(M[0])
+            assert not (np.array(M) @ N.T % p).any()
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_rank_deficient_cases_are_drawn(self, p):
+        matrices = random_matrices(p, seed=p)
+        deficient = [
+            M for M in matrices if len(rref_oracle(M, p)[1]) < min(len(M), len(M[0]))
+        ]
+        assert len(deficient) >= len(matrices) // 3
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_charpoly_matches_oracle(self, p):
+        for M in random_matrices(p, seed=2 * p, count=30):
+            n = min(len(M), len(M[0]), p - 1)
+            square = [row[:n] for row in M[:n]]
+            assert _charpoly(np.array(square), p) == charpoly_oracle(square, p)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_poly_roots_match_oracle(self, p):
+        rng = random.Random(5 * p)
+        for t in range(20):
+            if t % 2:
+                coeffs = [rng.randrange(p) for _ in range(rng.randint(1, 6))]
+            else:  # split: a product of linear factors x - a
+                roots = [rng.randrange(p) for _ in range(rng.randint(0, 5))]
+                coeffs = [1]
+                for a in roots:
+                    coeffs = [
+                        (low - a * high) % p
+                        for low, high in zip([0] + coeffs, coeffs + [0])
+                    ]
+                assert _poly_roots(coeffs, p) == sorted(set(roots))
+            assert _poly_roots(coeffs, p) == poly_roots_oracle(coeffs, p)
+
+    def test_poly_roots_of_split_polynomial(self):
+        # (x - 1)(x - 3)^2 (x - 5) over F_7
+        coeffs = charpoly_oracle([[1, 0, 0, 0], [0, 3, 1, 0], [0, 0, 3, 0], [0, 0, 0, 5]], 7)
+        assert _poly_roots(coeffs, 7) == [1, 3, 5]
+
+    def test_int64_guard(self):
+        _check_int64(49, 7681)  # the largest field the suites use
+        _check_int64(1, 2**31)  # n * p^2 = 2^62
+        with pytest.raises(OverflowError):
+            _check_int64(2, 2**31)  # n * p^2 = 2^63
+        with pytest.raises(OverflowError):
+            _check_int64(49, 10**9 + 7)

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from charverify.grouptable import CharacterTable
+from charverify.suites import run_suite
 from charverify.weyl import (
+    _dixon_of,
     analyze_relative_weyl,
     canonical_regular_word,
     centralizer_group,
@@ -211,10 +213,36 @@ class TestRelativeWeyl:
 
     def test_d4_fingerprint(self):
         fp = group_fingerprint(weyl_group("D", 4))
-        assert fp == (192, (1, 1, 2, 3, 3, 3, 3, 3, 3, 4, 4, 6, 8))
+        assert fp == (
+            192,
+            (1, 1, 2, 3, 3, 3, 3, 3, 3, 4, 4, 6, 8),
+            (
+                (1, 1), (1, 2), (6, 2), (6, 2), (6, 2), (12, 2), (12, 2),
+                (12, 4), (24, 4), (24, 4), (24, 4), (32, 3), (32, 6),
+            ),
+        )
 
     def test_d3_is_symmetric_group_four(self):
-        assert group_fingerprint(weyl_group("D", 3)) == (24, (1, 1, 2, 3, 3))
+        assert group_fingerprint(weyl_group("D", 3)) == (
+            24,
+            (1, 1, 2, 3, 3),
+            ((1, 1), (3, 2), (6, 2), (6, 4), (8, 3)),
+        )
+
+    def test_repeated_runs_build_no_new_tables(self):
+        run_suite("weyl-match")
+        size = _dixon_of.cache_info().currsize
+        run_suite("weyl-match")
+        assert _dixon_of.cache_info().currsize == size
+
+    def test_equal_arguments_give_the_same_group(self):
+        w = canonical_regular_word("B", 3, False, 2)
+        assert centralizer_group("B", 3, False, w) is centralizer_group("B", 3, False, w)
+        # the twist names the coset, not the group: -P(w) and P(w) commute
+        # with the same words
+        v = canonical_regular_word("A", 3, True, 1)
+        assert centralizer_group("A", 3, True, v) is centralizer_group("A", 3, False, v)
+        assert predicted_relative_weyl("D", 4, False, 2) is predicted_relative_weyl("D", 4, False, 2)
 
     def test_twisted_a_centralizer_is_plain_centralizer(self):
         # the -P sign commutes with everything
