@@ -6,6 +6,20 @@ i.e. fully reduced modulo the n-th cyclotomic polynomial.  Elements carry the
 order n they were written in; equality across different orders lifts both
 sides to the least common multiple.  Elements are deliberately unhashable
 (mathematical equality is finer than any per-order normal form).
+
+Whole character tables use a second, array layout: an (L, C, N) int64 array
+``raw`` whose entry [i, j] is sum_e raw[i, j, e] zeta_N^e, an element of
+Z[t]/(t^N - 1) with N a common modulus of the table (m for C_m wr S_a, the
+group exponent for Dixon tables).  :func:`galois_fixed_rows` answers Galois
+fixedness for all rows at once: sigma_k is the index permutation e -> ek mod
+N of the last axis, and two coefficient vectors are the same number iff their
+reductions through ``_reduction_rows(N)`` agree (a column whose values lie in
+Z[zeta_o], o | N, is reduced at o).  Its products are checked up front to stay
+inside int64: max|raw| * max|entry of _reduction_rows(n)| * n < 2^63 at
+n = N and at every column order n = o it reduces at (OverflowError
+otherwise).  Per-row conductors and fixedness under a subgroup (H_d) are
+built on it; :func:`conductor` and :func:`is_fixed_by` remain the scalar
+oracles.
 """
 
 from __future__ import annotations
@@ -13,7 +27,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .qpoly import cyclotomic_poly
 
@@ -59,6 +75,14 @@ def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
             vec = [shifted[i] - top * phi[i] for i in range(deg)]
         rows.append(tuple(vec))
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _reduction_matrix(n: int) -> np.ndarray:
+    """``_reduction_rows(n)`` as a read-only (n, phi(n)) int64 array."""
+    R = np.array(_reduction_rows(n), dtype=np.int64)
+    R.flags.writeable = False
+    return R
 
 
 class CyclotomicNumber:
@@ -338,3 +362,121 @@ def conductor(x: CyclotomicNumber) -> int:
         if all(x.galois(k) == x for k in units if k % c == 1 % c):
             return c
     raise AssertionError("unreachable: c = n always fixes x")
+
+
+# ---------------------------------------------------------------------------
+# Galois fixedness of whole value arrays
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def unit_residues(n: int) -> tuple[int, ...]:
+    """The units of Z/nZ as residues in [0, n), ascending (mod 1: just 0)."""
+    return tuple(k % n for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def _check_fixedness_int64(bound: int, n: int) -> None:
+    """Refuse raw coefficients whose reduction mod Phi_n could leave int64.
+
+    A reduced coordinate sums n products of a raw coefficient (at most
+    ``bound`` in absolute value) with an entry of ``_reduction_rows(n)``.
+    """
+    largest = int(np.abs(_reduction_matrix(n)).max())
+    if n * bound * largest >= 2**63:
+        raise OverflowError(
+            f"reducing coefficients up to {bound} mod Phi_{n} overflows int64 "
+            f"(need n * bound * {largest} < 2^63)"
+        )
+
+
+def _column_orders(raw: np.ndarray) -> np.ndarray:
+    """Per column j of an (L, C, N) value array, the least o | N such that
+    every nonzero coefficient raw[:, j, e] sits at a multiple e of N/o:
+    the column's values then lie in Z[zeta_o]."""
+    n = raw.shape[2]
+    support = (raw != 0).any(axis=0)
+    orders = np.zeros(raw.shape[1], dtype=np.int64)
+    for o in divisors(n):
+        on_grid = ~support[:, np.arange(n) % (n // o) != 0].any(axis=1)
+        orders[(orders == 0) & on_grid] = o
+    return orders
+
+
+def galois_fixed_rows(raw: np.ndarray, ks: Sequence[int]) -> np.ndarray:
+    """Which rows of a value array each sigma_k fixes.
+
+    ``raw`` is an (L, C, N) integer array, entry [i, j] standing for
+    sum_e raw[i, j, e] zeta_N^e.  sigma_k (k a unit mod N) sends zeta_N^e to
+    zeta_N^{ek}, so on the last axis it is the index permutation e -> ek mod
+    N, and a value is fixed iff the reductions of its permuted and its
+    original coefficients agree; a row is fixed iff all its values are.
+    Columns are taken together by their order o (``_column_orders``): there
+    the permutation is e' -> e'k mod o on the coefficients at e = e'N/o, and
+    the reduction is through ``_reduction_rows(o)``, so each k is applied
+    once per distinct k mod o.  Raises OverflowError before any product
+    if a reduction at N or at a column order could leave int64.  Returns a
+    (len(ks), L) bool array: entry [t, i] says whether sigma_{ks[t]} fixes
+    row i.
+    """
+    L, _, n = raw.shape
+    ks = [k % n for k in ks]
+    for k in ks:
+        if math.gcd(k, n) != 1:
+            raise ValueError(f"k = {k} is not a unit mod {n}")
+    out = np.ones((len(ks), L), dtype=bool)
+    bound = max(int(raw.max()), -int(raw.min()))
+    _check_fixedness_int64(bound, n)
+    orders = _column_orders(raw)
+    for o in np.unique(orders).tolist():
+        moving = sorted({k % o for k in ks} - {1 % o})
+        if not moving:
+            continue
+        _check_fixedness_int64(bound, o)
+        values = raw[:, orders == o, :: n // o].reshape(-1, o)
+        R = _reduction_matrix(o)
+        base = values @ R
+        e = np.arange(o)
+        fixed = {
+            k: (values @ R[e * k % o] == base).reshape(L, -1).all(axis=1)
+            for k in moving
+        }
+        for t, k in enumerate(ks):
+            if k % o in fixed:
+                out[t] &= fixed[k % o]
+    return out
+
+
+def conductors_from_fixedness(fixed: np.ndarray, n: int) -> np.ndarray:
+    """Per-row conductors from per-unit fixedness.
+
+    ``fixed[t, i]`` says whether sigma_k, k = unit_residues(n)[t], fixes
+    row i.  The sweep of :func:`conductor`, over all rows at once: a row's
+    conductor is the smallest c | n such that every k = 1 mod c fixes it.
+    """
+    units = unit_residues(n)
+    out = np.zeros(fixed.shape[1], dtype=np.int64)
+    for c in divisors(n):
+        sel = [t for t, k in enumerate(units) if k % c == 1 % c]
+        out[(out == 0) & fixed[sel].all(axis=0)] = c
+    return out
+
+
+def row_conductors(raw: np.ndarray) -> np.ndarray:
+    """For each row of an (L, C, N) value array, the smallest c such that
+    all of its values lie in Q(zeta_c)."""
+    n = raw.shape[2]
+    return conductors_from_fixedness(galois_fixed_rows(raw, unit_residues(n)), n)
+
+
+def rows_fixed_by(raw: np.ndarray, subgroup: GaloisSubgroup) -> np.ndarray:
+    """For each row of an (L, C, N) value array, whether every sigma_k with
+    k in the subgroup fixes all of its values.
+
+    The subgroup's modulus must be a multiple of N; its residues act through
+    their reductions mod N (for H_d: ``hd_subgroup(d, lcm(N, d))``).
+    """
+    n = raw.shape[2]
+    if subgroup.modulus % n != 0:
+        raise ValueError(f"subgroup modulus {subgroup.modulus} is not a multiple of {n}")
+    ks = sorted({k % n for k in subgroup.residues})
+    return galois_fixed_rows(raw, ks).all(axis=0)

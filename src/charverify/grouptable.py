@@ -14,8 +14,15 @@ entries at the pivots; the construction checks that those coordinates
 rebuild the image and raises AssertionError if they do not.  Every kernel
 reduces mod p after at most max(r, exponent) products of two residues, and
 the construction refuses up front (OverflowError) a field in which that sum
-could leave int64.  The lift to cyclotomic values is one matmul per class
-with the discrete Fourier matrix of the representative's order.
+could leave int64.  The lift to exact values is one matmul per class with
+the discrete Fourier matrix of the representative's order.
+
+A table keeps its values as ``raw``, an (L, C, N) int64 array over
+Z[t]/(t^N - 1) with N = exponent(G): entry [i, j, e] is the multiplicity of
+zeta_N^e in the value of character i at class j.  This is the layout of
+``wreath.WreathTable.raw``, so conductors and H_d-fixedness are one pass of
+``cyclotomic.galois_fixed_rows`` over either table; ``characters`` (the
+values as cyclotomic numbers) is built from ``raw`` only when read.
 
 Groups are given by explicit element sets with a multiplication callable;
 elements must be hashable and totally orderable (tuples of ints work).
@@ -29,8 +36,13 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cyclotomic import CyclotomicNumber, _reduction_rows
-from .ladic import is_prime
+from .cyclotomic import (
+    CyclotomicNumber,
+    _reduction_matrix,
+    row_conductors,
+    rows_fixed_by,
+)
+from .ladic import hd_subgroup, is_prime
 
 
 class FiniteGroup:
@@ -224,17 +236,24 @@ def _primitive_root(p: int) -> int:
 
 class CharacterTable:
     """An exact character table: classes, sizes, representative orders and
-    cyclotomic value rows."""
+    values.
 
-    def __init__(self, group, class_reps, class_sizes, class_orders, characters):
+    ``raw`` is the (L, C, N) int64 value array over Z[t]/(t^N - 1), N the
+    group exponent, with the identity class first; ``characters`` is a view
+    of it as cyclotomic numbers.
+    """
+
+    def __init__(self, group, class_reps, class_sizes, class_orders, raw):
         self.group = group
         self.class_reps = list(class_reps)
         self.class_sizes = list(class_sizes)
         self.class_orders = list(class_orders)
-        self.characters = [tuple(row) for row in characters]
-        self.degrees = [
-            int(row[0].rational_value()) for row in self.characters
-        ]
+        self.raw = raw
+        raw.flags.writeable = False
+        if self.class_orders[0] != 1 or np.any(raw[:, 0, 1:]):
+            raise AssertionError("the first class must be the identity class")
+        self.degrees = [int(x) for x in raw[:, 0, 0]]
+        self._characters = None
 
     @property
     def num_classes(self) -> int:
@@ -316,11 +335,12 @@ class CharacterTable:
         rows_mod_p = deg_col * omegas % p * inv_sizes % p
 
         # exact lift: the multiplicity of w^j on <g> is a Fourier sum over
-        # the values at the powers of g, one matmul per class
+        # the values at the powers of g, one matmul per class; it is the
+        # coefficient of zeta_N^{jN/o} in the raw layout over Z[t]/(t^N - 1)
         rep_orders = [group.element_order(g) for g in reps]
+        raw = np.zeros((r, r, exponent), dtype=np.int64)
         dft: dict[int, np.ndarray] = {}
-        values_by_class = []
-        for g, o in zip(reps, rep_orders):
+        for ci, (g, o) in enumerate(zip(reps, rep_orders)):
             power_classes = []
             acc = group.identity
             for _ in range(o):
@@ -334,18 +354,40 @@ class CharacterTable:
             mults = rows_mod_p[:, power_classes] @ dft[o] % p
             if (mults > deg_col).any():
                 raise AssertionError("lifted multiplicity exceeds the degree bound")
-            # sum_j mults_j zeta_o^j in the power basis of Q(zeta_o)
-            coords = mults @ np.array(_reduction_rows(o), dtype=np.int64)
-            values_by_class.append(
-                [
-                    CyclotomicNumber(o, {i: Fraction(c) for i, c in enumerate(row) if c})
-                    for row in coords.tolist()
-                ]
-            )
-        characters = [list(row) for row in zip(*values_by_class)]
+            raw[:, ci, :: exponent // o] = mults
 
-        characters.sort(key=lambda row: (int(row[0].rational_value()), _row_key(row)))
-        return cls(group, reps, sizes, rep_orders, characters)
+        # rows by degree, then by the power-basis coordinates of their values
+        keys = _row_keys(raw, rep_orders)
+        order = sorted(range(r), key=lambda i: (degrees[i], keys[i]))
+        return cls(group, reps, sizes, rep_orders, raw[order])
+
+    @property
+    def characters(self) -> list[tuple[CyclotomicNumber, ...]]:
+        """The value rows as cyclotomic numbers, each value written in
+        Q(zeta_o) for o the order of its class representative; built from
+        ``raw`` on first use."""
+        if self._characters is None:
+            coords = _class_coordinates(self.raw, self.class_orders)
+            columns = [
+                [
+                    CyclotomicNumber(o, {e: Fraction(c) for e, c in enumerate(row) if c})
+                    for row in col.tolist()
+                ]
+                for o, col in zip(self.class_orders, coords)
+            ]
+            self._characters = list(zip(*columns))
+        return self._characters
+
+    # -- Galois fixedness, one pass over the whole table -------------------
+
+    def conductors(self) -> np.ndarray:
+        """Per character, the smallest c with all its values in Q(zeta_c)."""
+        return row_conductors(self.raw)
+
+    def hd_fixed_rows(self, d: int) -> np.ndarray:
+        """Per character, whether every sigma_k with k = 1 mod d fixes all
+        its values (at the modulus lcm(exponent, d))."""
+        return rows_fixed_by(self.raw, hd_subgroup(d, math.lcm(self.raw.shape[2], d)))
 
     # -- exact verification helpers ----------------------------------------
 
@@ -377,8 +419,19 @@ class CharacterTable:
         return sum(d * d for d in self.degrees)
 
 
-def _row_key(row) -> tuple:
-    return tuple(
-        tuple((e, c.numerator, c.denominator) for e, c in sorted(x.coeffs.items()))
-        for x in row
-    )
+def _class_coordinates(raw: np.ndarray, orders) -> list[np.ndarray]:
+    """Per class, the (L, phi(o)) power-basis coordinates of its values in
+    Q(zeta_o), o the order of the class representative."""
+    n = raw.shape[2]
+    return [raw[:, ci, :: n // o] @ _reduction_matrix(o) for ci, o in enumerate(orders)]
+
+
+def _row_keys(raw: np.ndarray, orders) -> list[tuple]:
+    """Per row, the nonzero (exponent, coordinate) pairs of each value in
+    its class's power basis: the order of these keys is the order of the
+    values' canonical serializations."""
+    columns = [
+        [tuple((e, c) for e, c in enumerate(row) if c) for row in coords.tolist()]
+        for coords in _class_coordinates(raw, orders)
+    ]
+    return list(zip(*columns))

@@ -120,12 +120,6 @@ class FiniteFieldElement:
     def in_prime_field(self) -> bool:
         return self.e == 1 or self.coeffs[1] == 0
 
-    def as_int(self) -> int:
-        """The value as an integer in [0, p), for prime-field elements."""
-        if not self.in_prime_field:
-            raise ValueError(f"{self!r} is not in the prime field")
-        return self.coeffs[0]
-
     def lift(self) -> "FiniteFieldElement":
         """The same element viewed inside the quadratic extension."""
         if self.e == 2:
@@ -202,8 +196,16 @@ def sqrt_in_quadratic(p: int, k: int) -> FiniteFieldElement:
 
     Every prime-field element has a square root in the quadratic extension
     (adjoining one non-residue root makes all non-residues squares), so the
-    exhaustive search cannot fail on valid input.
+    exhaustive search cannot fail on valid input.  The search runs once per
+    (p, k mod p); p is validated on every call.
     """
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    return _sqrt_in_quadratic(p, k % p)
+
+
+@lru_cache(maxsize=None)
+def _sqrt_in_quadratic(p: int, k: int) -> FiniteFieldElement:
     target = FiniteFieldElement.from_int(p, k, 2)
     for c in enumerate_field(p, 2):
         if c * c == target:

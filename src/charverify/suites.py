@@ -42,7 +42,6 @@ from . import partitions as partitions_mod
 from . import symbols as symbols_mod
 from . import weyl as weyl_mod
 from . import wreath as wreath_mod
-from .cyclotomic import CyclotomicNumber, conductor, is_fixed_by
 from .ladic import (
     PrimePower,
     central_product_splits,
@@ -72,11 +71,6 @@ def _prime_powers(hi: int) -> list[int]:
             continue
         out.append(q)
     return out
-
-
-def _value_hd_fixed(x: CyclotomicNumber, d: int) -> bool:
-    n = math.lcm(x.order, d)
-    return is_fixed_by(x.lift(n), hd_subgroup(d, n))
 
 
 # --------------------------------------------------------------------------
@@ -205,9 +199,9 @@ def _subgroup_grid(sub_max_m, sub_max_a):
 def _suite_thm41(max_m=12, max_a=4, sub_max_m=6, sub_max_a=3):
     checks, bad = 0, []
     for m, a in _wreath_grid(max_m, max_a):
-        for label in wreath_mod.irr_labels(m, a):
+        conductors = wreath_mod.table_conductors(m, a).tolist()
+        for label, c in zip(wreath_mod.irr_labels(m, a), conductors):
             checks += 1
-            c = wreath_mod.conductor_of_char(label, m, a)
             if m % c != 0:
                 bad.append(
                     f"C_{m} wr S_{a}: conductor {c} of {label} does not "
@@ -215,11 +209,8 @@ def _suite_thm41(max_m=12, max_a=4, sub_max_m=6, sub_max_a=3):
                 )
     for m, a in _subgroup_grid(sub_max_m, sub_max_a):
         table = wreath_mod.get_subgroup_table(m, a)
-        for i, row in enumerate(table.characters):
+        for i, c in enumerate(table.conductors().tolist()):
             checks += 1
-            c = 1
-            for value in row:
-                c = math.lcm(c, conductor(value))
             if m % c != 0:
                 bad.append(
                     f"index-2 subgroup (m={m}, a={a}): conductor {c} of "
@@ -234,9 +225,10 @@ def _suite_lemma42(max_m=12, max_a=4, sub_max_m=6, sub_max_a=3, max_d=12):
         for d in range(1, max_d + 1):
             if math.lcm(2, d) % m != 0:
                 continue
-            for label in wreath_mod.irr_labels(m, a):
+            fixed = wreath_mod.table_hd_fixed(m, a, d).tolist()
+            for label, ok in zip(wreath_mod.irr_labels(m, a), fixed):
                 checks += 1
-                if not wreath_mod.h_d_invariant(label, m, a, d):
+                if not ok:
                     bad.append(
                         f"C_{m} wr S_{a}: {label} not fixed at d={d}"
                     )
@@ -245,9 +237,9 @@ def _suite_lemma42(max_m=12, max_a=4, sub_max_m=6, sub_max_a=3, max_d=12):
         for d in range(1, max_d + 1):
             if math.lcm(2, d) % m != 0:
                 continue
-            for i, row in enumerate(table.characters):
+            for i, ok in enumerate(table.hd_fixed_rows(d).tolist()):
                 checks += 1
-                if not all(_value_hd_fixed(x, d) for x in row):
+                if not ok:
                     bad.append(
                         f"index-2 subgroup (m={m}, a={a}): character {i} "
                         f"not fixed at d={d}"

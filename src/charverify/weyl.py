@@ -30,9 +30,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import galois_apply
 from .grouptable import CharacterTable, FiniteGroup
-from .ladic import hd_subgroup
 from .qpoly import QPolynomial, phi_d_valuation
 from .wreath import get_full_group
 
@@ -352,9 +350,9 @@ def centralizer_group(series: str, r: int, twisted: bool, x: tuple) -> FiniteGro
     For twisted A the coset element is -P(x) and the sign commutes with
     everything, so the condition reduces to commutation of words; in every
     series the twist only names the coset x lies in.  The group is cached
-    on (series, rank, word), so a repeated centralizer is the same object
-    and its character table (keyed on the group in ``_dixon_of``) is built
-    once.
+    on (series, rank, word) and, below the whole group, on its element set,
+    so a repeated centralizer is the same object and its character table
+    (keyed on the group in ``_dixon_of``) is built once.
     """
     return _centralizer_of_word(_canon_series(series), r, x)
 
@@ -362,13 +360,21 @@ def centralizer_group(series: str, r: int, twisted: bool, x: tuple) -> FiniteGro
 @lru_cache(maxsize=None)
 def _centralizer_of_word(series: str, r: int, x: tuple) -> FiniteGroup:
     elements = group_elements(series, r)
-    cent = tuple(w for w in elements if sp_mul(w, x) == sp_mul(x, w))
+    cent = tuple(sorted(w for w in elements if sp_mul(w, x) == sp_mul(x, w)))
     if len(cent) == len(elements):
         return weyl_group(series, r)
+    return _word_group(cent)
+
+
+@lru_cache(maxsize=None)
+def _word_group(elements: tuple) -> FiniteGroup:
+    """The group on a sorted tuple of signed-permutation words: one object
+    per element set, so words with equal centralizers share a group (and
+    its character table in ``_dixon_of``)."""
     n = len(elements[0])
-    gens = _generating_set(cent, sp_mul, sp_identity(n))
+    gens = _generating_set(elements, sp_mul, sp_identity(n))
     return FiniteGroup(
-        cent, sp_mul, sp_identity(n), generators=gens, name=f"C_{series}{r}"
+        elements, sp_mul, sp_identity(n), generators=gens, name=f"C({len(elements)})"
     )
 
 
@@ -463,20 +469,8 @@ def group_fingerprint(group: FiniteGroup) -> tuple:
 
 def character_values_hd_fixed(table: CharacterTable, d: int) -> bool:
     """Whether every value of every character is fixed by all sigma_k with
-    k = 1 mod d (checked at the modulus lcm(value order, d))."""
-    for row in table.characters:
-        for v in row:
-            o = v.order
-            if o == 1:
-                continue
-            big = math.lcm(o, d)
-            for k in sorted(hd_subgroup(d, big).residues):
-                k0 = k % o
-                if k0 == 1:
-                    continue
-                if galois_apply(k0, v) != v:
-                    return False
-    return True
+    k = 1 mod d (one pass over the table's value array)."""
+    return bool(table.hd_fixed_rows(d).all())
 
 
 @dataclass(frozen=True)

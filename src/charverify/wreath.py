@@ -5,12 +5,17 @@ conjugacy classes by colored cycle types (multisets of (length, color) pairs).
 Values are computed by the wreath-product Murnaghan-Nakayama recursion with
 the cyclic base case j -> zeta_m^{jk}, carried out over the group ring
 Z[t]/(t^m - 1) in vectorized integer arithmetic and reduced to canonical
-cyclotomic form on demand.
+cyclotomic form on demand.  ``WreathTable.raw`` is the (L, C, m) int64 array
+of those group-ring coefficients, the layout that ``grouptable`` Dixon tables
+share with N = exponent(G).  Recursion columns depend on m and the class
+only, so the tables of one m share them.
 
-The Galois action sigma_s permutes characters by relabeling components,
-mu^(j) = lambda^(j * s^{-1} mod m); this is verified value-by-value on every
-small table (see tests) and then used to compute conductors of characters in
-large tables from label stabilizers alone.
+Conductors and H_d-fixedness are answered for a whole table at once: on the
+values route by ``cyclotomic.galois_fixed_rows`` over ``raw``; on the label
+route through the Galois action on labels, sigma_s permuting components as
+mu^(j) = lambda^(j * s^{-1} mod m), which is verified value-by-value on every
+small table (see tests) and then used for tables with more than
+``VALUES_ROUTE_MAX_LABELS`` characters, whose values are never built.
 
 For even m, G(m,2,a) denotes the index-2 subgroup of elements whose color sum
 is even.  Restrictions are decomposed by Clifford theory; split constituents
@@ -31,8 +36,11 @@ import numpy as np
 
 from .cyclotomic import (
     CyclotomicNumber,
+    _reduction_matrix,
     _reduction_rows,
-    divisors,
+    conductors_from_fixedness,
+    galois_fixed_rows,
+    unit_residues,
 )
 from .grouptable import CharacterTable, FiniteGroup
 from .ladic import hd_subgroup
@@ -93,7 +101,21 @@ def irr_labels(m: int, a: int) -> list[WreathLabel]:
     """All m-tuples of partitions with total size a, in deterministic order."""
     if m < 1 or a < 0:
         raise ValueError("need m >= 1 and a >= 0")
-    return list(partition_tuples(a, m))
+    return list(_labels_by_size(m, a))
+
+
+@lru_cache(maxsize=None)
+def _label_count(m: int, a: int) -> int:
+    """The number of m-tuples of partitions of total size a, without
+    listing them: the coefficient of x^a in P(x)^m, P(x) = sum_n p(n) x^n."""
+    p = [1] + [0] * a
+    for part in range(1, a + 1):
+        for n in range(part, a + 1):
+            p[n] += p[n - part]
+    power = [1] + [0] * a
+    for _ in range(m):
+        power = [sum(power[i] * p[n - i] for i in range(n + 1)) for n in range(a + 1)]
+    return power[a]
 
 
 def class_labels(m: int, a: int) -> list[WreathClass]:
@@ -130,60 +152,19 @@ class WreathTable:
     def __init__(self, m: int, a: int):
         self.m = m
         self.a = a
-        self.labels = irr_labels(m, a)
+        self.labels = list(_labels_by_size(m, a))
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
         self.classes = class_labels(m, a)
         self.class_index = {cls.cycles: i for i, cls in enumerate(self.classes)}
         if len(self.labels) != len(self.classes):
             raise AssertionError("label and class counts differ")
         self.class_sizes = [cls.size(m) for cls in self.classes]
-        self.raw = self._build_raw()
+        self.raw = _build_raw(m, self.classes, _column_memo(m))
         ident = self.identity_class_index()
         if np.any(self.raw[:, ident, 1:]):
             raise AssertionError("identity-class values must be integers")
         self.degrees = [int(x) for x in self.raw[:, ident, 0]]
         self._canonical = None
-
-    # -- construction -------------------------------------------------------
-
-    def _labels_by_size(self, s: int):
-        return _labels_by_size(self.m, s)
-
-    def _build_raw(self) -> np.ndarray:
-        m, a = self.m, self.a
-        memo: dict[tuple, np.ndarray] = {}
-
-        def table_for(cycles: tuple) -> np.ndarray:
-            if cycles in memo:
-                return memo[cycles]
-            if not cycles:
-                out = np.zeros((1, m), dtype=np.int64)
-                out[0, 0] = 1
-                memo[cycles] = out
-                return out
-            s = sum(c for c, _ in cycles)
-            c, j = cycles[0]
-            prev = table_for(cycles[1:])
-            labels_s = self._labels_by_size(s)
-            out = np.zeros((len(labels_s), m), dtype=np.int64)
-            for k in range(m):
-                rows, cols, signs = _hook_op(m, s, c, k)
-                if len(rows) == 0:
-                    continue
-                contrib = signs[:, None] * prev[cols]
-                shift = (j * k) % m
-                if shift:
-                    contrib = np.roll(contrib, shift, axis=1)
-                np.add.at(out, rows, contrib)
-            memo[cycles] = out
-            return out
-
-        raw = np.zeros((len(self.labels), len(self.classes), m), dtype=np.int64)
-        # identity-class-first ordering of classes is not guaranteed; fill all
-        for ci, cls in enumerate(self.classes):
-            col = table_for(cls.cycles)
-            raw[:, ci, :] = col
-        return raw
 
     # -- value access --------------------------------------------------------
 
@@ -202,28 +183,12 @@ class WreathTable:
     def canonical(self) -> np.ndarray:
         """Values reduced to the power basis of Q(zeta_m): (L, C, phi(m)) ints."""
         if self._canonical is None:
-            R = np.array(_reduction_rows(self.m), dtype=np.int64)
+            R = _reduction_matrix(self.m)
             L, C, m = self.raw.shape
             self._canonical = (self.raw.reshape(L * C, m) @ R).reshape(
                 L, C, R.shape[1]
             )
         return self._canonical
-
-    def to_json_dict(self) -> dict:
-        """Full table in serializable form (labels, classes, canonical values)."""
-        return {
-            "m": self.m,
-            "a": self.a,
-            "labels": [
-                [list(p.parts) for p in label] for label in self.labels
-            ],
-            "classes": [list(map(list, cls.cycles)) for cls in self.classes],
-            "class_sizes": self.class_sizes,
-            "values": [
-                [self.value(i, j).to_dict() for j in range(len(self.classes))]
-                for i in range(len(self.labels))
-            ],
-        }
 
 
 @lru_cache(maxsize=None)
@@ -237,24 +202,76 @@ def _label_index_by_size(m: int, s: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _hook_op(m: int, s: int, c: int, k: int):
-    """Sparse matrix of c-hook removals in component k: labels(s) -> labels(s-c)."""
+def _hook_op(m: int, s: int, c: int):
+    """Sparse map of c-hook removals, labels(s) -> labels(s - c): entry t
+    removes a hook from component ks[t] of label rows[t], leaving label
+    cols[t], with sign signs[t] = (-1)^height."""
     labels_s = _labels_by_size(m, s)
     index_small = _label_index_by_size(m, s - c)
-    rows, cols, signs = [], [], []
+    rows, cols, signs, ks = [], [], [], []
     for i, lab in enumerate(labels_s):
-        if lab[k].size < c:
-            continue
-        for _, new_part, height in hooks(lab[k], c):
-            new_lab = lab[:k] + (new_part,) + lab[k + 1 :]
-            rows.append(i)
-            cols.append(index_small[new_lab])
-            signs.append(-1 if height % 2 else 1)
+        for k in range(m):
+            if lab[k].size < c:
+                continue
+            for _, new_part, height in hooks(lab[k], c):
+                new_lab = lab[:k] + (new_part,) + lab[k + 1 :]
+                rows.append(i)
+                cols.append(index_small[new_lab])
+                signs.append(-1 if height % 2 else 1)
+                ks.append(k)
     return (
         np.array(rows, dtype=np.intp),
         np.array(cols, dtype=np.intp),
         np.array(signs, dtype=np.int64),
+        np.array(ks, dtype=np.int64),
     )
+
+
+@lru_cache(maxsize=None)
+def _column_memo(m: int) -> dict[tuple, np.ndarray]:
+    """Columns of the Murnaghan-Nakayama recursion for C_m wr S_s, keyed
+    by cycle tuple: the (labels(s), m) values at that class.  A column
+    depends on m and the cycles only, so the tables of every a share it."""
+    return {}
+
+
+def _build_raw(m: int, classes, memo: dict) -> np.ndarray:
+    """The (labels, classes, m) value array over Z[t]/(t^m - 1).
+
+    Removing the leading c-cycle of color j from the class and a c-hook from
+    component k of the label contributes zeta_m^{jk} times the smaller
+    column: one gather over every (hook, k) pair, shifted by jk, and one
+    scatter-add.  Columns are read from and written to ``memo``; this
+    table's own columns go in as views of the returned (read-only) array.
+    """
+    shifts = np.arange(m)
+
+    def column(cycles: tuple) -> np.ndarray:
+        col = memo.get(cycles)
+        if col is not None:
+            return col
+        if not cycles:
+            col = np.zeros((1, m), dtype=np.int64)
+            col[0, 0] = 1
+        else:
+            c, j = cycles[0]
+            s = sum(x for x, _ in cycles)
+            prev = column(cycles[1:])
+            rows, cols, signs, ks = _hook_op(m, s, c)
+            contrib = signs[:, None] * prev[cols[:, None], (shifts - j * ks[:, None]) % m]
+            col = np.zeros((len(_labels_by_size(m, s)), m), dtype=np.int64)
+            np.add.at(col, rows, contrib)
+        memo[cycles] = col
+        return col
+
+    a = classes[0].total
+    raw = np.zeros((len(_labels_by_size(m, a)), len(classes), m), dtype=np.int64)
+    for ci, cls in enumerate(classes):
+        raw[:, ci, :] = column(cls.cycles)
+    raw.flags.writeable = False
+    for ci, cls in enumerate(classes):
+        memo[cls.cycles] = raw[:, ci, :]
+    return raw
 
 
 @lru_cache(maxsize=None)
@@ -322,93 +339,108 @@ def verify_galois_equivariance(m: int, a: int) -> bool:
     return True
 
 
-def conductor_of_char(label, m: int, a: int | None = None, via: str = "auto") -> int:
-    """Smallest c | m with all values of chi_label in Q(zeta_c).
+# Tables with more labels than this answer conductor and fixedness questions
+# by the label route, which needs neither the table nor (for one label) the
+# list of all labels.
+VALUES_ROUTE_MAX_LABELS = 400
 
-    via="values": sweep divisors testing Galois fixedness of every reduced
-    value (requires building the full table).
-    via="label": use the component-permutation stabilizer of the label; this
-    rests on the relabeling equivariance, which is itself value-tested on all
-    small tables.
-    via="auto": values for small tables, label otherwise.
-    """
+
+def _route(m: int, a: int, via: str) -> str:
+    if via not in ("auto", "values", "label"):
+        raise ValueError(f"unknown via = {via!r}")
+    if via == "auto":
+        return "values" if _label_count(m, a) <= VALUES_ROUTE_MAX_LABELS else "label"
+    return via
+
+
+def _labels_fixed(labels, m: int, ks) -> np.ndarray:
+    """(len(ks), len(labels)) bools: whether the relabeling by sigma_k
+    fixes each label, i.e. whether its array of component ids equals the
+    copy with columns permuted by j -> j * k^{-1} mod m."""
+    ids: dict = {}
+    comp = np.array(
+        [[ids.setdefault(p.parts, len(ids)) for p in lab] for lab in labels],
+        dtype=np.int64,
+    ).reshape(len(labels), m)
+    j = np.arange(m)
+    out = np.ones((len(ks), len(labels)), dtype=bool)
+    for t, k in enumerate(ks):
+        out[t] = (comp[:, j * pow(k, -1, m) % m] == comp).all(axis=1)
+    return out
+
+
+def _table_fixed(m: int, a: int, ks, via: str) -> np.ndarray:
+    """(len(ks), #labels) Galois fixedness of every character of C_m wr S_a,
+    labels in the order of ``irr_labels(m, a)``."""
+    if _route(m, a, via) == "values":
+        return galois_fixed_rows(get_table(m, a).raw, ks)
+    return _labels_fixed(_labels_by_size(m, a), m, ks)
+
+
+def _label_fixed(label, m: int, a: int, ks, via: str) -> np.ndarray:
+    """(len(ks), 1) Galois fixedness of the one character chi_label."""
+    if _route(m, a, via) == "values":
+        table = get_table(m, a)
+        i = table.label_index[label]
+        return galois_fixed_rows(table.raw[i : i + 1], ks)
+    return _labels_fixed([label], m, ks)
+
+
+def _hd_residues(m: int, d: int) -> list[int]:
+    """H_d = {k in (Z/NZ)^x : k = 1 mod d} at N = lcm(m, d), reduced mod m."""
+    if d < 1:
+        raise ValueError("d must be positive")
+    return sorted({k % m for k in hd_subgroup(d, math.lcm(m, d)).residues})
+
+
+def table_conductors(m: int, a: int, via: str = "auto") -> np.ndarray:
+    """Conductors of all characters of C_m wr S_a, in the order of
+    ``irr_labels(m, a)``; ``via`` as in :func:`conductor_of_char`."""
+    return conductors_from_fixedness(_table_fixed(m, a, unit_residues(m), via), m)
+
+
+def table_hd_fixed(m: int, a: int, d: int, via: str = "auto") -> np.ndarray:
+    """For every character of C_m wr S_a (order of ``irr_labels(m, a)``),
+    whether it is fixed by every sigma_k with k = 1 mod d; ``via`` as in
+    :func:`h_d_invariant`."""
+    return _table_fixed(m, a, _hd_residues(m, d), via).all(axis=0)
+
+
+def _check_label(label, m: int, a: int | None):
     label = tuple(p if isinstance(p, Partition) else Partition(p) for p in label)
     if len(label) != m:
         raise ValueError(f"label must have {m} components, got {len(label)}")
     total = sum(p.size for p in label)
     if a is not None and a != total:
         raise ValueError(f"a = {a} does not match label size {total}")
-    a = total
-    if via not in ("auto", "values", "label"):
-        raise ValueError(f"unknown via = {via!r}")
-    if via == "auto":
-        via = "values" if len(_labels_by_size(m, a)) <= 400 else "label"
-    units = [s for s in range(1, m + 1) if math.gcd(s, m) == 1]
-    if via == "label":
-        for c in divisors(m):
-            if all(
-                galois_permuted_label(label, m, s) == label
-                for s in units
-                if s % c == 1 % c
-            ):
-                return c
-        raise AssertionError("unreachable: c = m always stabilizes")
-    table = get_table(m, a)
-    canon = table.canonical()[table.label_index[label]]
-    mats = _galois_matrices(m)
-    for c in divisors(m):
-        if all(
-            np.array_equal(canon @ mats[s % m if m > 1 else 1], canon)
-            for s in units
-            if s % c == 1 % c
-        ):
-            return c
-    raise AssertionError("unreachable: c = m always fixes the row")
+    return label, total
+
+
+def conductor_of_char(label, m: int, a: int | None = None, via: str = "auto") -> int:
+    """Smallest c | m with all values of chi_label in Q(zeta_c).
+
+    via="values": sweep divisors testing Galois fixedness of the label's row
+    of the table (requires building the full table).
+    via="label": use the component-permutation stabilizer of the label; this
+    rests on the relabeling equivariance, which is itself value-tested on all
+    small tables.
+    via="auto": values when C_m wr S_a has at most VALUES_ROUTE_MAX_LABELS
+    characters (counted, not listed), label otherwise.
+    """
+    label, a = _check_label(label, m, a)
+    fixed = _label_fixed(label, m, a, unit_residues(m), via)
+    return int(conductors_from_fixedness(fixed, m)[0])
 
 
 def h_d_invariant(label, m: int, a: int | None = None, d: int = 1, via: str = "auto") -> bool:
     """Whether chi_label is fixed by every sigma_k with k = 1 mod d.
 
-    The test is run at the common modulus N = lcm(m, d): the subgroup is
-    {k in (Z/NZ)^x : k = 1 mod d} and values are considered in Q(zeta_N).
+    The subgroup is {k in (Z/NZ)^x : k = 1 mod d} at the common modulus
+    N = lcm(m, d); its residues act on Q(zeta_m) through their reductions
+    mod m.  ``via`` as in :func:`conductor_of_char`.
     """
-    label = tuple(p if isinstance(p, Partition) else Partition(p) for p in label)
-    total = sum(p.size for p in label)
-    if a is not None and a != total:
-        raise ValueError(f"a = {a} does not match label size {total}")
-    a = total
-    if d < 1:
-        raise ValueError("d must be positive")
-    N = math.lcm(m, d)
-    residues = sorted(hd_subgroup(d, N).residues)
-    if via == "auto":
-        via = "values" if len(_labels_by_size(m, a)) <= 400 else "label"
-    if via == "label":
-        return all(
-            galois_permuted_label(label, m, k % m if m > 1 else 1) == label
-            for k in residues
-        )
-    table = get_table(m, a)
-    canon = table.canonical()[table.label_index[label]]
-    base = _lift_galois_matrix(m, N, 1)
-    return all(
-        np.array_equal(canon @ _lift_galois_matrix(m, N, k), canon @ base)
-        for k in residues
-    )
-
-
-@lru_cache(maxsize=None)
-def _lift_galois_matrix(m: int, N: int, k: int) -> np.ndarray:
-    """Matrix of (lift to Q(zeta_N)) composed with sigma_k, on canonical bases."""
-    if N % m != 0:
-        raise ValueError("N must be a multiple of m")
-    rows_N = _reduction_rows(N)
-    phi_m = len(_reduction_rows(m)[0])
-    ratio = N // m
-    out = np.zeros((phi_m, len(rows_N[0])), dtype=np.int64)
-    for e in range(phi_m):
-        out[e] = rows_N[(e * ratio * k) % N]
-    return out
+    label, a = _check_label(label, m, a)
+    return bool(_label_fixed(label, m, a, _hd_residues(m, d), via).all())
 
 
 # ---------------------------------------------------------------------------

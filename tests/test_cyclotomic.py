@@ -12,16 +12,27 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import numpy as np
+
 from charverify.cyclotomic import (
     CyclotomicNumber,
     GaloisSubgroup,
+    _check_fixedness_int64,
+    _column_orders,
+    _reduction_rows,
     conductor,
+    conductors_from_fixedness,
     divisors,
     euler_phi,
     galois_apply,
+    galois_fixed_rows,
     is_fixed_by,
     root_of_unity,
+    row_conductors,
+    rows_fixed_by,
+    unit_residues,
 )
+from charverify.ladic import hd_subgroup
 
 
 def test_divisors_and_phi():
@@ -254,3 +265,96 @@ def test_conductor_element_is_fixed_exactly_by_stabilizer(n, data):
     for c2 in divisors(n):
         if c2 < c:
             assert not all(x.galois(k) == x for k in units if k % c2 == 1 % c2)
+
+
+# ---------------------------------------------------------------------------
+# whole-array fixedness against the scalar oracles
+# ---------------------------------------------------------------------------
+
+
+def _random_raw(rng, n, rows=6, cols=5):
+    """A sparse random (rows, cols, n) value array; some columns only use
+    exponents on the grid of a proper divisor of n, as Dixon columns do."""
+    raw = np.zeros((rows, cols, n), dtype=np.int64)
+    for j in range(cols):
+        o = rng.choice(divisors(n))
+        for i in range(rows):
+            for e in rng.sample(range(o), min(o, rng.randint(0, 3))):
+                raw[i, j, e * (n // o)] = rng.randint(-3, 3)
+    return raw
+
+
+def _value(raw, i, j):
+    n = raw.shape[2]
+    return CyclotomicNumber(n, {e: Fraction(int(c)) for e, c in enumerate(raw[i, j]) if c})
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6, 8, 9, 12, 15, 20, 24])
+def test_galois_fixed_rows_against_scalar_galois(n):
+    rng = random.Random(n)
+    for _ in range(4):
+        raw = _random_raw(rng, n)
+        units = unit_residues(n)
+        fixed = galois_fixed_rows(raw, units)
+        for t, k in enumerate(units):
+            for i in range(raw.shape[0]):
+                row = [_value(raw, i, j) for j in range(raw.shape[1])]
+                assert fixed[t, i] == all(x.galois(k) == x for x in row), (n, k, i)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 10, 12, 18, 24])
+def test_row_conductors_and_subgroup_fixedness_against_oracles(n):
+    rng = random.Random(100 + n)
+    raw = _random_raw(rng, n, rows=10, cols=4)
+    rows = [[_value(raw, i, j) for j in range(raw.shape[1])] for i in range(raw.shape[0])]
+    expected = [math.lcm(*(conductor(x) for x in row)) for row in rows]
+    assert row_conductors(raw).tolist() == expected
+    for d in range(1, 13):
+        N = math.lcm(n, d)
+        H = hd_subgroup(d, N)
+        want = [all(is_fixed_by(x.lift(N), H) for x in row) for row in rows]
+        assert rows_fixed_by(raw, H).tolist() == want, d
+
+
+def test_unit_residues_and_column_orders():
+    assert unit_residues(1) == (0,)
+    assert unit_residues(12) == (1, 5, 7, 11)
+    raw = np.zeros((1, 3, 12), dtype=np.int64)
+    raw[0, 1, 6] = 1  # -1: order 2
+    raw[0, 2, [4, 8]] = [1, 2]  # in Z[zeta_3]
+    assert _column_orders(raw).tolist() == [1, 2, 3]
+
+
+def test_conductor_sweep_picks_smallest_divisor():
+    # unit_residues(12) = (1, 5, 7, 11); a row fixed by sigma_1 and sigma_7
+    # only is fixed by every k = 1 mod 3 ({1, 7}) but not by every
+    # k = 1 mod 2 or 1 mod 1: its field is Q(zeta_3)
+    fixed = np.array([[True], [False], [True], [False]])
+    assert conductors_from_fixedness(fixed, 12).tolist() == [3]
+    assert conductors_from_fixedness(np.ones((4, 1), dtype=bool), 12).tolist() == [1]
+
+
+def test_galois_fixed_rows_rejects_non_units():
+    raw = np.zeros((1, 1, 6), dtype=np.int64)
+    with pytest.raises(ValueError):
+        galois_fixed_rows(raw, [2])
+    with pytest.raises(ValueError):
+        rows_fixed_by(raw, hd_subgroup(1, 4))  # modulus 4 is not a multiple of 6
+
+
+@pytest.mark.parametrize("n", [4, 12, 105])
+def test_fixedness_int64_guard_boundary(n):
+    largest = max(abs(c) for row in _reduction_rows(n) for c in row)
+    limit = (2**63 - 1) // (n * largest)
+    _check_fixedness_int64(limit, n)  # n * limit * largest < 2^63
+    with pytest.raises(OverflowError):
+        _check_fixedness_int64(limit + 1, n)
+
+
+def test_galois_fixed_rows_refuses_overflow_up_front():
+    raw = np.zeros((1, 1, 4), dtype=np.int64)
+    raw[0, 0, 1] = 2**61  # 4 * 2^61 * 1 = 2^63
+    with pytest.raises(OverflowError):
+        galois_fixed_rows(raw, [3])
+    raw[0, 0, 1] = 2**61 - 1
+    assert galois_fixed_rows(raw, [3]).tolist() == [[False]]

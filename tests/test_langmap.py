@@ -29,6 +29,18 @@ def ff(p, value, e=1):
     return FiniteFieldElement.from_int(p, value, e)
 
 
+def test_sqrt_memo_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            sqrt_in_quadratic(9, 2)
+        with pytest.raises(ValueError):
+            sqrt_in_quadratic(1, 0)
+    # keyed on k mod p; the cached element is immutable
+    c = sqrt_in_quadratic(7, 3)
+    assert sqrt_in_quadratic(7, 10) is c
+    assert c * c == ff(7, 3, 2)
+
+
 class TestFieldArithmetic:
     def test_modulus_documented(self):
         assert modulus_poly(2) == (1, 1, 1)  # x^2 + x + 1
@@ -186,7 +198,7 @@ class TestPrincipalCochar:
         # all entries landing in the prime field F_7.
         c = sqrt_in_quadratic(7, 3)
         t = principal_cochar_value(3, c)
-        assert [x.as_int() for x in t.entries] == [3, 1, 5]
+        assert t.entries == (ff(7, 3), ff(7, 1), ff(7, 5))
 
     def test_exponent_vector(self):
         c = FiniteFieldElement(11, (4, 9))

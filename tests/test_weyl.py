@@ -29,6 +29,8 @@ from charverify.weyl import (
     weyl_order,
 )
 from charverify.qpoly import QPolynomial, phi_d_valuation
+from charverify.suites import suite_defaults
+from scalar_oracles import scalar_row_answers
 
 
 class TestWords:
@@ -244,6 +246,19 @@ class TestRelativeWeyl:
         assert centralizer_group("A", 3, True, v) is centralizer_group("A", 3, False, v)
         assert predicted_relative_weyl("D", 4, False, 2) is predicted_relative_weyl("D", 4, False, 2)
 
+    def test_different_words_with_one_centralizer_share_the_group(self):
+        # a 3-cycle with a fixed point and with a sign-changed fixed point:
+        # different canonical words (untwisted and twisted D4, d = 3) whose
+        # centralizers are the same six words
+        u = canonical_regular_word("D", 4, False, 3)
+        v = canonical_regular_word("D", 4, True, 3)
+        assert u != v
+        cu = centralizer_group("D", 4, False, u)
+        cv = centralizer_group("D", 4, True, v)
+        assert cu.order == 6
+        assert cu is cv
+        assert _dixon_of(cu) is _dixon_of(cv)
+
     def test_twisted_a_centralizer_is_plain_centralizer(self):
         # the -P sign commutes with everything
         w = canonical_regular_word("A", 3, True, 1)
@@ -286,3 +301,38 @@ class TestHdFixedness:
         table = CharacterTable.dixon(weyl_group("B", 2))
         for d in (1, 2, 3, 4):
             assert character_values_hd_fixed(table, d)
+
+
+def _weyl_match_cases():
+    params = suite_defaults("weyl-match")
+    r_max, rd_max = params["max_rank"], params["max_rank_d"]
+    cases = (
+        [("A", r, tw) for r in range(1, r_max + 1) for tw in (False, True)]
+        + [("B", r, False) for r in range(2, r_max + 1)]
+        + [("D", r, tw) for r in range(2, rd_max + 1) for tw in (False, True)]
+    )
+    return [
+        (series, r, tw, d)
+        for series, r, tw in cases
+        for d in relevant_d_values(series, r, tw)
+    ]
+
+
+def test_centralizer_tables_against_scalar_oracles():
+    """Per-row conductors and H_d-fixedness of every weyl-match centralizer
+    table against the scalar conductor and is_fixed_by of each value."""
+    seen = set()
+    for series, r, tw, d in _weyl_match_cases():
+        group = centralizer_group(series, r, tw, canonical_regular_word(series, r, tw, d))
+        if id(group) in seen:
+            continue
+        seen.add(id(group))
+        table = _dixon_of(group)
+        ds = range(1, 13)
+        expected = scalar_row_answers(table.characters, ds)
+        assert table.conductors().tolist() == [c for c, _ in expected], (series, r, tw, d)
+        for e in ds:
+            got = table.hd_fixed_rows(e).tolist()
+            assert got == [f[e] for _, f in expected], (series, r, tw, d, e)
+            assert character_values_hd_fixed(table, e) == all(got)
+    assert len(seen) > 40

@@ -1,13 +1,21 @@
 """Tests for wreath-product character tables, conductors, and restrictions."""
 
+import hashlib
+import json
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from charverify import cli, wreath
 from charverify.cyclotomic import CyclotomicNumber, conductor
 from charverify.grouptable import CharacterTable
 from charverify.partitions import Partition
 from charverify.wreath import (
+    VALUES_ROUTE_MAX_LABELS,
+    _build_raw,
+    _label_count,
     IndexTwoConstituent,
     WreathClass,
     char_value,
@@ -24,10 +32,13 @@ from charverify.wreath import (
     irr_labels,
     restrict_index2,
     sum_of_degree_squares,
+    table_conductors,
+    table_hd_fixed,
     twist_label,
     verify_galois_equivariance,
     verify_orthogonality,
 )
+from scalar_oracles import scalar_row_answers
 
 P = Partition
 E = P(())
@@ -341,12 +352,153 @@ class TestIndexTwoRestriction:
                 assert plus.values[k] + minus.values[k] == parent_value
 
 
-class TestSerialization:
-    def test_to_json_dict(self):
-        table = get_table(2, 2)
-        data = table.to_json_dict()
-        assert data["m"] == 2 and data["a"] == 2
-        assert len(data["labels"]) == 5
-        assert len(data["values"]) == 5
-        rebuilt = CyclotomicNumber.from_dict(data["values"][0][0])
-        assert rebuilt == table.value(0, 0)
+# ---------------------------------------------------------------------------
+# whole-table conductors and H_d-fixedness against the scalar oracles
+# ---------------------------------------------------------------------------
+
+SUITE_CELLS = [(m, a) for m in range(1, 13) for a in range(1, 5)]
+VALUES_CELLS = [(m, a) for m, a in SUITE_CELLS if _label_count(m, a) <= VALUES_ROUTE_MAX_LABELS]
+SUBGROUP_CELLS = [(m, a) for m in (2, 4, 6) for a in (1, 2, 3)]
+
+
+def wreath_value_rows(table):
+    """The table's rows as cyclotomic numbers, one object per distinct
+    coefficient vector."""
+    m = table.m
+    vecs, where = np.unique(table.raw.reshape(-1, m), axis=0, return_inverse=True)
+    values = [
+        CyclotomicNumber(m, {e: Fraction(int(c)) for e, c in enumerate(v) if c}) for v in vecs
+    ]
+    where = where.reshape(len(table.labels), -1)
+    return [[values[k] for k in row] for row in where.tolist()]
+
+
+class TestWholeTableFixedness:
+    @pytest.mark.parametrize("m,a", [(m, a) for m, a in VALUES_CELLS if m <= 6])
+    def test_wreath_tables_against_scalar_oracles(self, m, a):
+        table = get_table(m, a)
+        ds = range(1, 13)
+        expected = scalar_row_answers(wreath_value_rows(table), ds)
+        assert table_conductors(m, a, via="values").tolist() == [c for c, _ in expected]
+        for d in ds:
+            got = table_hd_fixed(m, a, d, via="values").tolist()
+            assert got == [f[d] for _, f in expected], d
+
+    @pytest.mark.parametrize("m,a", SUBGROUP_CELLS)
+    def test_subgroup_tables_against_scalar_oracles(self, m, a):
+        table = get_subgroup_table(m, a)
+        ds = range(1, 13)
+        expected = scalar_row_answers(table.characters, ds)
+        assert table.conductors().tolist() == [c for c, _ in expected]
+        for d in ds:
+            assert table.hd_fixed_rows(d).tolist() == [f[d] for _, f in expected], d
+
+    @pytest.mark.parametrize("m,a", VALUES_CELLS)
+    def test_label_route_matches_values_route(self, m, a):
+        assert (
+            table_conductors(m, a, via="label").tolist()
+            == table_conductors(m, a, via="values").tolist()
+        )
+        for d in range(1, 13):
+            assert (
+                table_hd_fixed(m, a, d, via="label").tolist()
+                == table_hd_fixed(m, a, d, via="values").tolist()
+            ), d
+
+    def test_per_label_wrappers_match_table_passes(self):
+        for m, a in [(4, 3), (6, 2), (12, 2)]:
+            conductors = table_conductors(m, a).tolist()
+            fixed = table_hd_fixed(m, a, 2).tolist()
+            for i, lab in enumerate(irr_labels(m, a)):
+                for via in ("values", "label"):
+                    assert conductor_of_char(lab, m, via=via) == conductors[i]
+                    assert h_d_invariant(lab, m, d=2, via=via) is fixed[i]
+
+    def test_unknown_route_rejected(self):
+        with pytest.raises(ValueError):
+            table_conductors(2, 2, via="guess")
+        with pytest.raises(ValueError):
+            h_d_invariant((P((1,)), E), 2, d=1, via="guess")
+
+
+class TestLabelCount:
+    def test_count_matches_enumeration(self):
+        for m in range(1, 7):
+            for a in range(0, 7):
+                assert _label_count(m, a) == len(irr_labels(m, a)), (m, a)
+        assert _label_count(12, 4) == 2535
+
+    def test_large_query_never_lists_labels(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("the label list was built")
+
+        monkeypatch.setattr(wreath, "_labels_by_size", refuse)
+        monkeypatch.setattr(wreath, "partition_tuples", refuse)
+        monkeypatch.setattr(wreath, "get_table", refuse)
+        # one component of size 40 in position 1: moved by every sigma_k,
+        # k != 1 mod 12, so the conductor is 12
+        lab = (E, P((40,))) + (E,) * 10
+        assert conductor_of_char(lab, 12) == 12
+        assert h_d_invariant(lab, 12, d=12) is True
+        assert h_d_invariant(lab, 12, d=6) is False
+        assert cli.main(["--query", "conductor", "((),(40,)" + ",()" * 10 + ")", "12"]) == 0
+        assert capsys.readouterr().out.strip().endswith("12")
+
+
+class TestSharedColumns:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+    def test_shared_memo_matches_fresh_build(self, m):
+        for a in range(1, 5):
+            if _label_count(m, a) > VALUES_ROUTE_MAX_LABELS:
+                continue
+            shared = get_table(m, a).raw
+            fresh = _build_raw(m, class_labels(m, a), {})
+            assert shared.dtype == fresh.dtype == np.int64
+            assert np.array_equal(shared, fresh), (m, a)
+
+    def test_tables_are_read_only(self):
+        table = get_table(3, 2)
+        with pytest.raises(ValueError):
+            table.raw[0, 0, 0] = 7
+        with pytest.raises(ValueError):
+            get_subgroup_table(2, 2).raw[0, 0, 0] = 7
+
+
+# sha256 prefixes of the G(m,2,a) value rows ([[value.to_dict() ...] ...],
+# JSON with sorted keys) and of every restrict_index2 result over
+# irr_labels(m, a), recorded from the tables built before values were
+# stored as a raw array (eagerly built cyclotomic rows)
+FROZEN_SUBGROUP_DIGESTS = {
+    (2, 1): ("3e3fb645af312a27", "c9aac197a9ccdf2d"),
+    (2, 2): ("e56c16382a84b237", "8d7ae3cdc52fc643"),
+    (2, 3): ("20881473d4e4faae", "54045f8ddbb403dd"),
+    (4, 1): ("ecd95b27c2a96a65", "dfd9382974bc14ae"),
+    (4, 2): ("0f0d7b8f9439effc", "c9064974fa9bfd01"),
+    (4, 3): ("5a9fe491f4185290", "418654afc376e68a"),
+    (6, 1): ("5519198cf460eef5", "26ba73433dc11b6b"),
+    (6, 2): ("453ddb87d6b24edf", "624cd24afbaa1fa1"),
+    (6, 3): ("38b86dbb93f7e21e", "a82b32a4c951b104"),
+}
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("m,a", SUBGROUP_CELLS)
+def test_subgroup_rows_and_restrictions_frozen(m, a):
+    table = get_subgroup_table(m, a)
+    rows = [[v.to_dict() for v in row] for row in table.characters]
+    restrictions = [
+        [
+            [list(p.parts) for p in c.orbit],
+            c.tag,
+            c.degree,
+            c.multiplicity,
+            None if c.values is None else [v.to_dict() for v in c.values],
+        ]
+        for lab in irr_labels(m, a)
+        for c in restrict_index2(lab, m)
+    ]
+    assert (_digest(rows), _digest(restrictions)) == FROZEN_SUBGROUP_DIGESTS[(m, a)]
+    assert table.degrees == [int(row[0].rational_value()) for row in table.characters]
