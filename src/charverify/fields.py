@@ -314,6 +314,15 @@ def check_prop75(
         raise ValueError(f"n must be positive, got {n}")
     qv = _q_value(q)
     d_prime = mult_order(eps * qv, ell)
+    # Many partitions share a d'-core, and a partition that is its own core
+    # is both: compute the field of each distinct partition once per call.
+    by_parts: dict[tuple, FieldDescriptor] = {}
+
+    def field(mu: Partition) -> FieldDescriptor:
+        if mu.parts not in by_parts:
+            by_parts[mu.parts] = extension_field_typeA(eps, mu, ell, qv, r, rule)
+        return by_parts[mu.parts]
+
     cases = []
     for lam in partitions_of(n):
         core, _ = d_core(lam, d_prime)
@@ -321,8 +330,8 @@ def check_prop75(
             Prop75Case(
                 partition=lam.parts,
                 core=core.parts,
-                field_char=extension_field_typeA(eps, lam, ell, qv, r, rule),
-                field_core=extension_field_typeA(eps, core, ell, qv, r, rule),
+                field_char=field(lam),
+                field_core=field(core),
             )
         )
     return Prop75Report(

@@ -324,6 +324,12 @@ def partitions_of(n: int) -> Iterator[Partition]:
     return (Partition(p) for p in _partitions_of(n))
 
 
+@lru_cache(maxsize=None)
+def _partition_objects(n: int) -> tuple[Partition, ...]:
+    """The ``Partition`` objects of ``partitions_of(n)``, built once."""
+    return tuple(partitions_of(n))
+
+
 def partition_tuples(n: int, components: int) -> Iterator[tuple[Partition, ...]]:
     """All tuples of ``components`` partitions with total size n, sorted."""
     if components == 0:
@@ -331,6 +337,6 @@ def partition_tuples(n: int, components: int) -> Iterator[tuple[Partition, ...]]
             yield ()
         return
     for first_size in range(n, -1, -1):
-        for first in partitions_of(first_size):
+        for first in _partition_objects(first_size):
             for rest in partition_tuples(n - first_size, components - 1):
                 yield (first,) + rest

@@ -19,8 +19,12 @@ tests).
 
 For each d, a canonical element with maximal multiplicity is constructed
 from cycles of the appropriate length and sign; its centralizer is computed
-by a commutation scan and identified, via exact character-table fingerprints,
-with an explicitly built product of wreath products.
+by a commutation scan, tabulated by Burnside-Dixon, and identified by its
+fingerprint (order, sorted degrees, sorted (class size, element order)
+pairs) with the predicted product of wreath products C_b wr S_k.  That
+fingerprint is read off the factors' cached Murnaghan-Nakayama tables in
+series A and B/C, and comes from Dixon on the explicitly built even part of
+the product in series D.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from functools import lru_cache
 
 from .grouptable import CharacterTable, FiniteGroup
 from .qpoly import QPolynomial, phi_d_valuation
-from .wreath import get_full_group
+from .wreath import get_full_group, get_table
 
 SERIES = ("A", "B", "C", "D")
 
@@ -198,8 +202,14 @@ def eigen_multiplicity(series: str, r: int, twisted: bool, w: tuple, d: int) -> 
     series = _canon_series(series)
     if d < 1:
         raise ValueError("d must be positive")
+    return _type_multiplicity(series, twisted, sp_cycles(w), d)
+
+
+def _type_multiplicity(series: str, twisted: bool, cycles: tuple, d: int) -> int:
+    """The zeta_d-eigenvalue multiplicity shared by every element of the
+    signed cycle type ``cycles`` (series canonical, d positive)."""
     total = 0
-    for c, sign in sp_cycles(w):
+    for c, sign in cycles:
         if series == "A" and twisted:
             negative = c % 2 == 1
         else:
@@ -215,10 +225,21 @@ def eigen_multiplicity(series: str, r: int, twisted: bool, w: tuple, d: int) -> 
 
 def max_eigen_multiplicity(series: str, r: int, twisted: bool, d: int) -> int:
     """a(d): the largest zeta_d-eigenspace dimension over the coset."""
+    series = _canon_series(series)
+    if d < 1:
+        raise ValueError("d must be positive")
     return max(
-        eigen_multiplicity(series, r, twisted, w, d)
-        for w in coset_elements(series, r, twisted)
+        _type_multiplicity(series, twisted, cycles, d)
+        for cycles in _coset_cycle_types(series, r, twisted)
     )
+
+
+@lru_cache(maxsize=None)
+def _coset_cycle_types(series: str, r: int, twisted: bool) -> tuple:
+    """The distinct signed cycle types over the coset, from one scan of
+    every element; the multiplicity depends on an element only through
+    its type."""
+    return tuple(sorted({sp_cycles(w) for w in coset_elements(series, r, twisted)}))
 
 
 def generic_degrees(series: str, r: int, twisted: bool) -> list[tuple[int, int]]:
@@ -239,8 +260,9 @@ def generic_degrees(series: str, r: int, twisted: bool) -> list[tuple[int, int]]
     return pairs
 
 
+@lru_cache(maxsize=None)
 def generic_order_phid_valuation(series: str, r: int, twisted: bool, d: int) -> int:
-    """Phi_d-valuation of prod (q^d_i - eps_i), computed exactly."""
+    """Phi_d-valuation of prod (q^d_i - eps_i), computed exactly, once."""
     poly = QPolynomial([1])
     q = QPolynomial.monomial(1)
     one = QPolynomial([1])
@@ -382,7 +404,9 @@ def _word_group(elements: tuple) -> FiniteGroup:
 def _product_group(factors: tuple[FiniteGroup, ...], even_part: bool = False) -> FiniteGroup:
     """Direct product of wreath-product factors, optionally cut to the
     subgroup where the total color sum is even.  Cached like
-    ``centralizer_group``; the factors are the cached wreath groups."""
+    ``centralizer_group``; the factors are the cached wreath groups.  The
+    even part is the series-D prediction; the full product is the oracle
+    of ``_wreath_product_fingerprint``."""
 
     def mul(x, y):
         return tuple(g.mul(xg, yg) for g, xg, yg in zip(factors, x, y))
@@ -410,28 +434,47 @@ def _product_group(factors: tuple[FiniteGroup, ...], even_part: bool = False) ->
     return FiniteGroup(elements, mul, identity, generators=gens)
 
 
-def predicted_relative_weyl(series: str, r: int, twisted: bool, d: int) -> FiniteGroup:
-    """The combinatorial model of the centralizer: a product of wreath
-    products read off the canonical element's signed cycle type (taking the
-    even part in series D)."""
-    series = _canon_series(series)
+def _predicted_factors(series: str, r: int, twisted: bool, d: int) -> list:
+    """(b, k) for each factor C_b wr S_k of the predicted relative Weyl
+    group, in the order of the sorted signed cycle types of the canonical
+    word: k c-cycles give b = c in series A and b = 2c otherwise (series
+    canonical)."""
     word = canonical_regular_word(series, r, twisted, d)
-    cycle_types = _multiset(sp_cycles(word))
     base = 1 if series == "A" else 2
-    factors = tuple(
-        get_full_group(base * c, mult) for (c, _), mult in sorted(cycle_types.items())
-    )
-    return _product_group(factors, series == "D")
+    return [(base * c, k) for (c, _), k in sorted(_multiset(sp_cycles(word)).items())]
+
+
+def predicted_relative_weyl(series: str, r: int, twisted: bool, d: int) -> tuple:
+    """The fingerprint, as in :func:`group_fingerprint`, of the
+    combinatorial model of the centralizer: the product of the
+    ``_predicted_factors`` (its even part in series D)."""
+    series = _canon_series(series)
+    factors = _predicted_factors(series, r, twisted, d)
+    if series == "D":
+        groups = tuple(get_full_group(b, k) for b, k in factors)
+        return group_fingerprint(_product_group(groups, True))
+    return _wreath_product_fingerprint(factors)
+
+
+def _wreath_product_fingerprint(factors) -> tuple:
+    """Fingerprint of the direct product of C_b wr S_k over the (b, k) in
+    ``factors``, from the factors' Murnaghan-Nakayama tables: irreducible
+    degrees and class sizes multiply, element orders combine by lcm."""
+    order, degrees, classes = 1, [1], [(1, 1)]
+    for b, k in factors:
+        table = get_table(b, k)
+        order *= b**k * math.factorial(k)
+        degrees = [x * y for x in degrees for y in table.degrees]
+        pairs = [(s, cls.element_order(b)) for s, cls in zip(table.class_sizes, table.classes)]
+        classes = [(s * t, math.lcm(o, p)) for s, o in classes for t, p in pairs]
+    return order, tuple(sorted(degrees)), tuple(sorted(classes))
 
 
 def relative_weyl_descriptor(series: str, r: int, twisted: bool, d: int) -> str:
     """Human-readable shape of the predicted relative Weyl group."""
     series = _canon_series(series)
-    word = canonical_regular_word(series, r, twisted, d)
-    cycle_types = _multiset(sp_cycles(word))
     parts = []
-    for (c, sign), mult in sorted(cycle_types.items(), reverse=True):
-        base = c if series == "A" else 2 * c
+    for base, mult in reversed(_predicted_factors(series, r, twisted, d)):
         if base == 1:
             parts.append(f"S_{mult}")
         elif mult == 1:
@@ -508,9 +551,8 @@ def analyze_relative_weyl(series: str, r: int, twisted: bool, d: int) -> Relativ
     word = canonical_regular_word(series_c, r, twisted, d)
     a_word = eigen_multiplicity(series_c, r, twisted, word, d)
     computed = centralizer_group(series_c, r, twisted, word)
-    predicted = predicted_relative_weyl(series_c, r, twisted, d)
     fp_c = group_fingerprint(computed)
-    fp_p = group_fingerprint(predicted)
+    fp_p = predicted_relative_weyl(series_c, r, twisted, d)
     hd_ok = character_values_hd_fixed(_dixon_of(computed), d)
     return RelativeWeylReport(
         series=series.upper(),
@@ -521,7 +563,7 @@ def analyze_relative_weyl(series: str, r: int, twisted: bool, d: int) -> Relativ
         order_valuation=a_order,
         canonical_dim=a_word,
         computed_order=computed.order,
-        predicted_order=predicted.order,
+        predicted_order=fp_p[0],
         fingerprint_match=fp_c == fp_p,
         characters_hd_fixed=hd_ok,
         descriptor=relative_weyl_descriptor(series_c, r, twisted, d),

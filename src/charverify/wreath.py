@@ -78,6 +78,11 @@ class WreathClass:
         assert group_order % self.centralizer_order(m) == 0
         return group_order // self.centralizer_order(m)
 
+    def element_order(self, m: int) -> int:
+        """Order of an element of the class: a c-cycle of color j has c-th
+        power zeta_m^j on each of its points, so order c * m / gcd(m, j)."""
+        return math.lcm(1, *(c * (m // math.gcd(m, j)) for c, j in self.cycles))
+
     def __eq__(self, other):
         if not isinstance(other, WreathClass):
             return NotImplemented

@@ -242,6 +242,29 @@ class TestProp75:
                     f"{report.failures[:3]}"
                 )
 
+    @pytest.mark.parametrize(
+        "eps,n,ell,q,r",
+        [(-1, 8, 5, 2, 2), (1, 9, 7, 2, 3), (-1, 7, 3, 2, 1), (1, 5, 11, 2, 2)],
+    )
+    def test_one_field_per_distinct_partition(self, monkeypatch, eps, n, ell, q, r):
+        import charverify.fields as fields_mod
+
+        calls = []
+        original = fields_mod.extension_field_typeA
+
+        def counting(eps_, lam, *args):
+            calls.append(Partition(lam).parts)
+            return original(eps_, lam, *args)
+
+        monkeypatch.setattr(fields_mod, "extension_field_typeA", counting)
+        report = check_prop75(eps, n, ell, q, r=r)
+        distinct = {c.partition for c in report.cases} | {c.core for c in report.cases}
+        assert sorted(calls) == sorted(distinct)
+        for case in report.cases:
+            expected = original(eps, Partition(case.core), ell, q, r)
+            assert case.field_core == expected, case
+            assert case.field_char == original(eps, Partition(case.partition), ell, q, r)
+
     def test_failure_reporting_shape(self):
         report = check_prop75(-1, 5, 7, 2, r=3)
         for case in report.cases:

@@ -176,6 +176,25 @@ def test_partition_tuples_counts():
     assert len(set(tuples)) == len(tuples)
 
 
+def test_partition_tuples_order_matches_fresh_recursion():
+    def fresh(n, components):
+        if components == 0:
+            if n == 0:
+                yield ()
+            return
+        for first_size in range(n, -1, -1):
+            for first in partitions_of(first_size):
+                for rest in fresh(n - first_size, components - 1):
+                    yield (first,) + rest
+
+    for n in range(6):
+        for components in range(5):
+            assert list(partition_tuples(n, components)) == list(fresh(n, components))
+    # the components are drawn from one shared tuple per size
+    a, b = next(partition_tuples(3, 2)), next(partition_tuples(3, 3))
+    assert a[0] is b[0] and a[1] is b[1]
+
+
 def test_num_standard_tableaux():
     assert Partition((2, 1)).num_standard_tableaux() == 2
     assert Partition((3, 2)).num_standard_tableaux() == 5

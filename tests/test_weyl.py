@@ -8,6 +8,8 @@ from charverify.grouptable import CharacterTable
 from charverify.suites import run_suite
 from charverify.weyl import (
     _dixon_of,
+    _predicted_factors,
+    _product_group,
     analyze_relative_weyl,
     canonical_regular_word,
     centralizer_group,
@@ -29,6 +31,7 @@ from charverify.weyl import (
     weyl_order,
 )
 from charverify.qpoly import QPolynomial, phi_d_valuation
+from charverify.wreath import get_full_group
 from charverify.suites import suite_defaults
 from scalar_oracles import scalar_row_answers
 
@@ -194,6 +197,34 @@ class TestEigenvalueCounts:
         with pytest.raises(ValueError):
             canonical_regular_word("A", 2, False, 4)
 
+    @pytest.mark.parametrize(
+        "series,r,twisted",
+        [("A", 4, False), ("A", 4, True), ("B", 3, False), ("C", 3, False),
+         ("D", 4, False), ("D", 4, True)],
+    )
+    def test_scan_by_cycle_type_matches_element_scan(self, series, r, twisted):
+        # every d, including those with no eigenvalue on the coset
+        for d in range(1, 13):
+            assert max_eigen_multiplicity(series, r, twisted, d) == max(
+                eigen_multiplicity(series, r, twisted, w, d)
+                for w in coset_elements(series, r, twisted)
+            ), (series, r, twisted, d)
+
+    def test_scan_rejects_nonpositive_d(self):
+        with pytest.raises(ValueError):
+            max_eigen_multiplicity("B", 2, False, 0)
+
+    def test_memoized_valuation_matches_fresh_division(self):
+        for series, r, twisted in [("A", 5, True), ("B", 5, False), ("D", 4, True)]:
+            for d in range(1, 21):
+                args = (series, r, twisted, d)
+                assert generic_order_phid_valuation(*args) == (
+                    generic_order_phid_valuation.__wrapped__(*args)
+                )
+        hits = generic_order_phid_valuation.cache_info().hits
+        generic_order_phid_valuation("B", 5, False, 4)
+        assert generic_order_phid_valuation.cache_info().hits == hits + 1
+
 
 class TestRelativeWeyl:
     def test_frozen_cyclic_case(self):
@@ -244,7 +275,8 @@ class TestRelativeWeyl:
         # with the same words
         v = canonical_regular_word("A", 3, True, 1)
         assert centralizer_group("A", 3, True, v) is centralizer_group("A", 3, False, v)
-        assert predicted_relative_weyl("D", 4, False, 2) is predicted_relative_weyl("D", 4, False, 2)
+        groups = tuple(get_full_group(b, k) for b, k in _predicted_factors("D", 4, False, 2))
+        assert _product_group(groups, True) is _product_group(groups, True)
 
     def test_different_words_with_one_centralizer_share_the_group(self):
         # a 3-cycle with a fixed point and with a sign-changed fixed point:
@@ -278,9 +310,19 @@ class TestRelativeWeyl:
             assert rep.consistent, rep
 
     def test_predicted_group_even_part_is_index_two(self):
-        g = predicted_relative_weyl("D", 4, False, 2)
+        order, _, _ = predicted_relative_weyl("D", 4, False, 2)
         # centralizer of -Id inside W(D_4) is everything
-        assert g.order == 192
+        assert order == 192
+
+    def test_prediction_tells_cyclic_four_from_klein_four(self):
+        # B2, d = 4: the prediction is C_4; C_2 x C_2 has the same order,
+        # degrees and class sizes, and differs only in element orders
+        klein = _product_group((get_full_group(2, 1), get_full_group(2, 1)))
+        assert _predicted_factors("B", 2, False, 4) == [(4, 1)]
+        cyclic = predicted_relative_weyl("B", 2, False, 4)
+        assert cyclic == (4, (1, 1, 1, 1), ((1, 1), (1, 2), (1, 4), (1, 4)))
+        assert cyclic != group_fingerprint(klein)
+        assert cyclic[:2] == group_fingerprint(klein)[:2]
 
     def test_descriptor_shapes(self):
         assert relative_weyl_descriptor("B", 4, False, 4).startswith("C_4")
@@ -336,3 +378,17 @@ def test_centralizer_tables_against_scalar_oracles():
             assert got == [f[e] for _, f in expected], (series, r, tw, d, e)
             assert character_values_hd_fixed(table, e) == all(got)
     assert len(seen) > 40
+
+
+@pytest.mark.parametrize(
+    "series,r,twisted,d",
+    [case for case in _weyl_match_cases() if case[0] != "D"]
+    + [("C",) + case[1:] for case in _weyl_match_cases() if case[0] == "B"],
+)
+def test_predicted_fingerprint_against_dixon_of_product(series, r, twisted, d):
+    """The fingerprint read off the Murnaghan-Nakayama tables of the factors
+    equals that of the explicitly listed product group, tabulated by Dixon."""
+    groups = tuple(get_full_group(b, k) for b, k in _predicted_factors(series, r, twisted, d))
+    assert predicted_relative_weyl(series, r, twisted, d) == (
+        group_fingerprint(_product_group(groups))
+    )

@@ -75,6 +75,16 @@ class TestLabelsAndClasses:
         with pytest.raises(ValueError):
             WreathClass(((0, 1),))
 
+    @pytest.mark.parametrize("m,a", [(1, 4), (2, 3), (3, 2), (4, 2), (6, 2)])
+    def test_element_order_matches_explicit_group(self, m, a):
+        group = get_full_group(m, a)
+        orders = {}
+        for g in group.elements:
+            orders.setdefault(colored_type(g, m), set()).add(group.element_order(g))
+        assert set(orders) == set(class_labels(m, a))
+        for cls, seen in orders.items():
+            assert seen == {cls.element_order(m)}, cls
+
 
 class TestCharacterValues:
     def test_cyclic_base_case(self):
