@@ -7,11 +7,25 @@ through the discrete Fourier sum over powers of the class representative.
 All lifted values are cyclotomic numbers; orthogonality can then be verified
 in exact arithmetic, independently of how a character table was predicted.
 
+Groups are colored-permutation arrays (``ColoredPermGroup``): every group
+the package builds is a subgroup of some C_m wr S_n, stored as a
+permutation array and a color array with one row per element, in the order
+of the sorted native elements.  Classes, inverses, element orders, the
+powers of the class representatives and the class-multiplication matrices
+all come from array gathers and ``np.searchsorted`` on integer row keys,
+never from a multiplication of two elements in Python.  ``FiniteGroup``,
+a group given by elements and a Python ``mul``, is the construction path
+of the tests and the oracle of the arrays; Dixon reads it through its
+regular representation.  The builders in ``weyl`` and ``wreath`` refuse a
+group above ``MAX_GROUP_ORDER`` from its closed-form order, before any
+element is listed.
+
 The F_p linear algebra runs on numpy int64 arrays.  Each simultaneous
 eigenspace is kept as a basis in reduced row echelon form with its pivot
 columns, so the coordinates of a class-matrix image in that basis are its
 entries at the pivots; the construction checks that those coordinates
-rebuild the image and raises AssertionError if they do not.  Every kernel
+rebuild the image and raises AssertionError if they do not.  A space on
+which a class matrix acts as a scalar is kept as it is.  Every kernel
 reduces mod p after at most max(r, exponent) products of two residues, and
 the construction refuses up front (OverflowError) a field in which that sum
 could leave int64.  The lift to exact values is one matmul per class with
@@ -23,13 +37,11 @@ zeta_N^e in the value of character i at class j.  This is the layout of
 ``wreath.WreathTable.raw``, so conductors and H_d-fixedness are one pass of
 ``cyclotomic.galois_fixed_rows`` over either table; ``characters`` (the
 values as cyclotomic numbers) is built from ``raw`` only when read.
-
-Groups are given by explicit element sets with a multiplication callable;
-elements must be hashable and totally orderable (tuples of ints work).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -45,8 +57,43 @@ from .cyclotomic import (
 from .ladic import hd_subgroup, is_prime
 
 
+# Explicit groups above this order are refused before any element is listed
+# (ValueError).  The default suites build groups of order at most 3840
+# (W(B5)); W(B6), of order 46080, passes and W(B7), of order 645120, does not.
+MAX_GROUP_ORDER = 10**5
+
+
+def _check_group_order(order: int, name: str) -> None:
+    """Refuse a group above MAX_GROUP_ORDER, from its order alone."""
+    if order > MAX_GROUP_ORDER:
+        raise ValueError(
+            f"{name} has order {order}, above the cap of {MAX_GROUP_ORDER} "
+            "on explicitly listed groups"
+        )
+
+
+def _permutations(n: int) -> np.ndarray:
+    """All permutations of range(n), an (n!, n) array in lexicographic order."""
+    return np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(-1, n)
+
+
+def _compose(px, cx, py, cy, m: int):
+    """(xy)(j) = x(y(j)) on broadcastable stacks of colored permutations:
+    the product's permutation and its colors mod m."""
+    return (
+        np.take_along_axis(px, py, -1),
+        (cy + np.take_along_axis(cx, py, -1)) % m,
+    )
+
+
 class FiniteGroup:
-    """An explicit finite group: elements, multiplication, identity."""
+    """An explicit finite group: elements, a Python multiplication, identity.
+
+    This is the construction path of the tests and the oracle of
+    ``ColoredPermGroup``: its classes, inverses and element orders come
+    from one ``mul`` call at a time.  ``CharacterTable.dixon`` reads it
+    through its regular representation.
+    """
 
     def __init__(
         self,
@@ -69,7 +116,6 @@ class FiniteGroup:
         self._inverses: dict = {}
         self._orders: dict = {}
         self._classes: list[list] | None = None
-        self._class_of: dict | None = None
 
     @property
     def order(self) -> int:
@@ -126,10 +172,220 @@ class FiniteGroup:
         rest = [c for c in classes if c is not id_cls]
         rest.sort(key=lambda c: (len(c), c[0]))
         self._classes = [id_cls] + rest
-        self._class_of = {
-            g: k for k, cls in enumerate(self._classes) for g in cls
-        }
         return self._classes
+
+    def regular_representation(self) -> "ColoredPermGroup":
+        """The group acting on its element indices by x -> gx (m = 1),
+        rows in the order of ``elements``."""
+        perm = [[self.index[self.mul(g, x)] for x in self.elements] for g in self.elements]
+        return ColoredPermGroup(
+            perm, np.zeros((self.order, self.order), dtype=np.int64), 1,
+            _RegularEncoding(self), generators=self.generators or None, name=self.name,
+        )
+
+
+class _RegularEncoding:
+    """The elements of a FiniteGroup as the rows of its regular
+    representation: g is the row that sends the identity's index to g's."""
+
+    def __init__(self, group: FiniteGroup):
+        self.group = group
+        self.e = group.index[group.identity]
+        self.radices = (group.order,)
+
+    def digits(self, perm, color):
+        return perm[..., self.e : self.e + 1]
+
+    def encode(self, g):
+        group = self.group
+        return [group.index[group.mul(g, x)] for x in group.elements], [0] * group.order
+
+    def decode(self, perm, color):
+        return self.group.elements[int(perm[self.e])]
+
+
+class ColoredPermGroup:
+    """A finite group of colored permutations, as arrays: a subgroup of
+    C_m wr S_n.
+
+    Row g of the (|G|, n) arrays ``perm`` and ``color`` is the monomial map
+    e_j -> zeta_m^color[g, j] e_perm[g, j], and (xy)(j) = x(y(j)), so
+    multiplying every row by one element is a single gather.  An encoding
+    names the native elements (signed words, (color vector, permutation)
+    pairs, tuples of those, or a FiniteGroup's elements): ``digits`` maps
+    colored permutations to digit vectors whose lexicographic order is that
+    of the native elements, ``encode``/``decode`` convert one element, and
+    ``radices`` bound the digits.  A row's key is its digit vector read in
+    that mixed radix; rows are sorted by key, i.e. in the order of
+    ``sorted(elements)``, and ``rows`` finds any element's row with
+    ``np.searchsorted``.
+
+    Everything Dixon needs before its F_p algebra comes from gathers:
+    conjugacy classes are orbits of the generators' conjugation maps,
+    inverses and element orders come from array powers, and a
+    class-multiplication matrix is one gather and one ``np.bincount``.
+    Without given generators, a generating set is chosen greedily.
+    """
+
+    def __init__(self, perm, color, m: int, encoding, generators=None, name: str = ""):
+        radices = encoding.radices
+        if math.prod(radices) >= 2**63:
+            raise OverflowError("element keys would overflow int64")
+        self._place = np.array(
+            [math.prod(radices[i + 1 :]) for i in range(len(radices))], dtype=np.int64
+        )
+        self.m, self.encoding, self.name = m, encoding, name
+        perm = np.asarray(perm, dtype=np.int64)
+        color = np.asarray(color, dtype=np.int64) % m
+        keys = self._keys(perm, color)
+        order = np.argsort(keys, kind="stable")
+        self.perm, self.color, self.keys = perm[order], color[order], keys[order]
+        if (self.keys[1:] == self.keys[:-1]).any():
+            raise ValueError("duplicate elements")
+        n = perm.shape[1]
+        self.identity = int(self.rows(np.arange(n), np.zeros(n, dtype=np.int64)))
+        self._generators = (
+            None if generators is None
+            else [int(self.rows(*encoding.encode(g))) for g in generators]
+        )
+        self._classes = None
+        self.class_of = None  # row -> class index, set with the classes
+        self._inverses = None
+        self._elements = None
+
+    @property
+    def order(self) -> int:
+        return len(self.keys)
+
+    def _keys(self, perm, color) -> np.ndarray:
+        return self.encoding.digits(perm, color) @ self._place
+
+    def rows(self, perm, color) -> np.ndarray:
+        """The row of each colored permutation along the last axis;
+        ValueError if one is not in the group."""
+        keys = self._keys(np.asarray(perm), np.asarray(color) % self.m)
+        idx = np.searchsorted(self.keys, keys)
+        if not (self.keys[np.minimum(idx, self.order - 1)] == keys).all():
+            raise ValueError(f"not an element of {self.name or 'the group'}")
+        return idx
+
+    def element(self, g: int):
+        """Row g as a native element."""
+        return self.encoding.decode(self.perm[g], self.color[g])
+
+    @property
+    def elements(self) -> list:
+        """Every row as a native element, sorted."""
+        if self._elements is None:
+            self._elements = [self.element(g) for g in range(self.order)]
+        return self._elements
+
+    def product(self, x, y) -> np.ndarray:
+        """Rows of the products of rows x and y (broadcast)."""
+        x, y = np.broadcast_arrays(np.asarray(x), np.asarray(y))
+        return self.rows(
+            *_compose(self.perm[x], self.color[x], self.perm[y], self.color[y], self.m)
+        )
+
+    def subgroup(self, rows, name: str = "") -> "ColoredPermGroup":
+        """The subgroup on the given rows, in the same encoding."""
+        return ColoredPermGroup(self.perm[rows], self.color[rows], self.m, self.encoding, name=name)
+
+    def inverses(self) -> np.ndarray:
+        """Row of the inverse of every row."""
+        if self._inverses is None:
+            pinv = np.argsort(self.perm, axis=1)
+            self._inverses = self.rows(pinv, -np.take_along_axis(self.color, pinv, 1))
+        return self._inverses
+
+    def powers(self, rows=None) -> tuple[np.ndarray, np.ndarray]:
+        """(table, orders) for the given rows (every row by default):
+        orders[k] is the order of g = rows[k], and table[k, e] is the row of
+        g^e for e < orders[k] (later columns run on around the cycle)."""
+        rows = np.arange(self.order) if rows is None else np.asarray(rows)
+        p, c = self.perm[rows], self.color[rows]
+        columns = [np.full(len(rows), self.identity)]
+        orders = np.zeros(len(rows), dtype=np.int64)
+        acc_p, acc_c = p, c
+        while not orders.all():
+            col = self.rows(acc_p, acc_c)
+            orders[(orders == 0) & (col == self.identity)] = len(columns)
+            columns.append(col)
+            acc_p, acc_c = _compose(acc_p, acc_c, p, c, self.m)
+        return np.stack(columns[:-1], axis=1), orders
+
+    @property
+    def generators(self) -> list[int]:
+        if self._generators is None:
+            self._generators = self._greedy_generators()
+        return self._generators
+
+    def _greedy_generators(self) -> list[int]:
+        """The smallest row outside the span of the rows chosen so far,
+        until the span is the group; the span grows by one gather per
+        chosen row (right multiplication)."""
+        span = np.zeros(self.order, dtype=bool)
+        span[self.identity] = True
+        gens, maps = [], []
+        every = np.arange(self.order)
+        while not span.all():
+            gens.append(int(np.argmin(span)))
+            maps.append(self.product(every, gens[-1]))
+            frontier = np.flatnonzero(span)
+            while frontier.size:
+                new = np.unique(np.concatenate([mp[frontier] for mp in maps]))
+                frontier = new[~span[new]]
+                span[frontier] = True
+        return gens or [self.identity]
+
+    def _conjugation_map(self, t: int) -> np.ndarray:
+        """Row of t x t^-1 for every row x."""
+        pt, ct = self.perm[t], self.color[t]
+        pti = np.argsort(pt)
+        tx_p, tx_c = pt[self.perm], self.color + ct[self.perm]
+        return self.rows(tx_p[:, pti], tx_c[:, pti] - ct[pti])
+
+    def conjugacy_classes(self) -> list[np.ndarray]:
+        """Classes as ascending row arrays: the identity class first, the
+        rest by (size, smallest row), i.e. by size and smallest element.
+        Each row takes the smallest row of its orbit under the generators'
+        conjugation maps, by propagating minima along the maps."""
+        if self._classes is None:
+            maps = [self._conjugation_map(t) for t in self.generators]
+            label = np.arange(self.order)
+            while True:
+                prev = label
+                for mp in maps:
+                    label = np.minimum(label, label[mp])
+                label = label[label]
+                if np.array_equal(label, prev):
+                    break
+            reps, where, sizes = np.unique(label, return_inverse=True, return_counts=True)
+            ranked = np.lexsort((reps, sizes, reps != self.identity))
+            rank = np.empty_like(ranked)
+            rank[ranked] = np.arange(len(reps))
+            self.class_of = rank[where]
+            members = np.argsort(self.class_of, kind="stable")
+            self._classes = np.split(members, np.cumsum(sizes[ranked])[:-1])
+        return self._classes
+
+    def class_matrix(self, i: int) -> np.ndarray:
+        """(M_i)_{jk} = #{x in C_i : x^-1 rep_k in C_j}, rep_k the smallest
+        row of class k: the inverses of C_i times every representative in
+        one gather, counted by ``np.bincount``."""
+        classes = self.conjugacy_classes()
+        r = len(classes)
+        reps = np.array([c[0] for c in classes])
+        x = self.inverses()[classes[i]]
+        hits = self.class_of[
+            self.rows(
+                *_compose(
+                    self.perm[x][:, None], self.color[x][:, None],
+                    self.perm[reps][None], self.color[reps][None], self.m,
+                )
+            )
+        ]
+        return np.bincount((hits * r + np.arange(r)).ravel(), minlength=r * r).reshape(r, r)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +415,7 @@ def _rref(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(n_cols):
         if r == n_rows:
             break
-        nonzero = np.flatnonzero(R[r:, c])
+        nonzero = R[r:, c].nonzero()[0]
         if nonzero.size == 0:
             continue
         piv = r + int(nonzero[0])
@@ -168,7 +424,8 @@ def _rref(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         R[r] = R[r] * pow(int(R[r, c]), -1, p) % p
         factors = R[:, c].copy()
         factors[r] = 0
-        R = (R - np.outer(factors, R[r])) % p
+        R -= factors[:, None] * R[r]
+        R %= p
         pivots.append(c)
         r += 1
     return R[:r], pivots
@@ -194,10 +451,10 @@ def _charpoly(A: np.ndarray, p: int) -> list[int]:
     Mk = np.eye(n, dtype=np.int64)
     for k in range(1, n + 1):
         N = A @ Mk % p
-        c = -pow(k, -1, p) * int(np.trace(N)) % p
+        c = -pow(k, -1, p) * int(N.trace()) % p
         coeffs[n - k] = c
         Mk = N
-        Mk[np.diag_indices(n)] += c
+        Mk.flat[:: n + 1] += c
         Mk %= p
     return coeffs
 
@@ -208,7 +465,9 @@ def _poly_roots(coeffs: Sequence[int], p: int) -> list[int]:
     x = np.arange(p, dtype=np.int64)
     acc = np.zeros(p, dtype=np.int64)
     for c in reversed(coeffs):
-        acc = (acc * x + int(c)) % p
+        acc *= x
+        acc += int(c)
+        acc %= p
     return np.flatnonzero(acc == 0).tolist()
 
 
@@ -260,13 +519,19 @@ class CharacterTable:
         return len(self.class_reps)
 
     @classmethod
-    def dixon(cls, group: FiniteGroup) -> "CharacterTable":
+    def dixon(cls, group) -> "CharacterTable":
+        """The table of a ColoredPermGroup; a FiniteGroup enters through
+        its regular representation."""
+        if isinstance(group, FiniteGroup):
+            group = group.regular_representation()
         classes = group.conjugacy_classes()
         r = len(classes)
         sizes = [len(c) for c in classes]
-        reps = [c[0] for c in classes]
+        rep_rows = np.array([c[0] for c in classes])
         n_g = group.order
-        exponent = group.exponent()
+        powers, orders = group.powers(rep_rows)
+        rep_orders = orders.tolist()
+        exponent = math.lcm(*rep_orders)
 
         # prime field: p = 1 mod exponent, p > 2|G|
         p = exponent + 1
@@ -274,18 +539,8 @@ class CharacterTable:
             p += exponent
         _check_int64(max(r, exponent), p)
         z = _primitive_root(p)
-
-        class_of = group._class_of  # element -> class index, set with the classes
-        mul, inverse = group.mul, group.inverse
-        inv_class = [class_of[inverse(g)] for g in reps]
-
-        def structure_matrix(i: int) -> np.ndarray:
-            # (M_i)_{jk} = #{x in C_i : x^{-1} rep_k in C_j}
-            hits = [class_of[mul(inverse(x), g)] for x in classes[i] for g in reps]
-            flat = np.array(hits, dtype=np.int64) * r + np.tile(
-                np.arange(r, dtype=np.int64), sizes[i]
-            )
-            return np.bincount(flat, minlength=r * r).reshape(r, r)
+        class_of = group.class_of
+        inv_class = class_of[group.inverses()[rep_rows]]
 
         # Split the simultaneous eigenspaces.  Each space is an RREF basis
         # (rows) with its pivot columns, so the coordinates of a vector of
@@ -294,7 +549,7 @@ class CharacterTable:
         for i in range(1, r):
             if all(len(pivots) == 1 for _, pivots in spaces):
                 break
-            M_T = structure_matrix(i).T % p
+            M_T = group.class_matrix(i).T % p
             new_spaces = []
             for B, pivots in spaces:
                 if len(pivots) == 1:
@@ -305,6 +560,9 @@ class CharacterTable:
                 if not np.array_equal(A @ B % p, images):
                     raise AssertionError("class matrix leaves an eigenspace")
                 eye = np.eye(len(pivots), dtype=np.int64)
+                if (A == A[0, 0] * eye).all():
+                    new_spaces.append((B, pivots))  # M_i acts on it as a scalar
+                    continue
                 for lam in _poly_roots(_charpoly(A, p), p):
                     kern = _nullspace((A.T - lam * eye) % p, p)
                     if len(kern):
@@ -337,15 +595,10 @@ class CharacterTable:
         # exact lift: the multiplicity of w^j on <g> is a Fourier sum over
         # the values at the powers of g, one matmul per class; it is the
         # coefficient of zeta_N^{jN/o} in the raw layout over Z[t]/(t^N - 1)
-        rep_orders = [group.element_order(g) for g in reps]
         raw = np.zeros((r, r, exponent), dtype=np.int64)
         dft: dict[int, np.ndarray] = {}
-        for ci, (g, o) in enumerate(zip(reps, rep_orders)):
-            power_classes = []
-            acc = group.identity
-            for _ in range(o):
-                power_classes.append(class_of[acc])
-                acc = mul(acc, g)
+        for ci, o in enumerate(rep_orders):
+            power_classes = class_of[powers[ci, :o]]
             if o not in dft:
                 w = pow(z, (p - 1) // o, p)
                 w_powers = np.array([pow(w, e, p) for e in range(o)], dtype=np.int64)
@@ -359,6 +612,7 @@ class CharacterTable:
         # rows by degree, then by the power-basis coordinates of their values
         keys = _row_keys(raw, rep_orders)
         order = sorted(range(r), key=lambda i: (degrees[i], keys[i]))
+        reps = [group.element(g) for g in rep_rows]
         return cls(group, reps, sizes, rep_orders, raw[order])
 
     @property

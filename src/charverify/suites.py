@@ -191,13 +191,17 @@ def _wreath_grid(max_m, max_a):
 
 
 def _subgroup_grid(sub_max_m, sub_max_a):
-    for m in range(2, sub_max_m + 1, 2):
-        for a in range(1, sub_max_a + 1):
-            yield m, a
+    """The G(m,2,a) cells, refused up front if one is above the cap on
+    explicit groups."""
+    cells = [(m, a) for m in range(2, sub_max_m + 1, 2) for a in range(1, sub_max_a + 1)]
+    for m, a in cells:
+        wreath_mod._check_wreath_order(m, a, even=True)
+    return cells
 
 
 def _suite_thm41(max_m=12, max_a=4, sub_max_m=6, sub_max_a=3):
     checks, bad = 0, []
+    subgroup_cells = _subgroup_grid(sub_max_m, sub_max_a)
     for m, a in _wreath_grid(max_m, max_a):
         conductors = wreath_mod.table_conductors(m, a).tolist()
         for label, c in zip(wreath_mod.irr_labels(m, a), conductors):
@@ -207,7 +211,7 @@ def _suite_thm41(max_m=12, max_a=4, sub_max_m=6, sub_max_a=3):
                     f"C_{m} wr S_{a}: conductor {c} of {label} does not "
                     f"divide {m}"
                 )
-    for m, a in _subgroup_grid(sub_max_m, sub_max_a):
+    for m, a in subgroup_cells:
         table = wreath_mod.get_subgroup_table(m, a)
         for i, c in enumerate(table.conductors().tolist()):
             checks += 1
@@ -221,6 +225,7 @@ def _suite_thm41(max_m=12, max_a=4, sub_max_m=6, sub_max_a=3):
 
 def _suite_lemma42(max_m=12, max_a=4, sub_max_m=6, sub_max_a=3, max_d=12):
     checks, bad = 0, []
+    subgroup_cells = _subgroup_grid(sub_max_m, sub_max_a)
     for m, a in _wreath_grid(max_m, max_a):
         for d in range(1, max_d + 1):
             if math.lcm(2, d) % m != 0:
@@ -232,7 +237,7 @@ def _suite_lemma42(max_m=12, max_a=4, sub_max_m=6, sub_max_a=3, max_d=12):
                     bad.append(
                         f"C_{m} wr S_{a}: {label} not fixed at d={d}"
                     )
-    for m, a in _subgroup_grid(sub_max_m, sub_max_a):
+    for m, a in subgroup_cells:
         table = wreath_mod.get_subgroup_table(m, a)
         for d in range(1, max_d + 1):
             if math.lcm(2, d) % m != 0:
@@ -368,6 +373,8 @@ def _suite_weyl_match(max_rank=5, max_rank_d=4):
             for tw in (False, True)
         ]
     )
+    for series, r, _ in cases:
+        weyl_mod._check_weyl_order(series, r)
     for series, r, twisted in cases:
         for d in weyl_mod.relevant_d_values(series, r, twisted):
             checks += 1

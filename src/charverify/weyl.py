@@ -17,14 +17,20 @@ the Phi_d-valuation of that polynomial, available both by exact polynomial
 division and by a divisor-counting shortcut (the two are cross-checked in
 tests).
 
-For each d, a canonical element with maximal multiplicity is constructed
-from cycles of the appropriate length and sign; its centralizer is computed
-by a commutation scan, tabulated by Burnside-Dixon, and identified by its
-fingerprint (order, sorted degrees, sorted (class size, element order)
-pairs) with the predicted product of wreath products C_b wr S_k.  That
-fingerprint is read off the factors' cached Murnaghan-Nakayama tables in
-series A and B/C, and comes from Dixon on the explicitly built even part of
-the product in series D.
+The groups themselves are ``grouptable.ColoredPermGroup`` arrays: a word is
+a colored permutation with m = 2 (m = 1 in type A), so W is a permutation
+array and a sign array, rows in the order of the sorted words.  For each d,
+a canonical element with maximal multiplicity is constructed from cycles of
+the appropriate length and sign; its centralizer is cut out of W by one
+vectorized commutation test (wx and xw for every row w, as two gathers),
+tabulated by Burnside-Dixon, and identified by its fingerprint (order,
+sorted degrees, sorted (class size, element order) pairs) with the
+predicted product of wreath products C_b wr S_k.  That fingerprint is read
+off the factors' cached Murnaghan-Nakayama tables in series A and B/C, and
+comes from Dixon on the even part of the product, built as arrays, in
+series D.  ``sp_mul``, one word product at a time, is the tests' oracle.
+Weyl groups and cosets above ``grouptable.MAX_GROUP_ORDER`` are refused
+from ``weyl_order`` before any word is listed.
 """
 
 from __future__ import annotations
@@ -34,7 +40,14 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .grouptable import CharacterTable, FiniteGroup
+import numpy as np
+
+from .grouptable import (
+    CharacterTable,
+    ColoredPermGroup,
+    _check_group_order,
+    _permutations,
+)
 from .qpoly import QPolynomial, phi_d_valuation
 from .wreath import get_full_group, get_table
 
@@ -93,6 +106,25 @@ def _flip_count(w: tuple) -> int:
     return sum(1 for x in w if x < 0)
 
 
+class _Words:
+    """Signed-permutation words of length n as colored permutations
+    (m = 2, or m = 1 for the plain words of type A): w[i] = +-(perm[i] + 1),
+    negative exactly when color[i] = 1, and words sort by their entries."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.radices = (2 * n,) * n
+
+    def digits(self, perm, color):
+        return np.where(color == 0, self.n + perm, self.n - 1 - perm)
+
+    def encode(self, w: tuple):
+        return [abs(x) - 1 for x in w], [int(x < 0) for x in w]
+
+    def decode(self, perm, color) -> tuple:
+        return tuple(-(p + 1) if c else p + 1 for p, c in zip(perm.tolist(), color.tolist()))
+
+
 @lru_cache(maxsize=None)
 def _plain_words(n: int) -> tuple:
     return tuple(
@@ -109,10 +141,16 @@ def _signed_words(r: int) -> tuple:
     return tuple(out)
 
 
+def _check_weyl_order(series: str, r: int) -> None:
+    """Refuse, before listing it, a Weyl group above the cap on explicit
+    groups (series canonical)."""
+    _check_group_order(weyl_order(series, r), f"W({series}{r})")
+
+
 def group_elements(series: str, r: int) -> tuple:
     """The underlying untwisted Weyl group, as words."""
     series = _canon_series(series)
-    _check_rank(series, r)
+    _check_weyl_order(series, r)
     if series == "A":
         return _plain_words(r + 1)
     if series == "B":
@@ -125,6 +163,7 @@ def coset_elements(series: str, r: int, twisted: bool) -> tuple:
     series = _canon_series(series)
     if not twisted:
         return group_elements(series, r)
+    _check_weyl_order(series, r)
     if series == "A":
         return _plain_words(r + 1)  # the coset element acts as -P(word)
     if series == "D":
@@ -143,14 +182,23 @@ def weyl_order(series: str, r: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def weyl_group(series: str, r: int) -> FiniteGroup:
-    """The untwisted Weyl group as an explicit FiniteGroup of words."""
+def weyl_group(series: str, r: int) -> ColoredPermGroup:
+    """The untwisted Weyl group as colored-permutation arrays of words."""
     series = _canon_series(series)
-    elements = group_elements(series, r)
-    n = len(elements[0])
-    gens = _weyl_generators(series, r)
-    return FiniteGroup(
-        elements, sp_mul, sp_identity(n), generators=gens, name=f"W({series}{r})"
+    _check_weyl_order(series, r)
+    n = r + 1 if series == "A" else r
+    perms = _permutations(n)
+    if series == "A":
+        perm, color, m = perms, np.zeros_like(perms), 1
+    else:
+        signs = np.indices((2,) * n).reshape(n, -1).T
+        if series == "D":
+            signs = signs[signs.sum(axis=1) % 2 == 0]
+        perm = np.repeat(perms, len(signs), axis=0)
+        color, m = np.tile(signs, (len(perms), 1)), 2
+    return ColoredPermGroup(
+        perm, color, m, _Words(n), generators=_weyl_generators(series, r),
+        name=f"W({series}{r})",
     )
 
 
@@ -345,93 +393,105 @@ def canonical_regular_word(series: str, r: int, twisted: bool, d: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _generating_set(elements, mul, identity) -> list:
-    """A small generating set, found greedily with closure recomputation."""
-    gens: list = []
-    span = {identity}
-    for g in sorted(elements):
-        if g in span:
-            continue
-        gens.append(g)
-        frontier = list(span)
-        while frontier:
-            x = frontier.pop()
-            for h in gens:
-                y = mul(x, h)
-                if y not in span:
-                    span.add(y)
-                    frontier.append(y)
-        if len(span) == len(elements):
-            break
-    return gens if gens else [identity]
-
-
-def centralizer_group(series: str, r: int, twisted: bool, x: tuple) -> FiniteGroup:
-    """C_W(x) for a coset element x, as an explicit FiniteGroup.
+def centralizer_group(series: str, r: int, twisted: bool, x: tuple) -> ColoredPermGroup:
+    """C_W(x) for a coset element x, as colored-permutation arrays.
 
     For twisted A the coset element is -P(x) and the sign commutes with
     everything, so the condition reduces to commutation of words; in every
     series the twist only names the coset x lies in.  The group is cached
-    on (series, rank, word) and, below the whole group, on its element set,
+    on (series, rank, word) and, below the whole group, on its rows of W,
     so a repeated centralizer is the same object and its character table
     (keyed on the group in ``_dixon_of``) is built once.
     """
     return _centralizer_of_word(_canon_series(series), r, x)
 
 
-@lru_cache(maxsize=None)
-def _centralizer_of_word(series: str, r: int, x: tuple) -> FiniteGroup:
-    elements = group_elements(series, r)
-    cent = tuple(sorted(w for w in elements if sp_mul(w, x) == sp_mul(x, w)))
-    if len(cent) == len(elements):
-        return weyl_group(series, r)
-    return _word_group(cent)
+# Proper centralizers by element set (word length and the words' keys):
+# words with equal centralizers, in any series, share one group and so one
+# character table in ``_dixon_of``.
+_WORD_GROUPS: dict[tuple, ColoredPermGroup] = {}
 
 
 @lru_cache(maxsize=None)
-def _word_group(elements: tuple) -> FiniteGroup:
-    """The group on a sorted tuple of signed-permutation words: one object
-    per element set, so words with equal centralizers share a group (and
-    its character table in ``_dixon_of``)."""
-    n = len(elements[0])
-    gens = _generating_set(elements, sp_mul, sp_identity(n))
-    return FiniteGroup(
-        elements, sp_mul, sp_identity(n), generators=gens, name=f"C({len(elements)})"
-    )
+def _centralizer_of_word(series: str, r: int, x: tuple) -> ColoredPermGroup:
+    """One commutation test over all of W: wx and xw as two gathers."""
+    group = weyl_group(series, r)
+    px, cx = (np.array(v) for v in group.encoding.encode(x))
+    P, C = group.perm, group.color
+    commute = (P[:, px] == px[P]).all(axis=1) & (
+        (cx + C[:, px]) % group.m == (C + cx[P]) % group.m
+    ).all(axis=1)
+    if commute.all():
+        return group
+    key = (len(x), group.keys[commute].tobytes())
+    if key not in _WORD_GROUPS:
+        _WORD_GROUPS[key] = group.subgroup(commute, name=f"C({commute.sum()})")
+    return _WORD_GROUPS[key]
+
+
+class _Product:
+    """Tuples of native elements of the factor groups, as colored
+    permutations of the disjoint union of their points with colors in the
+    common C_m (factor colors scaled by m / m_i); tuples sort factor by
+    factor."""
+
+    def __init__(self, factors, m: int):
+        self.parts = []
+        offset = 0
+        for g in factors:
+            self.parts.append((g.encoding, offset, g.perm.shape[1], m // g.m))
+            offset += g.perm.shape[1]
+        self.radices = sum((g.encoding.radices for g in factors), ())
+
+    def digits(self, perm, color):
+        return np.concatenate(
+            [
+                enc.digits(perm[..., o : o + k] - o, color[..., o : o + k] // s)
+                for enc, o, k, s in self.parts
+            ],
+            axis=-1,
+        )
+
+    def encode(self, x: tuple):
+        perm, color = [], []
+        for (enc, o, _, s), xi in zip(self.parts, x):
+            p, c = enc.encode(xi)
+            perm += [v + o for v in p]
+            color += [v * s for v in c]
+        return perm, color
+
+    def decode(self, perm, color) -> tuple:
+        return tuple(
+            enc.decode(perm[o : o + k] - o, color[o : o + k] // s)
+            for enc, o, k, s in self.parts
+        )
 
 
 @lru_cache(maxsize=None)
-def _product_group(factors: tuple[FiniteGroup, ...], even_part: bool = False) -> FiniteGroup:
+def _product_group(factors: tuple, even_part: bool = False) -> ColoredPermGroup:
     """Direct product of wreath-product factors, optionally cut to the
     subgroup where the total color sum is even.  Cached like
     ``centralizer_group``; the factors are the cached wreath groups.  The
     even part is the series-D prediction; the full product is the oracle
     of ``_wreath_product_fingerprint``."""
-
-    def mul(x, y):
-        return tuple(g.mul(xg, yg) for g, xg, yg in zip(factors, x, y))
-
-    def parity(x):
-        return sum(sum(comp[0]) for comp in x) % 2
-
-    identity = tuple(g.identity for g in factors)
-    elements = [
-        tup
-        for tup in itertools.product(*[g.elements for g in factors])
-        if not even_part or parity(tup) == 0
-    ]
+    sizes = [g.order for g in factors]
+    _check_group_order(math.prod(sizes) // (2 if even_part else 1), "the product group")
+    m = math.lcm(*(g.m for g in factors))
+    rows = np.indices(sizes).reshape(len(factors), -1)  # tuples in sorted order
+    offsets = np.cumsum([0] + [g.perm.shape[1] for g in factors])
+    perm = np.concatenate([g.perm[i] + o for g, i, o in zip(factors, rows, offsets)], axis=1)
+    color = np.concatenate([g.color[i] * (m // g.m) for g, i in zip(factors, rows)], axis=1)
+    encoding = _Product(factors, m)
     if even_part:
-        gens = _generating_set(elements, mul, identity)
-    else:
-        gens = []
-        for i, g in enumerate(factors):
-            for gen in g.generators or []:
-                embedded = list(identity)
-                embedded[i] = gen
-                gens.append(tuple(embedded))
-        if not gens:
-            gens = [identity]
-    return FiniteGroup(elements, mul, identity, generators=gens)
+        parity = sum(g.color[i].sum(axis=1) for g, i in zip(factors, rows)) % 2
+        return ColoredPermGroup(perm[parity == 0], color[parity == 0], m, encoding)
+    identity = [g.element(g.identity) for g in factors]
+    gens = [
+        tuple(identity[:i] + [g.element(t)] + identity[i + 1 :])
+        for i, g in enumerate(factors)
+        for t in g.generators
+    ]
+    return ColoredPermGroup(perm, color, m, encoding, generators=gens)
 
 
 def _predicted_factors(series: str, r: int, twisted: bool, d: int) -> list:
@@ -495,11 +555,11 @@ def _multiset(items):
 
 
 @lru_cache(maxsize=None)
-def _dixon_of(group: FiniteGroup) -> CharacterTable:
+def _dixon_of(group: ColoredPermGroup) -> CharacterTable:
     return CharacterTable.dixon(group)
 
 
-def group_fingerprint(group: FiniteGroup) -> tuple:
+def group_fingerprint(group) -> tuple:
     """(order, sorted irreducible degrees, sorted (class size,
     representative order) pairs) -- the identification invariant."""
     table = _dixon_of(group)

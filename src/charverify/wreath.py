@@ -20,13 +20,15 @@ small table (see tests) and then used for tables with more than
 For even m, G(m,2,a) denotes the index-2 subgroup of elements whose color sum
 is even.  Restrictions are decomposed by Clifford theory; split constituents
 are matched against an independently built exact table of the subgroup
-(explicit elements + Burnside-Dixon), which also serves as the oracle for
-orthogonality of the split pieces.
+(Burnside-Dixon on its elements, listed as colored-permutation arrays of
+(color vector, permutation) pairs), which also serves as the oracle for
+orthogonality of the split pieces.  C_m wr S_a and G(m,2,a) above
+``grouptable.MAX_GROUP_ORDER`` are refused from their order, m^a a! (halved
+for G(m,2,a)), before any element is listed.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +44,12 @@ from .cyclotomic import (
     galois_fixed_rows,
     unit_residues,
 )
-from .grouptable import CharacterTable, FiniteGroup
+from .grouptable import (
+    CharacterTable,
+    ColoredPermGroup,
+    _check_group_order,
+    _permutations,
+)
 from .ladic import hd_subgroup
 from .partitions import Partition, hooks, partition_tuples
 
@@ -525,20 +532,6 @@ def twist_label(label, m: int):
     return tuple(label[(j + half) % m] for j in range(m))
 
 
-def _make_mul(m: int):
-    def mul(x, y):
-        (f, sigma), (g, tau) = x, y
-        a = len(f)
-        sigma_inv = [0] * a
-        for i, img in enumerate(sigma):
-            sigma_inv[img] = i
-        h = tuple((f[i] + g[sigma_inv[i]]) % m for i in range(a))
-        comp = tuple(sigma[tau[i]] for i in range(a))
-        return (h, comp)
-
-    return mul
-
-
 def colored_type(element, m: int) -> WreathClass:
     """Colored cycle type of (f, sigma): cycle lengths with color = sum of f."""
     f, sigma = element
@@ -560,61 +553,87 @@ def colored_type(element, m: int) -> WreathClass:
     return WreathClass(cycles)
 
 
-@lru_cache(maxsize=None)
-def get_full_group(m: int, a: int) -> FiniteGroup:
-    """C_m wr S_a as an explicit group of (color vector, permutation) pairs."""
-    if m < 1 or a < 1:
-        raise ValueError("need m >= 1 and a >= 1")
-    mul = _make_mul(m)
-    elements = [
-        (f, sigma)
-        for f in itertools.product(range(m), repeat=a)
-        for sigma in itertools.permutations(range(a))
-    ]
-    identity = (tuple([0] * a), tuple(range(a)))
-    gens = []
-    if m > 1:
-        gens.append((tuple([1] + [0] * (a - 1)), tuple(range(a))))
+class _Pairs:
+    """(color vector f, permutation sigma) pairs of C_m wr S_a as colored
+    permutations: the pair is the map e_j -> zeta_m^f[sigma(j)] e_sigma(j),
+    so perm = sigma and color[j] = f[sigma(j)]; pairs sort by f, then by
+    sigma."""
+
+    def __init__(self, m: int, a: int):
+        self.radices = (m,) * a + (a,) * a
+
+    def digits(self, perm, color):
+        f = np.empty_like(color)
+        np.put_along_axis(f, perm, color, axis=-1)
+        return np.concatenate([f, perm], axis=-1)
+
+    def encode(self, x):
+        f, sigma = x
+        return list(sigma), [f[s] for s in sigma]
+
+    def decode(self, perm, color):
+        f = [0] * len(perm)
+        for s, c in zip(perm.tolist(), color.tolist()):
+            f[s] = c
+        return tuple(f), tuple(perm.tolist())
+
+
+def _check_wreath_order(m: int, a: int, even: bool) -> str:
+    """Refuse, before listing it, C_m wr S_a (G(m,2,a) with ``even``)
+    above the cap on explicit groups; return the group's name."""
+    name = f"G({m},2,{a})" if even else f"C{m}wrS{a}"
+    _check_group_order(m**a * math.factorial(a) // (2 if even else 1), name)
+    return name
+
+
+def _wreath_group(m: int, a: int, even: bool, generators) -> ColoredPermGroup:
+    """C_m wr S_a, or with ``even`` its elements of even color sum, built
+    as arrays once its order has passed the cap."""
+    name = _check_wreath_order(m, a, even)
+    f = np.indices((m,) * a).reshape(a, -1).T
+    if even:
+        f = f[f.sum(axis=1) % 2 == 0]
+    sigma = _permutations(a)
+    perm = np.tile(sigma, (len(f), 1))
+    color = np.take_along_axis(np.repeat(f, len(sigma), axis=0), perm, axis=1)
+    return ColoredPermGroup(perm, color, m, _Pairs(m, a), generators=generators, name=name)
+
+
+def _transpositions(a: int) -> list:
+    """The adjacent transpositions of S_a as uncolored pairs."""
+    out = []
     for i in range(a - 1):
         perm = list(range(a))
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        gens.append((tuple([0] * a), tuple(perm)))
-    if not gens:
-        gens = [identity]
-    return FiniteGroup(elements, mul, identity, generators=gens, name=f"C{m}wrS{a}")
+        out.append((tuple([0] * a), tuple(perm)))
+    return out
 
 
 @lru_cache(maxsize=None)
-def get_subgroup(m: int, a: int) -> FiniteGroup:
+def get_full_group(m: int, a: int) -> ColoredPermGroup:
+    """C_m wr S_a as an explicit group of (color vector, permutation) pairs."""
+    if m < 1 or a < 1:
+        raise ValueError("need m >= 1 and a >= 1")
+    gens = _transpositions(a)
+    if m > 1:
+        gens.insert(0, (tuple([1] + [0] * (a - 1)), tuple(range(a))))
+    return _wreath_group(m, a, False, gens or None)
+
+
+@lru_cache(maxsize=None)
+def get_subgroup(m: int, a: int) -> ColoredPermGroup:
     """G(m,2,a) as an explicit group: color vectors with even sum."""
     if m % 2 != 0:
         raise ValueError("G(m,2,a) requires even m")
     if a < 1:
         raise ValueError("a must be at least 1")
-    mul = _make_mul(m)
-    elements = [
-        (f, sigma)
-        for f in itertools.product(range(m), repeat=a)
-        if sum(f) % 2 == 0
-        for sigma in itertools.permutations(range(a))
-    ]
-    identity = (tuple([0] * a), tuple(range(a)))
     gens = []
-    vec = [0] * a
-    vec[0] = 2 % m
-    if any(vec):
-        gens.append((tuple(vec), tuple(range(a))))
+    if m > 2:
+        gens.append((tuple([2] + [0] * (a - 1)), tuple(range(a))))
     if a >= 2:
-        vec = [0] * a
-        vec[0], vec[1] = 1, 1
-        gens.append((tuple(vec), tuple(range(a))))
-        for i in range(a - 1):
-            perm = list(range(a))
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-            gens.append((tuple([0] * a), tuple(perm)))
-    if not gens:
-        gens = [identity]
-    return FiniteGroup(elements, mul, identity, generators=gens, name=f"G({m},2,{a})")
+        gens.append((tuple([1, 1] + [0] * (a - 2)), tuple(range(a))))
+        gens += _transpositions(a)
+    return _wreath_group(m, a, True, gens or None)
 
 
 @lru_cache(maxsize=None)

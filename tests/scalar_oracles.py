@@ -1,9 +1,11 @@
 """Scalar oracles shared by the table tests: one value at a time, through
-``cyclotomic.conductor`` and ``cyclotomic.is_fixed_by``."""
+``cyclotomic.conductor`` and ``cyclotomic.is_fixed_by``, and one group
+element at a time, through Python multiplications of native elements."""
 
 import math
 
 from charverify.cyclotomic import conductor, is_fixed_by
+from charverify.grouptable import FiniteGroup
 from charverify.ladic import hd_subgroup
 
 
@@ -33,3 +35,38 @@ def scalar_row_answers(rows, ds):
             )
         )
     return out
+
+
+def pair_mul(m):
+    """Multiplication of (color vector, permutation) pairs of C_m wr S_a:
+    (f, sigma)(g, tau) = (f + g o sigma^-1, sigma o tau)."""
+
+    def mul(x, y):
+        (f, sigma), (g, tau) = x, y
+        sigma_inv = [0] * len(f)
+        for i, img in enumerate(sigma):
+            sigma_inv[img] = i
+        h = tuple((f[i] + g[sigma_inv[i]]) % m for i in range(len(f)))
+        return h, tuple(sigma[t] for t in tau)
+
+    return mul
+
+
+def product_mul(muls):
+    """Componentwise multiplication of tuples, one factor mul each."""
+
+    def mul(x, y):
+        return tuple(mu(u, v) for mu, u, v in zip(muls, x, y))
+
+    return mul
+
+
+def python_group(group, mul):
+    """The FiniteGroup on the elements and generators of a
+    ColoredPermGroup, multiplied by ``mul``."""
+    return FiniteGroup(
+        group.elements,
+        mul,
+        group.element(group.identity),
+        generators=[group.element(t) for t in group.generators],
+    )
