@@ -6,7 +6,7 @@ over the integers; division helpers verify exactness and raise on failure.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from functools import lru_cache
 from typing import Iterable
 
@@ -91,29 +91,32 @@ class QPolynomial:
         return result
 
     def divmod(self, other: "QPolynomial") -> tuple["QPolynomial", "QPolynomial"]:
-        """Exact polynomial division with integer output.
+        """Exact polynomial division with integer output, by integer long
+        division.
 
         Intended for monic divisors (cyclotomic polynomials), where quotient
-        and remainder are automatically integral; a non-integral outcome
-        raises ValueError rather than rounding.
+        and remainder are automatically integral; a quotient coefficient that
+        is not an integer raises ValueError rather than rounding.
         """
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        rem = [Fraction(c) for c in self.coeffs]
-        den = [Fraction(c) for c in other.coeffs]
-        quo = [Fraction(0)] * max(0, len(rem) - len(den) + 1)
-        while len(rem) >= len(den) and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) < len(den):
-                break
-            shift = len(rem) - len(den)
-            factor = rem[-1] / den[-1]
-            quo[shift] = factor
-            for i, c in enumerate(den):
-                rem[shift + i] -= factor * c
-            rem.pop()
-        return _from_fractions(quo), _from_fractions(rem)
+        rem = list(self.coeffs)
+        den = other.coeffs
+        lead = den[-1]
+        quo = [0] * max(0, len(rem) - len(den) + 1)
+        for shift in range(len(quo) - 1, -1, -1):
+            top = rem[shift + len(den) - 1]
+            factor, left = divmod(top, lead)
+            if left:
+                g = math.gcd(top, lead) * (-1 if lead < 0 else 1)
+                raise ValueError(
+                    f"non-integer coefficient {top // g}/{lead // g} in exact division"
+                )
+            if factor:
+                quo[shift] = factor
+                for i, c in enumerate(den):
+                    rem[shift + i] -= factor * c
+        return QPolynomial(quo), QPolynomial(rem[: len(den) - 1])
 
     def exact_div(self, other: "QPolynomial") -> "QPolynomial":
         """Division asserting zero remainder and integer quotient."""
@@ -151,17 +154,6 @@ class QPolynomial:
 
     def __repr__(self) -> str:
         return f"QPolynomial({self.pretty()})"
-
-
-def _from_fractions(coeffs: list[Fraction]) -> QPolynomial:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise ValueError(f"non-integer coefficient {c} in exact division")
-        out.append(c.numerator)
-    return QPolynomial(out)
 
 
 @lru_cache(maxsize=None)

@@ -185,9 +185,12 @@ def _suite_lemma82(max_p=23, max_r0=8, max_ell=61):
 
 
 def _wreath_grid(max_m, max_a):
-    for m in range(1, max_m + 1):
-        for a in range(1, max_a + 1):
-            yield m, a
+    """The C_m wr S_a cells, refused up front if one has more characters
+    than the cap on listed wreath labels."""
+    cells = [(m, a) for m in range(1, max_m + 1) for a in range(1, max_a + 1)]
+    for m, a in cells:
+        wreath_mod._check_label_count(m, a)
+    return cells
 
 
 def _subgroup_grid(sub_max_m, sub_max_a):

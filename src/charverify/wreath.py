@@ -24,7 +24,8 @@ are matched against an independently built exact table of the subgroup
 (color vector, permutation) pairs), which also serves as the oracle for
 orthogonality of the split pieces.  C_m wr S_a and G(m,2,a) above
 ``grouptable.MAX_GROUP_ORDER`` are refused from their order, m^a a! (halved
-for G(m,2,a)), before any element is listed.
+for G(m,2,a)), before any element is listed; labels of C_m wr S_a are listed
+only up to ``MAX_LABELS`` characters, counted by ``_label_count``.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .grouptable import (
     _permutations,
 )
 from .ladic import hd_subgroup
-from .partitions import Partition, hooks, partition_tuples
+from .partitions import Partition, _partition_objects, _partitions_of, hooks
 
 WreathLabel = tuple  # tuple of Partition, length m
 
@@ -109,10 +110,28 @@ def _multiplicities(items):
     return out
 
 
+# Labels of C_m wr S_a are listed only when there are at most this many
+# (ValueError otherwise, from ``_label_count`` before any label is listed).
+# The default grids list at most 2535 labels (C_12 wr S_4); C_12 wr S_6, with
+# 42614, passes and C_12 wr S_7, with 153960, does not.
+MAX_LABELS = 10**5
+
+
+def _check_label_count(m: int, a: int) -> None:
+    """Refuse C_m wr S_a above MAX_LABELS characters, from their count."""
+    count = _label_count(m, a)
+    if count > MAX_LABELS:
+        raise ValueError(
+            f"C{m}wrS{a} has {count} characters, above the cap of "
+            f"{MAX_LABELS} on listed wreath labels"
+        )
+
+
 def irr_labels(m: int, a: int) -> list[WreathLabel]:
     """All m-tuples of partitions with total size a, in deterministic order."""
     if m < 1 or a < 0:
         raise ValueError("need m >= 1 and a >= 0")
+    _check_label_count(m, a)
     return list(_labels_by_size(m, a))
 
 
@@ -203,39 +222,137 @@ class WreathTable:
         return self._canonical
 
 
+# Label encoding.  A partition of size n <= s has rank
+# P(s) - P(n) + (its position in ``_partitions_of(n)``) at level s, where
+# P(n) counts the partitions of size at most n: ranks run over sizes
+# descending, then in the order of ``partitions_of``.  The labels of total
+# size s are the (L, m) array of their component ranks (``_label_ranks``),
+# rows in lexicographic order, which is the order of
+# ``partitions.partition_tuples``; the index of a label is an integer
+# function of its row (``_label_index``).
+
+
 @lru_cache(maxsize=None)
 def _labels_by_size(m: int, s: int) -> list[WreathLabel]:
-    return list(partition_tuples(s, m))
+    """The labels of total size s, decoded from ``_label_ranks(m, s)``."""
+    return list(map(tuple, _rank_partitions(s)[_label_ranks(m, s)].tolist()))
 
 
 @lru_cache(maxsize=None)
-def _label_index_by_size(m: int, s: int) -> dict:
-    return {lab: i for i, lab in enumerate(_labels_by_size(m, s))}
+def _rank_partitions(s: int) -> np.ndarray:
+    """The ``Partition`` of each rank at level s, as an object array."""
+    out = np.empty(len(_rank_sizes(s)), dtype=object)
+    for r, lam in enumerate(p for n in range(s, -1, -1) for p in _partition_objects(n)):
+        out[r] = lam
+    return out
+
+
+@lru_cache(maxsize=None)
+def _rank_sizes(s: int) -> np.ndarray:
+    """The size of each rank at level s: s repeated p(s) times, ..., 0 once."""
+    return np.repeat(
+        np.arange(s, -1, -1), [len(_partitions_of(n)) for n in range(s, -1, -1)]
+    )
+
+
+def _rank_shift(s: int, n: int) -> int:
+    """rank at level s minus rank at level n <= s, of any partition of size
+    at most n: the number of partitions of sizes n + 1, ..., s."""
+    return sum(len(_partitions_of(t)) for t in range(n + 1, s + 1))
+
+
+@lru_cache(maxsize=None)
+def _label_ranks(m: int, s: int) -> np.ndarray:
+    """(L, m) component ranks at level s of the labels of total size s, rows
+    in the order of ``_labels_by_size(m, s)``, in the smallest signed
+    integer type that holds minus the number of ranks (int8 up to s = 9),
+    since the arrays of every grid cell stay cached."""
+    if m == 0:
+        return np.zeros((1 if s == 0 else 0, 0), dtype=np.int8)
+    blocks = []
+    for t in range(s, -1, -1):
+        rest = _label_ranks(m - 1, s - t).astype(np.int64) + _rank_shift(s, s - t)
+        first = _rank_shift(s, t) + np.arange(len(_partitions_of(t)))
+        blocks.append(
+            np.column_stack(
+                [np.repeat(first, len(rest)), np.tile(rest, (len(first), 1))]
+            )
+        )
+    out = np.concatenate(blocks).astype(np.min_scalar_type(-len(_rank_sizes(s))))
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _rank_offsets(m: int, s: int) -> np.ndarray:
+    """(m, s + 1, #ranks) array: entry [k, t, r] counts the labels that agree
+    with a given one before component k, leave size t for components k, ...,
+    m - 1, and have a rank below r at component k."""
+    sizes = _rank_sizes(s)
+    out = np.zeros((m, s + 1, len(sizes)), dtype=np.int64)
+    for k in range(m):
+        for t in range(s + 1):
+            below = [_label_count(m - k - 1, t - z) if z <= t else 0 for z in sizes]
+            out[k, t, 1:] = np.cumsum(below[:-1])
+    return out
+
+
+def _label_index(m: int, s: int, ranks: np.ndarray) -> np.ndarray:
+    """Index in ``_labels_by_size(m, s)`` of each row of component ranks."""
+    sizes = _rank_sizes(s)[ranks]
+    left = s - (np.cumsum(sizes, axis=1) - sizes)
+    return _rank_offsets(m, s)[np.arange(m), left, ranks].sum(axis=1)
+
+
+@lru_cache(maxsize=None)
+def _partition_hooks(n: int, c: int):
+    """Rim c-hook removals from each partition of size n, in the order of
+    ``_partitions_of(n)``: (hook counts, positions of the results in
+    ``_partitions_of(n - c)``, signs (-1)^height), hooks listed in the order
+    of ``partitions.hooks``."""
+    index = {p: i for i, p in enumerate(_partitions_of(n - c))}
+    counts, results, signs = [], [], []
+    for lam in _partition_objects(n):
+        found = hooks(lam, c)
+        counts.append(len(found))
+        for _, new_part, height in found:
+            results.append(index[new_part.parts])
+            signs.append(-1 if height % 2 else 1)
+    return counts, results, signs
 
 
 @lru_cache(maxsize=None)
 def _hook_op(m: int, s: int, c: int):
     """Sparse map of c-hook removals, labels(s) -> labels(s - c): entry t
     removes a hook from component ks[t] of label rows[t], leaving label
-    cols[t], with sign signs[t] = (-1)^height."""
-    labels_s = _labels_by_size(m, s)
-    index_small = _label_index_by_size(m, s - c)
-    rows, cols, signs, ks = [], [], [], []
-    for i, lab in enumerate(labels_s):
-        for k in range(m):
-            if lab[k].size < c:
-                continue
-            for _, new_part, height in hooks(lab[k], c):
-                new_lab = lab[:k] + (new_part,) + lab[k + 1 :]
-                rows.append(i)
-                cols.append(index_small[new_lab])
-                signs.append(-1 if height % 2 else 1)
-                ks.append(k)
+    cols[t], with sign signs[t] = (-1)^height.  Entries are sorted by row."""
+    # the hooks of every rank at level s, results as ranks at level s - c
+    counts, results, signs = [], [], []
+    for n in range(s, -1, -1):
+        if n < c:
+            counts += [0] * len(_partitions_of(n))
+            continue
+        cnt, res, sgn = _partition_hooks(n, c)
+        shift = _rank_shift(s - c, n - c)
+        counts += cnt
+        results += [r + shift for r in res]
+        signs += sgn
+    counts = np.array(counts, dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    comp = _label_ranks(m, s)
+    flat = comp.ravel()
+    per_pair = counts[flat]
+    pair = np.repeat(np.arange(flat.size), per_pair)
+    hook = np.repeat(starts[flat] - (np.cumsum(per_pair) - per_pair), per_pair)
+    hook += np.arange(len(pair))
+    rows, ks = np.divmod(pair, m)
+    small = comp[rows].astype(np.int64) - _rank_shift(s, s - c)
+    small[np.arange(len(pair)), ks] = np.array(results, dtype=np.int64)[hook]
     return (
-        np.array(rows, dtype=np.intp),
-        np.array(cols, dtype=np.intp),
-        np.array(signs, dtype=np.int64),
-        np.array(ks, dtype=np.int64),
+        rows.astype(np.intp),
+        _label_index(m, s - c, small).astype(np.intp),
+        np.array(signs, dtype=np.int64)[hook],
+        ks,
     )
 
 
@@ -252,11 +369,24 @@ def _build_raw(m: int, classes, memo: dict) -> np.ndarray:
 
     Removing the leading c-cycle of color j from the class and a c-hook from
     component k of the label contributes zeta_m^{jk} times the smaller
-    column: one gather over every (hook, k) pair, shifted by jk, and one
-    scatter-add.  Columns are read from and written to ``memo``; this
-    table's own columns go in as views of the returned (read-only) array.
+    column: one gather of the smaller column's entries at flat positions
+    cols*m + (e - jk) mod m, signed, and one sum over each row's run of
+    entries.  The gather positions are shared by the columns of one
+    (s, c, j) within this call.  Columns are read from and written to
+    ``memo``; this table's own columns go in as views of the returned
+    (read-only) array.
     """
     shifts = np.arange(m)
+    gathers = {}
+
+    def gather(s: int, c: int, j: int):
+        key = (s, c, j)
+        if key not in gathers:
+            rows, cols, signs, ks = _hook_op(m, s, c)
+            first = np.flatnonzero(np.diff(rows, prepend=-1))
+            flat = cols[:, None] * m + (shifts - j * ks[:, None]) % m
+            gathers[key] = (flat, signs[:, None], first, rows[first])
+        return gathers[key]
 
     def column(cycles: tuple) -> np.ndarray:
         col = memo.get(cycles)
@@ -269,25 +399,28 @@ def _build_raw(m: int, classes, memo: dict) -> np.ndarray:
             c, j = cycles[0]
             s = sum(x for x, _ in cycles)
             prev = column(cycles[1:])
-            rows, cols, signs, ks = _hook_op(m, s, c)
-            contrib = signs[:, None] * prev[cols[:, None], (shifts - j * ks[:, None]) % m]
-            col = np.zeros((len(_labels_by_size(m, s)), m), dtype=np.int64)
-            np.add.at(col, rows, contrib)
+            flat, signs, first, nonempty = gather(s, c, j)
+            col = np.zeros((_label_count(m, s), m), dtype=np.int64)
+            col[nonempty] = np.add.reduceat(np.take(prev, flat) * signs, first)
         memo[cycles] = col
         return col
 
     a = classes[0].total
-    raw = np.zeros((len(_labels_by_size(m, a)), len(classes), m), dtype=np.int64)
+    raw = np.zeros((_label_count(m, a), len(classes), m), dtype=np.int64)
     for ci, cls in enumerate(classes):
         raw[:, ci, :] = column(cls.cycles)
     raw.flags.writeable = False
     for ci, cls in enumerate(classes):
         memo[cls.cycles] = raw[:, ci, :]
+    # ``column`` refers to itself, so the closures outlive this call until
+    # the cycle collector runs; drop the gather positions now
+    gathers.clear()
     return raw
 
 
 @lru_cache(maxsize=None)
 def get_table(m: int, a: int) -> WreathTable:
+    _check_label_count(m, a)
     return WreathTable(m, a)
 
 
@@ -365,17 +498,13 @@ def _route(m: int, a: int, via: str) -> str:
     return via
 
 
-def _labels_fixed(labels, m: int, ks) -> np.ndarray:
-    """(len(ks), len(labels)) bools: whether the relabeling by sigma_k
-    fixes each label, i.e. whether its array of component ids equals the
-    copy with columns permuted by j -> j * k^{-1} mod m."""
-    ids: dict = {}
-    comp = np.array(
-        [[ids.setdefault(p.parts, len(ids)) for p in lab] for lab in labels],
-        dtype=np.int64,
-    ).reshape(len(labels), m)
+def _labels_fixed(comp: np.ndarray, m: int, ks) -> np.ndarray:
+    """(len(ks), L) bools for an (L, m) array of component ids (equal ids
+    for equal partitions): whether the relabeling by sigma_k fixes each
+    label, i.e. whether its row equals the copy with columns permuted by
+    j -> j * k^{-1} mod m."""
     j = np.arange(m)
-    out = np.ones((len(ks), len(labels)), dtype=bool)
+    out = np.ones((len(ks), len(comp)), dtype=bool)
     for t, k in enumerate(ks):
         out[t] = (comp[:, j * pow(k, -1, m) % m] == comp).all(axis=1)
     return out
@@ -386,7 +515,8 @@ def _table_fixed(m: int, a: int, ks, via: str) -> np.ndarray:
     labels in the order of ``irr_labels(m, a)``."""
     if _route(m, a, via) == "values":
         return galois_fixed_rows(get_table(m, a).raw, ks)
-    return _labels_fixed(_labels_by_size(m, a), m, ks)
+    _check_label_count(m, a)
+    return _labels_fixed(_label_ranks(m, a), m, ks)
 
 
 def _label_fixed(label, m: int, a: int, ks, via: str) -> np.ndarray:
@@ -395,7 +525,9 @@ def _label_fixed(label, m: int, a: int, ks, via: str) -> np.ndarray:
         table = get_table(m, a)
         i = table.label_index[label]
         return galois_fixed_rows(table.raw[i : i + 1], ks)
-    return _labels_fixed([label], m, ks)
+    ids: dict = {}
+    comp = np.array([[ids.setdefault(p.parts, len(ids)) for p in label]])
+    return _labels_fixed(comp, m, ks)
 
 
 def _hd_residues(m: int, d: int) -> list[int]:

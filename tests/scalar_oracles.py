@@ -1,12 +1,16 @@
-"""Scalar oracles shared by the table tests: one value at a time, through
-``cyclotomic.conductor`` and ``cyclotomic.is_fixed_by``, and one group
-element at a time, through Python multiplications of native elements."""
+"""Scalar oracles shared by the tests: one value at a time, through
+``cyclotomic.conductor`` and ``cyclotomic.is_fixed_by``; one group element
+at a time, through Python multiplications of native elements; one label at
+a time, through ``partitions.hooks``; and polynomial long division over
+``Fraction``."""
 
 import math
+from fractions import Fraction
 
 from charverify.cyclotomic import conductor, is_fixed_by
 from charverify.grouptable import FiniteGroup
 from charverify.ladic import hd_subgroup
+from charverify.partitions import hooks, partition_tuples
 
 
 def scalar_row_answers(rows, ds):
@@ -70,3 +74,38 @@ def python_group(group, mul):
         group.element(group.identity),
         generators=[group.element(t) for t in group.generators],
     )
+
+
+def hook_op_entries(m, s, c):
+    """The (row, col, sign, k) entries of the c-hook removal map from the
+    labels of total size s to those of size s - c, one label and one
+    component at a time: labels listed by ``partition_tuples``, indices
+    found by dictionary lookup of the resulting label."""
+    index_small = {lab: i for i, lab in enumerate(partition_tuples(s - c, m))}
+    out = []
+    for i, lab in enumerate(partition_tuples(s, m)):
+        for k in range(m):
+            if lab[k].size < c:
+                continue
+            for _, new_part, height in hooks(lab[k], c):
+                new_lab = lab[:k] + (new_part,) + lab[k + 1 :]
+                out.append((i, index_small[new_lab], -1 if height % 2 else 1, k))
+    return out
+
+
+def fraction_divmod(num, den):
+    """Long division of integer coefficient lists (lowest degree first) over
+    the rationals: (quotient, remainder) as lists of ``Fraction``, trailing
+    zeros dropped."""
+    rem = [Fraction(c) for c in num]
+    quo = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    for shift in range(len(quo) - 1, -1, -1):
+        factor = rem[shift + len(den) - 1] / den[-1]
+        quo[shift] = factor
+        for i, c in enumerate(den):
+            rem[shift + i] -= factor * c
+    rem = rem[: len(den) - 1]
+    for coeffs in (quo, rem):
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+    return quo, rem

@@ -1,5 +1,6 @@
 """Integer q-polynomials: cyclotomic factors, valuations, generic degrees."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from charverify.qpoly import (
     phi_d_valuation,
     q_int_product,
 )
+from scalar_oracles import fraction_divmod
 
 
 def test_polynomial_basic_arithmetic():
@@ -36,6 +38,34 @@ def test_divmod_exact_and_remainder():
     assert quo.coeffs == (1, 0, 1, 0, 1)
     with pytest.raises(ValueError):
         QPolynomial([1, 1, 1]).exact_div(QPolynomial([-1, 1]))
+
+
+def test_divmod_matches_fraction_long_division():
+    """Integer long division against long division over Q, on seeded random
+    integer polynomials with monic and non-monic divisors: equal results
+    when the rational quotient is integral, ValueError when it is not."""
+    rng = random.Random(8)
+    outcomes = {"integral": 0, "raised": 0}
+    for _ in range(3000):
+        num = QPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, 9))])
+        lead = rng.choice([1, -1, 2, -2, 3, 6])
+        den = QPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, 5))] + [lead])
+        quo, rem = fraction_divmod(num.coeffs, den.coeffs)
+        if all(c.denominator == 1 for c in quo):
+            outcomes["integral"] += 1
+            assert num.divmod(den) == (QPolynomial(quo), QPolynomial(rem))
+        else:
+            outcomes["raised"] += 1
+            with pytest.raises(ValueError, match="non-integer coefficient"):
+                num.divmod(den)
+    assert min(outcomes.values()) > 500, outcomes
+
+
+def test_divmod_non_integral_message():
+    with pytest.raises(ValueError, match=r"non-integer coefficient 1/2 "):
+        QPolynomial([0, 1]).divmod(QPolynomial([1, 2]))
+    with pytest.raises(ValueError, match=r"non-integer coefficient -3/2 "):
+        QPolynomial([0, 3]).divmod(QPolynomial([0, -2, 0]))
 
 
 def test_cyclotomic_poly_frozen_values():

@@ -1,0 +1,35 @@
+"""What the benchmark's tracer (``perfbench/tracer.py``) reads of the package:
+the ``cache_info()`` of the lru_caches named in its ``CACHES``.  If one of
+them is renamed or loses its cache, ``perfbench/run.py --trace 1`` fails."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import charverify.weyl  # noqa: F401  (the tracer reads loaded modules)
+import charverify.wreath  # noqa: F401
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_caches_are_lru_caches():
+    tracer = _load_tracer()
+    assert {(module, attr) for module, attr, _ in tracer.CACHES} == {
+        ("wreath", "get_table"),
+        ("wreath", "get_subgroup_table"),
+        ("wreath", "_hook_op"),
+        ("weyl", "_dixon_of"),
+    }
+    for module, attr, _ in tracer.CACHES:
+        cached = getattr(importlib.import_module(f"charverify.{module}"), attr)
+        assert callable(getattr(cached, "cache_info", None)), (module, attr)
+    snapshot = tracer.cache_snapshot()
+    assert set(snapshot) == {metric for _, _, metric in tracer.CACHES}
+    assert all(hits >= 0 and misses >= 0 for hits, misses in snapshot.values())

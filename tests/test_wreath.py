@@ -8,14 +8,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from charverify import cli, wreath
+from charverify import cli, partitions, wreath
 from charverify.cyclotomic import CyclotomicNumber, conductor
 from charverify.grouptable import CharacterTable
-from charverify.partitions import Partition
+from charverify.partitions import Partition, partition_tuples
 from charverify.wreath import (
+    MAX_LABELS,
     VALUES_ROUTE_MAX_LABELS,
     _build_raw,
+    _check_label_count,
+    _hook_op,
     _label_count,
+    _label_index,
+    _label_ranks,
+    _labels_by_size,
     IndexTwoConstituent,
     WreathClass,
     char_value,
@@ -38,7 +44,7 @@ from charverify.wreath import (
     verify_galois_equivariance,
     verify_orthogonality,
 )
-from scalar_oracles import pair_mul, scalar_row_answers
+from scalar_oracles import hook_op_entries, pair_mul, scalar_row_answers
 
 P = Partition
 E = P(())
@@ -444,7 +450,7 @@ class TestLabelCount:
             raise AssertionError("the label list was built")
 
         monkeypatch.setattr(wreath, "_labels_by_size", refuse)
-        monkeypatch.setattr(wreath, "partition_tuples", refuse)
+        monkeypatch.setattr(wreath, "_label_ranks", refuse)
         monkeypatch.setattr(wreath, "get_table", refuse)
         # one component of size 40 in position 1: moved by every sigma_k,
         # k != 1 mod 12, so the conductor is 12
@@ -454,6 +460,93 @@ class TestLabelCount:
         assert h_d_invariant(lab, 12, d=6) is False
         assert cli.main(["--query", "conductor", "((),(40,)" + ",()" * 10 + ")", "12"]) == 0
         assert capsys.readouterr().out.strip().endswith("12")
+
+
+# The tables the default thm41, lemma42 and weyl-match grids build: the
+# values-route cells, and C_1 wr S_5, C_1 wr S_6 and C_2 wr S_5, factors of
+# predicted relative Weyl groups.  Their recursions use every c-hook map
+# with c <= s <= a.
+BUILT_TABLES = VALUES_CELLS + [(1, 5), (1, 6), (2, 5)]
+HOOK_OPS = sorted(
+    {(m, s, c) for m, a in BUILT_TABLES for s in range(1, a + 1) for c in range(1, s + 1)}
+)
+
+
+class TestHookMaps:
+    def test_entries_match_per_label_oracle(self):
+        assert len(HOOK_OPS) == 106
+        for m, s, c in HOOK_OPS:
+            rows, cols, signs, ks = _hook_op(m, s, c)
+            assert (rows.dtype, cols.dtype, signs.dtype, ks.dtype) == (
+                np.intp, np.intp, np.int64, np.int64
+            )
+            assert np.all(np.diff(rows) >= 0), (m, s, c)
+            got = list(zip(rows.tolist(), cols.tolist(), signs.tolist(), ks.tolist()))
+            assert sorted(got) == sorted(hook_op_entries(m, s, c)), (m, s, c)
+
+    def test_label_keys_increase_in_label_order(self):
+        for m, s in sorted({(m, s) for m, s, _ in HOOK_OPS} | set(SUITE_CELLS)):
+            labels = _labels_by_size(m, s)
+            assert labels == list(partition_tuples(s, m)), (m, s)
+            keys = _label_index(m, s, _label_ranks(m, s))
+            assert np.all(np.diff(keys) > 0), (m, s)
+            assert keys.tolist() == list(range(len(labels))), (m, s)
+
+    def test_one_hooks_call_per_partition_and_hook_length(self, monkeypatch):
+        calls = []
+
+        def counted(lam, c):
+            calls.append((lam.parts, c))
+            return partitions.hooks(lam, c)
+
+        monkeypatch.setattr(wreath, "hooks", counted)
+        wreath._partition_hooks.cache_clear()
+        wreath._hook_op.cache_clear()
+        for s in range(1, 6):
+            for c in range(1, s + 1):
+                _hook_op(3, s, c)
+        wreath._partition_hooks.cache_clear()
+        wreath._hook_op.cache_clear()
+        assert len(calls) == len(set(calls))
+        assert sorted(calls) == sorted(
+            (lam.parts, c) for n in range(1, 6) for lam in partitions.partitions_of(n)
+            for c in range(1, n + 1)
+        )
+
+
+class TestLabelCap:
+    def test_boundary(self):
+        assert max(_label_count(m, a) for m, a in SUITE_CELLS) == 2535 <= MAX_LABELS
+        assert _label_count(12, 6) <= MAX_LABELS < _label_count(12, 7)
+        _check_label_count(12, 6)
+        with pytest.raises(ValueError, match="cap"):
+            _check_label_count(12, 7)
+
+    @pytest.fixture
+    def no_listing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("labels or classes were listed")
+
+        for name in ("_labels_by_size", "_label_ranks", "class_labels", "WreathTable"):
+            monkeypatch.setattr(wreath, name, refuse)
+
+    def test_refused_before_listing(self, no_listing):
+        for call in (
+            lambda: irr_labels(12, 7),
+            lambda: get_table(12, 7),
+            lambda: get_table(40, 12),
+            lambda: table_conductors(12, 7),
+            lambda: table_conductors(12, 7, via="values"),
+            lambda: table_hd_fixed(12, 7, 2),
+            lambda: table_hd_fixed(12, 7, 2, via="label"),
+        ):
+            with pytest.raises(ValueError, match="cap"):
+                call()
+
+    def test_cli_exits_2(self, no_listing, capsys):
+        for suite in ("thm41", "lemma42"):
+            assert cli.main(["--suite", suite, "--params", "max_m=40,max_a=12"]) == 2
+        assert capsys.readouterr().err.count("cap") == 2
 
 
 class TestSharedColumns:
