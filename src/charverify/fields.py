@@ -41,6 +41,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from importlib import resources
 from typing import Callable, Iterable
 
@@ -53,7 +54,7 @@ from .ladic import (
     mult_order,
     root_exists_for_integer,
 )
-from .partitions import Partition, d_core, partitions_of, two_core
+from .partitions import Partition, _partition_objects, d_core, two_core
 from .symbols import SymbolBCD, enumerate_symbols, symbol_d_core
 
 __all__ = [
@@ -160,20 +161,10 @@ class FieldDescriptor:
         ``ell`` must be an odd prime not dividing ``q`` (and, for root parts,
         not dividing the root index -- the tame case).  Resolution only ever
         removes parts, so it is idempotent and monotone: supplying (ell, q)
-        data never un-trivializes a descriptor.
+        data never un-trivializes a descriptor.  Memoized on (descriptor,
+        ell, value of q).
         """
-        qv = _q_value(q)
-        kept = []
-        for part in sorted(self.parts, key=repr):
-            if part[0] == "sqrt":
-                if not is_square_mod(part[1] * qv, ell):
-                    kept.append(part)
-            else:
-                _, r, omega_tag = part
-                value = FrobeniusClass(omega_tag).integer_value(qv)
-                if not root_exists_for_integer(r, value, ell):
-                    kept.append(part)
-        return FieldDescriptor(frozenset(kept))
+        return _resolve(self, ell, _q_value(q))
 
     def describe(self) -> str:
         """Human-readable rendering, e.g. ``Q`` or ``Q(sqrt(-q))``."""
@@ -188,6 +179,21 @@ class FieldDescriptor:
                 w = "1" if omega_tag == "one" else "-q"
                 names.append(f"root[{r}]({w})")
         return "Q(" + ", ".join(names) + ")"
+
+
+@lru_cache(maxsize=None)
+def _resolve(desc: FieldDescriptor, ell: int, qv: int) -> FieldDescriptor:
+    kept = []
+    for part in sorted(desc.parts, key=repr):
+        if part[0] == "sqrt":
+            if not is_square_mod(part[1] * qv, ell):
+                kept.append(part)
+        else:
+            _, r, omega_tag = part
+            value = FrobeniusClass(omega_tag).integer_value(qv)
+            if not root_exists_for_integer(r, value, ell):
+                kept.append(part)
+    return FieldDescriptor(frozenset(kept))
 
 
 def default_omega_rule(core: Partition) -> FrobeniusClass:
@@ -250,17 +256,31 @@ def extension_field_typeA(
     and the field-automorphism part (a root of ``X**r - omega``), computed
     symbolically and then resolved at (ell, q).  For ``eps = +1`` the
     eigenvalue class is ``1``; for ``eps = -1`` it is read off the 2-core.
+
+    The symbolic field is memoized on (eps, full parts of ``lam``, r, rule),
+    so ``rule`` must be a pure function of its partition.  Nothing is keyed
+    on the 2-core: prop75 compares partitions that share a 2-core, and such
+    a key would make it hold by construction.
     """
     _check_sign(eps)
+    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    return _symbolic_field(eps, lam.parts, r, rule).resolve(ell, q)
+
+
+@lru_cache(maxsize=None)
+def _symbolic_field(
+    eps: int, parts: tuple, r: int, rule: Callable[[Partition], FrobeniusClass]
+) -> FieldDescriptor:
+    """The unresolved compositum of ``extension_field_typeA``."""
+    lam = Partition(parts)
     omega = (
         frobenius_class_typeA_twisted(lam, rule)
         if eps == -1
         else FrobeniusClass.ONE
     )
-    symbolic = graph_extension_field_typeA(eps, lam).join(
+    return graph_extension_field_typeA(eps, lam).join(
         FieldDescriptor.adjoin_root(r, omega)
     )
-    return symbolic.resolve(ell, q)
 
 
 @dataclass(frozen=True)
@@ -308,7 +328,8 @@ def check_prop75(
 ) -> Prop75Report:
     """For every partition of ``n``, compare its ell-adic extension field with
     that of its d'-core, where d' is the multiplicative order of ``eps*q``
-    modulo ``ell``."""
+    modulo ``ell``.  ``rule`` must be pure: fields are memoized on it (see
+    :func:`extension_field_typeA`)."""
     _check_sign(eps)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -324,7 +345,7 @@ def check_prop75(
         return by_parts[mu.parts]
 
     cases = []
-    for lam in partitions_of(n):
+    for lam in _partition_objects(n):
         core, _ = d_core(lam, d_prime)
         cases.append(
             Prop75Case(

@@ -138,18 +138,7 @@ class FiniteFieldElement:
         p = a.p
         if a.e == 1:
             return FiniteFieldElement(p, ((a.coeffs[0] * b.coeffs[0]) % p,))
-        a0, a1 = a.coeffs
-        b0, b1 = b.coeffs
-        # x^2 = x + 1 for p = 2, x^2 = t otherwise.
-        if p == 2:
-            cross = a1 * b1
-            c0 = (a0 * b0 + cross) % 2
-            c1 = (a0 * b1 + a1 * b0 + cross) % 2
-        else:
-            t = quadratic_nonresidue(p)
-            c0 = (a0 * b0 + t * a1 * b1) % p
-            c1 = (a0 * b1 + a1 * b0) % p
-        return FiniteFieldElement(p, (c0, c1))
+        return FiniteFieldElement(p, _mul_quadratic(p, *a.coeffs, *b.coeffs))
 
     def inverse(self) -> "FiniteFieldElement":
         if self.is_zero:
@@ -158,24 +147,45 @@ class FiniteFieldElement:
         return self ** (order - 2)
 
     def __pow__(self, exponent: int) -> "FiniteFieldElement":
+        """Square-and-multiply on the coefficients; a negative exponent is
+        reduced modulo the order p^e - 1 of the unit group."""
         if self.is_zero and exponent <= 0:
             raise ZeroDivisionError("zero to a non-positive power")
-        base = self
+        p = self.p
         if exponent < 0:
-            base = self.inverse()
-            exponent = -exponent
-        result = FiniteFieldElement.from_int(self.p, 1, self.e)
+            exponent %= p**self.e - 1
+        if self.e == 1:
+            return FiniteFieldElement(p, (pow(self.coeffs[0], exponent, p),))
+        r0, r1 = 1, 0
+        b0, b1 = self.coeffs
         while exponent:
             if exponent & 1:
-                result = result * base
-            base = base * base
+                r0, r1 = _mul_quadratic(p, r0, r1, b0, b1)
             exponent >>= 1
-        return result
+            if exponent:
+                b0, b1 = _mul_quadratic(p, b0, b1, b0, b1)
+        return FiniteFieldElement(p, (r0, r1))
 
     def __repr__(self) -> str:
         if self.e == 1 or self.coeffs[1] == 0:
             return f"FF({self.coeffs[0]} mod {self.p})"
         return f"FF({self.coeffs[0]} + {self.coeffs[1]}x mod {self.p})"
+
+
+def _mul_quadratic(p: int, a0: int, a1: int, b0: int, b1: int) -> tuple[int, int]:
+    """Coefficients of (a0 + a1 x)(b0 + b1 x) in F_{p^2}, reduced by the
+    relation x^2 = s x + t of ``modulus_poly(p)``: x^2 = x + 1 for p = 2,
+    x^2 = t (the smallest non-residue) otherwise."""
+    s, t = _x_squared(p)
+    cross = a1 * b1
+    return (a0 * b0 + t * cross) % p, (a0 * b1 + a1 * b0 + s * cross) % p
+
+
+@lru_cache(maxsize=None)
+def _x_squared(p: int) -> tuple[int, int]:
+    """(s, t) with x^2 = s x + t modulo ``modulus_poly(p)``."""
+    c0, c1, _ = modulus_poly(p)
+    return -c1 % p, -c0 % p
 
 
 def enumerate_field(p: int, e: int) -> Iterator[FiniteFieldElement]:

@@ -199,30 +199,29 @@ def hooks(lam, d: int) -> list[tuple[int, Partition, int]]:
 def d_core(lam, d: int, check_all_orders: bool = False) -> tuple[Partition, int]:
     """The d-core and d-weight of a partition.
 
-    Computed on the abacus and memoized on (parts, d).  With
-    ``check_all_orders=True`` every maximal rim-hook removal sequence is also
-    explored (as a DAG over bead-set states) and its terminal state is checked
-    to be unique and equal to the abacus core.
+    Computed on the abacus and memoized on (parts, d), so the returned core
+    is shared between calls.  With ``check_all_orders=True`` every maximal
+    rim-hook removal sequence is also explored (as a DAG over bead-set states)
+    and its terminal state is checked to be unique and equal to the abacus
+    core.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
-    core, weight = _abacus_core(lam.parts, d)
+    result = _abacus_core(lam.parts, d)
     if check_all_orders:
         terminals = _all_terminal_cores(beta_set(lam, len(lam) + d), d)
-        if terminals != {core}:
+        if terminals != {result[0]}:
             raise AssertionError(
                 f"removal order changes the {d}-core of {lam}: {sorted(terminals)}"
             )
-    removed = lam.size - core.size
-    assert removed % d == 0
-    assert removed // d == weight
-    return core, weight
+    return result
 
 
 @lru_cache(maxsize=None)
 def _abacus_core(parts: tuple[int, ...], d: int) -> tuple[Partition, int]:
-    """Core and weight from the bead count on each of the d runners."""
+    """Core and weight from the bead count on each of the d runners; the
+    weight is checked against the size removed once per (parts, d)."""
     length = len(parts) + d
     beads = [p + length - 1 - i for i, p in enumerate(parts)]
     beads += range(d - 1, -1, -1)
@@ -237,6 +236,9 @@ def _abacus_core(parts: tuple[int, ...], d: int) -> tuple[Partition, int]:
     core = Partition(
         p for p in (b - (length - 1 - i) for i, b in enumerate(core_beads)) if p > 0
     )
+    removed = sum(parts) - core.size
+    assert removed % d == 0
+    assert removed // d == weight
     return core, weight
 
 
@@ -258,8 +260,15 @@ def _all_terminal_cores(beta: BetaSet, d: int) -> set[Partition]:
 
 
 def two_core(lam) -> Partition:
-    """The 2-core (always a staircase partition (k, k-1, ..., 1))."""
-    core, _ = d_core(lam, 2)
+    """The 2-core (always a staircase partition (k, k-1, ..., 1)),
+    memoized on the parts."""
+    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    return _two_core(lam.parts)
+
+
+@lru_cache(maxsize=None)
+def _two_core(parts: tuple[int, ...]) -> Partition:
+    core, _ = _abacus_core(parts, 2)
     assert core.parts == tuple(range(len(core.parts), 0, -1))
     return core
 
@@ -327,7 +336,7 @@ def partitions_of(n: int) -> Iterator[Partition]:
 @lru_cache(maxsize=None)
 def _partition_objects(n: int) -> tuple[Partition, ...]:
     """The ``Partition`` objects of ``partitions_of(n)``, built once."""
-    return tuple(partitions_of(n))
+    return tuple(Partition(p) for p in _partitions_of(n))
 
 
 def partition_tuples(n: int, components: int) -> Iterator[tuple[Partition, ...]]:

@@ -258,7 +258,7 @@ def _suite_lemma42(max_m=12, max_a=4, sub_max_m=6, sub_max_a=3, max_d=12):
 def _suite_cor74(max_n=12, max_d=12):
     checks, bad = 0, []
     for n in range(1, max_n + 1):
-        parts = list(partitions_mod.partitions_of(n))
+        parts = partitions_mod._partition_objects(n)
         for d in range(2, max_d + 1, 2):
             groups: dict = {}
             for lam in parts:
@@ -275,7 +275,7 @@ def _suite_cor74(max_n=12, max_d=12):
     # Recomposition: every even-hook decomposition into 2-steps, applied in
     # order, reproduces the single d-hook removal.
     for n in range(1, max_n + 1):
-        for lam in partitions_mod.partitions_of(n):
+        for lam in partitions_mod._partition_objects(n):
             beta = partitions_mod.beta_set(lam, len(lam.parts) + max_d)
             for d in range(2, max_d + 1, 2):
                 for bead in sorted(beta.beads, reverse=True):
@@ -300,14 +300,17 @@ def _suite_lemma72(max_rank=6, max_defect=3, max_d=7):
         for rank in range(max_rank + 1)
         for S in symbols_mod.enumerate_symbols(rank, max_defect)
     ]
+    one_cores_of = [symbols_mod.symbol_d_core(S, 1) for S in symbols]
     for d in range(1, max_d + 1, 2):
+        cores = (
+            one_cores_of
+            if d == 1
+            else [symbols_mod.symbol_d_core(S, d) for S in symbols]
+        )
         groups: dict = {}
-        for S in symbols:
-            groups.setdefault(symbols_mod.symbol_d_core(S, d), []).append(S)
-        for core, members in groups.items():
-            one_cores = {
-                symbols_mod.symbol_d_core(S, 1) for S in members
-            }
+        for core, one_core in zip(cores, one_cores_of):
+            groups.setdefault(core, set()).add(one_core)
+        for core, one_cores in groups.items():
             checks += 1
             if len(one_cores) != 1:
                 bad.append(

@@ -25,7 +25,8 @@ are matched against an independently built exact table of the subgroup
 orthogonality of the split pieces.  C_m wr S_a and G(m,2,a) above
 ``grouptable.MAX_GROUP_ORDER`` are refused from their order, m^a a! (halved
 for G(m,2,a)), before any element is listed; labels of C_m wr S_a are listed
-only up to ``MAX_LABELS`` characters, counted by ``_label_count``.
+only up to ``MAX_LABELS`` characters, counted by ``_label_count``, and full
+tables are built only up to ``MAX_TABLE_BYTES`` of values.
 """
 
 from __future__ import annotations
@@ -124,6 +125,25 @@ def _check_label_count(m: int, a: int) -> None:
         raise ValueError(
             f"C{m}wrS{a} has {count} characters, above the cap of "
             f"{MAX_LABELS} on listed wreath labels"
+        )
+
+
+# Full tables are built only when their (L, L, m) int64 ``raw`` takes at most
+# this many bytes (ValueError otherwise, predicted from ``_label_count`` before
+# anything is built).  The largest table of the default run is C_10 wr S_3,
+# (330, 330, 10) or 8.3 MiB; C_10 wr S_4 (156 MiB) passes, C_11 wr S_4
+# (311 MiB) and C_12 wr S_4 (588 MiB) do not.
+MAX_TABLE_BYTES = 256 * 2**20
+
+
+def _check_table_bytes(m: int, a: int) -> None:
+    """Refuse the full table of C_m wr S_a above MAX_TABLE_BYTES of values."""
+    count = _label_count(m, a)
+    size = count * count * m * 8
+    if size > MAX_TABLE_BYTES:
+        raise ValueError(
+            f"the table of C{m}wrS{a} would hold {size / 2**20:.0f} MiB of "
+            f"values, above the cap of {MAX_TABLE_BYTES // 2**20} MiB"
         )
 
 
@@ -421,6 +441,7 @@ def _build_raw(m: int, classes, memo: dict) -> np.ndarray:
 @lru_cache(maxsize=None)
 def get_table(m: int, a: int) -> WreathTable:
     _check_label_count(m, a)
+    _check_table_bytes(m, a)
     return WreathTable(m, a)
 
 

@@ -1,8 +1,9 @@
 """Scalar oracles shared by the tests: one value at a time, through
 ``cyclotomic.conductor`` and ``cyclotomic.is_fixed_by``; one group element
 at a time, through Python multiplications of native elements; one label at
-a time, through ``partitions.hooks``; and polynomial long division over
-``Fraction``."""
+a time, through ``partitions.hooks``; polynomial long division over
+``Fraction``; and powers in F_{p^e}, and the Lang images built from them,
+through repeated ``FiniteFieldElement`` multiplication."""
 
 import math
 from fractions import Fraction
@@ -10,6 +11,7 @@ from fractions import Fraction
 from charverify.cyclotomic import conductor, is_fixed_by
 from charverify.grouptable import FiniteGroup
 from charverify.ladic import hd_subgroup
+from charverify.langmap import FiniteFieldElement, jacobi_symbol, sqrt_in_quadratic
 from charverify.partitions import hooks, partition_tuples
 
 
@@ -109,3 +111,39 @@ def fraction_divmod(num, den):
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
     return quo, rem
+
+
+def power_by_multiplication(x, exponent):
+    """x**exponent by square-and-multiply through ``FiniteFieldElement``
+    multiplication, one element per step; a negative exponent first inverts
+    x as x**(p^e - 2) by the same loop."""
+    if x.is_zero and exponent <= 0:
+        raise ZeroDivisionError("zero to a non-positive power")
+    if exponent < 0:
+        x = power_by_multiplication(x, x.p**x.e - 2)
+        exponent = -exponent
+    result = FiniteFieldElement.from_int(x.p, 1, x.e)
+    while exponent:
+        if exponent & 1:
+            result = result * x
+        x = x * x
+        exponent >>= 1
+    return result
+
+
+def cor55_by_multiplication(n, p, e, k):
+    """(Jacobi-symbol formula holds, image is central of order dividing 2)
+    for the Lang image of diag(c^(n-1), ..., c^(-(n-1))), c a square root of
+    k, every power taken by ``power_by_multiplication``."""
+    q = p**e
+    c = sqrt_in_quadratic(p, k)
+    image = [
+        power_by_multiplication(power_by_multiplication(c, m), q - 1)
+        for m in range(n - 1, -n, -2)
+    ]
+    if any(x != image[0] for x in image):
+        return False, False
+    sign = FiniteFieldElement.from_int(p, (-1) ** (n - 1))
+    expected = FiniteFieldElement.from_int(p, jacobi_symbol(k, q) ** (n - 1))
+    one = FiniteFieldElement.from_int(p, 1)
+    return image[0] == expected, image[0] in (one, sign)

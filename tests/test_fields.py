@@ -265,6 +265,55 @@ class TestProp75:
             assert case.field_core == expected, case
             assert case.field_char == original(eps, Partition(case.partition), ell, q, r)
 
+    def test_wrong_core_is_caught(self, monkeypatch):
+        # q = 2, ell = 5: d' = 4 and the field of (2, 1) is Q(sqrt(q)), since
+        # 2 is not a square mod 5.  A d_core that returns the empty partition
+        # must make the check fail there, whatever the fields are memoized on.
+        import charverify.fields as fields_mod
+
+        assert extension_field_typeA(1, (2, 1), 5, 2, 1) == SQRT_Q
+        monkeypatch.setattr(
+            fields_mod, "d_core", lambda lam, d: (Partition(), lam.size // d)
+        )
+        report = check_prop75(1, 3, 5, 2, r=1)
+        assert report.d_prime == 4
+        assert not report.passed
+        assert (2, 1) in {case.partition for case in report.failures}
+
+    def test_no_partitions_of(self, monkeypatch):
+        import charverify.partitions as partitions_mod
+
+        def refuse(n):
+            raise AssertionError("partitions_of was called")
+
+        monkeypatch.setattr(partitions_mod, "partitions_of", refuse)
+        partitions_mod._partition_objects.cache_clear()
+        report = check_prop75(-1, 10, 7, 3, r=2)
+        assert len(report.cases) == 42 and report.passed
+
+    def test_memo_key_includes_rule(self):
+        # (3,) has 2-core (1): graph part trivial.  At ell = 7, q = 2 the root
+        # of X**3 + 2 is not 7-adic (-2 = 5 is not a cube mod 7), so a
+        # MINUS_Q rule keeps the root part and a ONE rule does not.
+        def always_one(core):
+            return FrobeniusClass.ONE
+
+        def always_minus_q(core):
+            return FrobeniusClass.MINUS_Q
+
+        root = FieldDescriptor.adjoin_root(3, FrobeniusClass.MINUS_Q)
+        for _ in range(2):
+            assert extension_field_typeA(-1, (3,), 7, 2, 3, always_one) == TRIVIAL
+            assert extension_field_typeA(-1, (3,), 7, 2, 3, always_minus_q) == root
+        # (2, 1) is its own 2-core, of size 3: sqrt(-q) = sqrt(-2) is not
+        # 7-adic either.
+        one, minus_q = (
+            {c.partition: c.field_char for c in check_prop75(-1, 3, 7, 2, 3, rule).cases}
+            for rule in (always_one, always_minus_q)
+        )
+        assert one == {(3,): TRIVIAL, (2, 1): SQRT_MINUS_Q, (1, 1, 1): TRIVIAL}
+        assert minus_q == {(3,): root, (2, 1): SQRT_MINUS_Q.join(root), (1, 1, 1): root}
+
     def test_failure_reporting_shape(self):
         report = check_prop75(-1, 5, 7, 2, r=3)
         for case in report.cases:

@@ -18,9 +18,12 @@ from charverify.langmap import (
     principal_cochar_value,
     quadratic_nonresidue,
     sqrt_in_quadratic,
+    verify_cor55,
     verify_cor55a,
     verify_prop51a,
 )
+
+from scalar_oracles import cor55_by_multiplication, power_by_multiplication
 
 SWEEP_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
@@ -270,3 +273,52 @@ class TestCor55a:
             verify_cor55a(3, 7, 1, 14)  # k not a unit
         with pytest.raises(ValueError):
             verify_cor55a(3, 8, 1, 3)  # p not prime
+
+
+class TestIntegerPowers:
+    """``__pow__`` on coefficient integers against repeated multiplication."""
+
+    FIELDS = [(2, 1), (3, 1), (7, 1), (23, 1), (2, 2), (3, 2), (7, 2), (23, 2)]
+
+    @pytest.mark.parametrize("p,e", FIELDS)
+    def test_matches_repeated_multiplication(self, p, e):
+        order = p**e
+        exponents = sorted({0, 1, -1, 2, -2, order - 1, p * p - 2, 528})
+        for x in enumerate_field(p, e):
+            for k in exponents:
+                if x.is_zero and k <= 0:
+                    with pytest.raises(ZeroDivisionError):
+                        x**k
+                    with pytest.raises(ZeroDivisionError):
+                        power_by_multiplication(x, k)
+                    continue
+                got = x**k
+                assert got == power_by_multiplication(x, k), (x, k)
+                assert got.coeffs == power_by_multiplication(x, k).coeffs
+                assert got.e == e
+
+    def test_one_element_per_call(self, monkeypatch):
+        import charverify.langmap as langmap_mod
+
+        built = []
+        original = langmap_mod.FiniteFieldElement.__post_init__
+
+        def counting(self):
+            built.append(self.coeffs)
+            original(self)
+
+        x = FiniteFieldElement(23, (5, 17))
+        monkeypatch.setattr(langmap_mod.FiniteFieldElement, "__post_init__", counting)
+        for k in (0, 1, -1, 528, 10**6 + 3, -(10**6 + 3)):
+            built.clear()
+            x**k
+            assert len(built) == 1, k
+
+    def test_cor55_matches_oracle_on_default_grid(self):
+        for p in SWEEP_PRIMES:
+            for e in (1, 2):
+                for n in range(2, 7):
+                    for k in range(1, p):
+                        assert verify_cor55(n, p, e, k) == cor55_by_multiplication(
+                            n, p, e, k
+                        ), (n, p, e, k)

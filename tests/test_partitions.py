@@ -93,13 +93,39 @@ def test_d_core_frozen_examples():
 
 
 def test_d_core_order_independence_exhaustive():
-    """The abacus core equals the unique terminal state of rim-hook removal
-    in every order, for every partition of n <= 12 and d <= 12."""
+    """The abacus core, memoized and asked first, equals the unique terminal
+    state of rim-hook removal in every order, for every partition of n <= 12
+    and d <= 12; repeated calls share it."""
     for n in range(13):
         for lam in partitions_of(n):
             for d in range(1, 13):
+                memo = d_core(lam, d)
                 core, weight = d_core(lam, d, check_all_orders=True)
+                assert (core, weight) == memo and d_core(lam.parts, d) is memo
                 assert lam.size == core.size + d * weight
+            assert two_core(lam.parts) is two_core(lam) == d_core(lam, 2)[0]
+
+
+def test_d_core_memo_rechecks_arguments():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            d_core((2, 1), 0)
+        with pytest.raises(ValueError):
+            d_core((1, 2), 2)
+        with pytest.raises(ValueError):
+            two_core((1, 2))
+
+
+def test_cor74_suite_builds_no_partitions_of(monkeypatch):
+    from charverify import partitions as partitions_mod
+    from charverify.suites import _suite_cor74
+
+    def refuse(n):
+        raise AssertionError("partitions_of was called")
+
+    monkeypatch.setattr(partitions_mod, "partitions_of", refuse)
+    partitions_mod._partition_objects.cache_clear()
+    assert _suite_cor74() == (2055, [])
 
 
 def test_two_core_is_staircase():

@@ -191,3 +191,25 @@ def test_lemma72_shadow_rank_le_6():
                 first_core = one_cores[id(group[0])]
                 for S in group[1:]:
                     assert one_cores[id(S)] == first_core, (d, group[0], S)
+
+
+def test_lemma72_suite_one_core_once_per_symbol(monkeypatch):
+    """The suite computes each symbol's 1-core once, not once per odd d,
+    and still makes its 690 checks without a counterexample."""
+    from charverify import symbols as symbols_mod
+    from charverify.suites import _suite_lemma72
+
+    one_core_calls = []
+    original = symbols_mod.symbol_d_core
+
+    def counting(S, d, *args, **kwargs):
+        if d == 1:
+            one_core_calls.append(S.rows())
+        return original(S, d, *args, **kwargs)
+
+    monkeypatch.setattr(symbols_mod, "symbol_d_core", counting)
+    assert _suite_lemma72() == (690, [])
+    symbols = {
+        S.rows() for rank in range(7) for S in enumerate_symbols(rank, max_defect=3)
+    }
+    assert sorted(one_core_calls) == sorted(symbols)

@@ -14,9 +14,11 @@ from charverify.grouptable import CharacterTable
 from charverify.partitions import Partition, partition_tuples
 from charverify.wreath import (
     MAX_LABELS,
+    MAX_TABLE_BYTES,
     VALUES_ROUTE_MAX_LABELS,
     _build_raw,
     _check_label_count,
+    _check_table_bytes,
     _hook_op,
     _label_count,
     _label_index,
@@ -547,6 +549,47 @@ class TestLabelCap:
         for suite in ("thm41", "lemma42"):
             assert cli.main(["--suite", suite, "--params", "max_m=40,max_a=12"]) == 2
         assert capsys.readouterr().err.count("cap") == 2
+
+
+class TestTableBytesCap:
+    @staticmethod
+    def table_bytes(m, a):
+        return _label_count(m, a) ** 2 * m * 8
+
+    def test_boundary(self):
+        largest = max(VALUES_CELLS, key=lambda cell: self.table_bytes(*cell))
+        assert largest == (10, 3) and self.table_bytes(10, 3) == 330 * 330 * 10 * 8
+        assert self.table_bytes(10, 4) <= MAX_TABLE_BYTES < self.table_bytes(11, 4)
+        _check_table_bytes(10, 4)
+        for m, a in ((11, 4), (12, 4)):
+            with pytest.raises(ValueError, match="cap"):
+                _check_table_bytes(m, a)
+
+    @pytest.fixture
+    def no_building(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the table was built")
+
+        for name in ("_labels_by_size", "class_labels", "_build_raw", "WreathTable"):
+            monkeypatch.setattr(wreath, name, refuse)
+
+    def test_refused_before_building(self, no_building):
+        label = ((1, 1),) + ((),) * 10 + ((2,),)
+        for call in (
+            lambda: get_table(11, 4),
+            lambda: get_table(12, 4),
+            lambda: table_conductors(12, 4, via="values"),
+            lambda: table_hd_fixed(12, 4, 2, via="values"),
+            lambda: conductor_of_char(label, 12, via="values"),
+            lambda: h_d_invariant(label, 12, d=2, via="values"),
+        ):
+            with pytest.raises(ValueError, match="cap"):
+                call()
+
+    def test_label_route_unaffected(self, no_building):
+        label = ((1, 1),) + ((),) * 10 + ((2,),)
+        assert conductor_of_char(label, 12) == 12
+        assert table_conductors(12, 4).shape == (2535,)
 
 
 class TestSharedColumns:
