@@ -39,9 +39,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Callable, Iterable
 
@@ -54,7 +54,7 @@ from .ladic import (
     mult_order,
     root_exists_for_integer,
 )
-from .partitions import Partition, _partition_objects, d_core, two_core
+from .partitions import Partition, _partition_objects, _partitions_of, d_core, two_core
 from .symbols import SymbolBCD, enumerate_symbols, symbol_d_core
 
 __all__ = [
@@ -283,6 +283,39 @@ def _symbolic_field(
     )
 
 
+# Interned fields, symbolic and resolved: ``_FIELDS[_FIELD_IDS[f]] == f``.
+# prop75 groups partitions and compares fields by these integer ids.
+_FIELDS: list[FieldDescriptor] = []
+_FIELD_IDS: dict[FieldDescriptor, int] = {}
+
+
+def _field_id(desc: FieldDescriptor) -> int:
+    fid = _FIELD_IDS.get(desc)
+    if fid is None:
+        fid = _FIELD_IDS[desc] = len(_FIELDS)
+        _FIELDS.append(desc)
+    return fid
+
+
+@lru_cache(maxsize=None)
+def _symbolic_classes(
+    eps: int, size: int, r: int, rule: Callable[[Partition], FrobeniusClass]
+) -> tuple[tuple[int, tuple[tuple, ...]], ...]:
+    """The partitions of ``size`` grouped by their symbolic field
+    ``_symbolic_field(eps, parts, r, rule)``: (interned id of the field,
+    full parts of each partition with that field) pairs."""
+    groups: dict[FieldDescriptor, list] = {}
+    for parts in _partitions_of(size):
+        groups.setdefault(_symbolic_field(eps, parts, r, rule), []).append(parts)
+    return tuple((_field_id(desc), tuple(members)) for desc, members in groups.items())
+
+
+@lru_cache(maxsize=None)
+def _resolved_id(fid: int, ell: int, qv: int) -> int:
+    """The interned id of the ell-adic resolution of the field ``fid``."""
+    return _field_id(_resolve(_FIELDS[fid], ell, qv))
+
+
 @dataclass(frozen=True)
 class Prop75Case:
     """One partition checked against its d'-core."""
@@ -299,7 +332,12 @@ class Prop75Case:
 
 @dataclass(frozen=True)
 class Prop75Report:
-    """Sweep result: extension fields are constant along d'-cores."""
+    """Sweep result: extension fields are constant along d'-cores.
+
+    Holds the partitions of ``n``, their d'-cores, the interned field id of
+    every partition met (by parts) and the indices of the ``failed``
+    partitions; the :class:`Prop75Case` objects are built only for
+    ``failures`` and on first access to ``cases``."""
 
     eps: int
     n: int
@@ -307,15 +345,36 @@ class Prop75Report:
     q: int
     r: int
     d_prime: int
-    cases: tuple
+    partitions: tuple = field(repr=False)
+    cores: tuple = field(repr=False)
+    field_ids: dict = field(repr=False, compare=False)
+    failed: tuple = field(repr=False)
+
+    @property
+    def checked(self) -> int:
+        """Number of partitions compared with their cores."""
+        return len(self.partitions)
 
     @property
     def passed(self) -> bool:
-        return all(c.equal for c in self.cases)
+        return not self.failed
+
+    def _case(self, i: int) -> Prop75Case:
+        lam, core = self.partitions[i].parts, self.cores[i].parts
+        return Prop75Case(
+            partition=lam,
+            core=core,
+            field_char=_FIELDS[self.field_ids[lam]],
+            field_core=_FIELDS[self.field_ids[core]],
+        )
+
+    @cached_property
+    def cases(self) -> tuple:
+        return tuple(self._case(i) for i in range(self.checked))
 
     @property
     def failures(self) -> tuple:
-        return tuple(c for c in self.cases if not c.equal)
+        return tuple(self._case(i) for i in self.failed)
 
 
 def check_prop75(
@@ -328,35 +387,50 @@ def check_prop75(
 ) -> Prop75Report:
     """For every partition of ``n``, compare its ell-adic extension field with
     that of its d'-core, where d' is the multiplicative order of ``eps*q``
-    modulo ``ell``.  ``rule`` must be pure: fields are memoized on it (see
-    :func:`extension_field_typeA`)."""
+    modulo ``ell``.  Each core comes from :func:`d_core` on every call.  The
+    fields of all partitions of ``n`` and of each core size met are read
+    into one table by full parts, from the partitions grouped by symbolic
+    field (memoized per (eps, size, r, rule)) and each group's resolution
+    (memoized per (symbolic field, ell, q)); they are compared as interned
+    ids.  ``rule`` must be pure: fields are memoized
+    on it (see :func:`extension_field_typeA`)."""
     _check_sign(eps)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     qv = _q_value(q)
     d_prime = mult_order(eps * qv, ell)
-    # Many partitions share a d'-core, and a partition that is its own core
-    # is both: compute the field of each distinct partition once per call.
-    by_parts: dict[tuple, FieldDescriptor] = {}
+    # Field ids by full parts, for every partition of n and of each core
+    # size met.
+    ids: dict[tuple, int] = {}
 
-    def field(mu: Partition) -> FieldDescriptor:
-        if mu.parts not in by_parts:
-            by_parts[mu.parts] = extension_field_typeA(eps, mu, ell, qv, r, rule)
-        return by_parts[mu.parts]
+    def read_table(size: int) -> None:
+        for fid, members in _symbolic_classes(eps, size, r, rule):
+            ids.update(dict.fromkeys(members, _resolved_id(fid, ell, qv)))
 
-    cases = []
-    for lam in _partition_objects(n):
+    read_table(n)
+    partitions = _partition_objects(n)
+    cores = []
+    failed = []
+    for i, lam in enumerate(partitions):
         core, _ = d_core(lam, d_prime)
-        cases.append(
-            Prop75Case(
-                partition=lam.parts,
-                core=core.parts,
-                field_char=field(lam),
-                field_core=field(core),
-            )
-        )
+        cores.append(core)
+        core_id = ids.get(core.parts)
+        if core_id is None:
+            read_table(core.size)
+            core_id = ids[core.parts]
+        if ids[lam.parts] != core_id:
+            failed.append(i)
     return Prop75Report(
-        eps=eps, n=n, ell=ell, q=qv, r=r, d_prime=d_prime, cases=tuple(cases)
+        eps=eps,
+        n=n,
+        ell=ell,
+        q=qv,
+        r=r,
+        d_prime=d_prime,
+        partitions=partitions,
+        cores=tuple(cores),
+        field_ids=ids,
+        failed=tuple(failed),
     )
 
 

@@ -646,31 +646,76 @@ class CharacterTable:
     # -- exact verification helpers ----------------------------------------
 
     def verify_row_orthogonality(self) -> bool:
-        n_g = self.group.order
-        for i, chi in enumerate(self.characters):
-            for j, psi in enumerate(self.characters):
-                acc = CyclotomicNumber.zero()
-                for k in range(self.num_classes):
-                    acc = acc + self.class_sizes[k] * chi[k] * psi[k].conjugate()
-                expected = n_g if i == j else 0
-                if acc != expected:
-                    return False
-        return True
+        return row_orthogonality(self.raw, self.class_sizes, self.group.order)
 
     def verify_column_orthogonality(self) -> bool:
-        n_g = self.group.order
-        for k in range(self.num_classes):
-            for l in range(self.num_classes):
-                acc = CyclotomicNumber.zero()
-                for chi in self.characters:
-                    acc = acc + chi[k] * chi[l].conjugate()
-                expected = n_g // self.class_sizes[k] if k == l else 0
-                if acc != expected:
-                    return False
-        return True
+        return column_orthogonality(self.raw, self.class_sizes, self.group.order)
 
     def sum_of_degree_squares(self) -> int:
         return sum(d * d for d in self.degrees)
+
+
+def _conjugate_products(left: np.ndarray, right: np.ndarray, weights) -> np.ndarray:
+    """(X, Y, phi(N)) power-basis coordinates of
+    sum_k weights[k] * left[x, k] * conj(right[y, k]) for (X, K, N) and
+    (Y, K, N) integer arrays over Z[t]/(t^N - 1).
+
+    The convolution over the exponents is N^2 float64 matmuls, exact because
+    no partial sum can reach 2^53; its reduction through
+    ``_reduction_matrix(N)`` is one int64 product.  Both bounds are checked
+    up front from the entries (OverflowError otherwise).
+    """
+    n = left.shape[2]
+    R = _reduction_matrix(n)
+    weights = [int(w) for w in weights]
+    peak_left = np.abs(left).max(axis=(0, 2)).tolist()
+    peak_right = np.abs(right).max(axis=(0, 2)).tolist()
+    total = n * sum(
+        abs(w) * a * b for w, a, b in zip(weights, peak_left, peak_right)
+    )
+    if total >= 2**53 or n * total * int(np.abs(R).max()) >= 2**63:
+        raise OverflowError(
+            f"conjugate products of these values mod Phi_{n} leave the exact "
+            f"float64 range (bound {total} >= 2^53) or int64"
+        )
+    A = np.ascontiguousarray(
+        (left * np.array(weights, dtype=np.float64)[None, :, None]).transpose(2, 0, 1)
+    )
+    # coefficient f of conj(right) is coefficient -f of right
+    B = np.ascontiguousarray(
+        right.transpose(2, 0, 1)[(-np.arange(n)) % n], dtype=np.float64
+    )
+    out = np.zeros((n, left.shape[0], right.shape[0]))
+    for e in range(n):
+        for f in range(n):
+            out[(e + f) % n] += A[e] @ B[f].T
+    return np.tensordot(out.astype(np.int64), R, axes=(0, 0))
+
+
+def row_orthogonality(raw: np.ndarray, class_sizes, group_order: int) -> bool:
+    """Whether sum_c |c| chi_i(c) conj(chi_j(c)) = |G| delta_ij for the rows
+    of an (L, C, N) value array over Z[t]/(t^N - 1), in exact arithmetic.
+    With :func:`column_orthogonality`, the one pass for Dixon tables and
+    wreath tables alike."""
+    L = raw.shape[0]
+    sums = _conjugate_products(raw, raw, class_sizes)
+    expected = np.zeros_like(sums)
+    expected[np.arange(L), np.arange(L), 0] = group_order
+    return np.array_equal(sums, expected)
+
+
+def column_orthogonality(raw: np.ndarray, class_sizes, group_order: int) -> bool:
+    """Whether sum_i chi_i(c) conj(chi_i(c')) = |C_G(c)| delta_cc', with
+    |C_G(c)| = |G| / |c|, for the columns of an (L, C, N) value array over
+    Z[t]/(t^N - 1), in exact arithmetic."""
+    if any(group_order % size for size in class_sizes):
+        return False
+    L, C, _ = raw.shape
+    by_class = raw.transpose(1, 0, 2)
+    sums = _conjugate_products(by_class, by_class, [1] * L)
+    expected = np.zeros_like(sums)
+    expected[np.arange(C), np.arange(C), 0] = [group_order // s for s in class_sizes]
+    return np.array_equal(sums, expected)
 
 
 def _class_coordinates(raw: np.ndarray, orders) -> list[np.ndarray]:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import GaloisSubgroup
+from .cyclotomic import GaloisSubgroup, unit_residues
 
 
 @lru_cache(maxsize=None)
@@ -133,13 +133,10 @@ def hell_subgroup(ell: int, n: int) -> GaloisSubgroup:
     while acc not in powers:
         powers.add(acc)
         acc = (acc * ell) % n_prime
-    residues = [
-        k
-        for k in range(1, n + 1)
-        if math.gcd(k, n) == 1 and (k % n_prime) in powers
-    ]
     # Units whose image mod n_prime lies in the cyclic group <ell>: closed.
-    return GaloisSubgroup._closed(n, residues)
+    return GaloisSubgroup._closed(
+        n, [k for k in unit_residues(n) if k % n_prime in powers]
+    )
 
 
 @lru_cache(maxsize=None)

@@ -8,17 +8,23 @@ F_{p^2}: the principal cocharacter sends a field unit ``c`` to
 automatically of determinant 1, and the Lang map of a diagonal torus element
 is the entrywise (q-1)-th power (t^(-1) * Frobenius(t) for diagonal t).  The
 headline check, :func:`verify_cor55a`, takes an integer ``k`` coprime to
-``p``, constructs a square root ``c`` of ``k`` in F_{p^2} by exhaustive
-search, and confirms that the Lang image of the cocharacter value at ``c``
-is the scalar matrix ``jacobi_symbol(k, q)^(n-1) * Id``.
+``p``, takes a square root ``c`` of ``k`` in F_{p^2} (the first one in the
+order of :func:`enumerate_field`, from one pass over the field per prime),
+and confirms that the Lang image of the cocharacter value at ``c`` is the
+scalar matrix ``jacobi_symbol(k, q)^(n-1) * Id``.
 
 Because ``k`` is a prime-field scalar, its square roots always lie in
 F_{p^2}; degrees ``e`` in ``{1, 2}`` (so ``q = p`` or ``q = p^2``) are fully
 covered without ever leaving the quadratic extension.  Field elements are
 represented as polynomials modulo a fixed, documented irreducible: for odd
 ``p`` the modulus is ``x^2 - t`` with ``t`` the smallest quadratic
-non-residue mod ``p``; for ``p = 2`` it is ``x^2 + x + 1``.  Determinism is
-preferred over speed throughout (square roots by exhaustive search).
+non-residue mod ``p``; for ``p = 2`` it is ``x^2 + x + 1``.
+
+Powers are square-and-multiply on coefficient integers.  The cocharacter
+value and its Lang image are computed on (c0, c1) coefficient pairs, their
+determinant is checked to be 1 on the pairs, and the result is built
+through trusted constructors that skip the checks already made; a
+``DiagonalTorusElement`` built directly still checks its determinant.
 """
 
 from __future__ import annotations
@@ -91,6 +97,15 @@ class FiniteFieldElement:
             raise ValueError(f"coefficients not reduced mod {self.p}")
 
     @classmethod
+    def _reduced(cls, p: int, coeffs: tuple) -> "FiniteFieldElement":
+        """An element from coefficients reduced mod a prime p, of degree 1 or
+        2 by construction: skips the checks of ``__post_init__``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
+
+    @classmethod
     def from_int(cls, p: int, value: int, e: int = 1) -> "FiniteFieldElement":
         if e not in (1, 2):
             raise ValueError(f"degree must be 1 or 2, got {e}")
@@ -101,8 +116,13 @@ class FiniteFieldElement:
     def e(self) -> int:
         return len(self.coeffs)
 
+    def _as_pair(self) -> tuple[int, int]:
+        """The coefficients in F_{p^2}: (c0, 0) for a prime-field element."""
+        coeffs = self.coeffs
+        return (coeffs[0], coeffs[1]) if len(coeffs) == 2 else (coeffs[0], 0)
+
     def _key(self) -> tuple:
-        return (self.p, self.coeffs[0], self.coeffs[1] if self.e == 2 else 0)
+        return (self.p, *self._as_pair())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteFieldElement):
@@ -156,15 +176,7 @@ class FiniteFieldElement:
             exponent %= p**self.e - 1
         if self.e == 1:
             return FiniteFieldElement(p, (pow(self.coeffs[0], exponent, p),))
-        r0, r1 = 1, 0
-        b0, b1 = self.coeffs
-        while exponent:
-            if exponent & 1:
-                r0, r1 = _mul_quadratic(p, r0, r1, b0, b1)
-            exponent >>= 1
-            if exponent:
-                b0, b1 = _mul_quadratic(p, b0, b1, b0, b1)
-        return FiniteFieldElement(p, (r0, r1))
+        return FiniteFieldElement(p, _pow_quadratic(p, *self.coeffs, exponent))
 
     def __repr__(self) -> str:
         if self.e == 1 or self.coeffs[1] == 0:
@@ -181,6 +193,22 @@ def _mul_quadratic(p: int, a0: int, a1: int, b0: int, b1: int) -> tuple[int, int
     return (a0 * b0 + t * cross) % p, (a0 * b1 + a1 * b0 + s * cross) % p
 
 
+def _pow_quadratic(p: int, b0: int, b1: int, exponent: int) -> tuple[int, int]:
+    """Coefficients of (b0 + b1 x)^exponent in F_{p^2}, exponent >= 0: the
+    built-in ``pow`` for a prime-field element, otherwise square-and-multiply
+    through ``_mul_quadratic``."""
+    if b1 == 0:
+        return pow(b0, exponent, p), 0
+    r0, r1 = 1, 0
+    while exponent:
+        if exponent & 1:
+            r0, r1 = _mul_quadratic(p, r0, r1, b0, b1)
+        exponent >>= 1
+        if exponent:
+            b0, b1 = _mul_quadratic(p, b0, b1, b0, b1)
+    return r0, r1
+
+
 @lru_cache(maxsize=None)
 def _x_squared(p: int) -> tuple[int, int]:
     """(s, t) with x^2 = s x + t modulo ``modulus_poly(p)``."""
@@ -190,37 +218,45 @@ def _x_squared(p: int) -> tuple[int, int]:
 
 def enumerate_field(p: int, e: int) -> Iterator[FiniteFieldElement]:
     """All elements of F_{p^e} in deterministic (lexicographic) order."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     if e == 1:
         for a0 in range(p):
-            yield FiniteFieldElement(p, (a0,))
+            yield FiniteFieldElement._reduced(p, (a0,))
     elif e == 2:
         for a0 in range(p):
             for a1 in range(p):
-                yield FiniteFieldElement(p, (a0, a1))
+                yield FiniteFieldElement._reduced(p, (a0, a1))
     else:
         raise ValueError(f"degree must be 1 or 2, got {e}")
 
 
 def sqrt_in_quadratic(p: int, k: int) -> FiniteFieldElement:
-    """First square root of the prime-field scalar k inside F_{p^2}.
+    """First square root of the prime-field scalar k inside F_{p^2}, in the
+    order of ``enumerate_field(p, 2)``.
 
     Every prime-field element has a square root in the quadratic extension
-    (adjoining one non-residue root makes all non-residues squares), so the
-    exhaustive search cannot fail on valid input.  The search runs once per
-    (p, k mod p); p is validated on every call.
+    (adjoining one non-residue root makes all non-residues squares).  The
+    roots of all k come from one pass over F_{p^2} per prime, so the same
+    element is returned for every k with the same k mod p; p is validated
+    on every call.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    return _sqrt_in_quadratic(p, k % p)
+    return _square_roots(p)[k % p]
 
 
 @lru_cache(maxsize=None)
-def _sqrt_in_quadratic(p: int, k: int) -> FiniteFieldElement:
-    target = FiniteFieldElement.from_int(p, k, 2)
+def _square_roots(p: int) -> tuple[FiniteFieldElement, ...]:
+    """Entry k: the first c of ``enumerate_field(p, 2)`` with c * c = k."""
+    roots: dict[int, FiniteFieldElement] = {}
     for c in enumerate_field(p, 2):
-        if c * c == target:
-            return c
-    raise RuntimeError(f"internal error: no square root of {k} in F_{p}^2")
+        s0, s1 = _mul_quadratic(p, *c.coeffs, *c.coeffs)
+        if s1 == 0 and s0 not in roots:
+            roots[s0] = c
+            if len(roots) == p:
+                return tuple(roots[k] for k in range(p))
+    raise RuntimeError(f"internal error: some k has no square root in F_{p}^2")
 
 
 def jacobi_symbol(k: int, q: int) -> int:
@@ -263,11 +299,19 @@ class DiagonalTorusElement:
             raise ValueError("need at least 2 diagonal entries")
         if any(x.is_zero for x in self.entries):
             raise ValueError("diagonal entries must be nonzero")
-        det = self.entries[0]
-        for x in self.entries[1:]:
-            det = det * x
-        if det != FiniteFieldElement.from_int(det.p, 1):
-            raise ValueError(f"determinant is {det!r}, not 1")
+        p = self.entries[0].p
+        for x in self.entries:
+            if not isinstance(x, FiniteFieldElement) or x.p != p:
+                raise TypeError(f"cannot combine {self.entries[0]!r} with {x!r}")
+        _check_det_one(p, [x._as_pair() for x in self.entries])
+
+    @classmethod
+    def _checked(cls, entries: tuple) -> "DiagonalTorusElement":
+        """A torus element from nonzero entries over one prime whose
+        determinant has been checked to be 1: skips ``__post_init__``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "entries", entries)
+        return self
 
     @property
     def n(self) -> int:
@@ -288,13 +332,41 @@ class DiagonalTorusElement:
         return f"diag{self.entries!r}"
 
 
+def _check_det_one(p: int, pairs) -> None:
+    """Raise unless the product of the (c0, c1) coefficient pairs of
+    F_{p^2} elements is 1."""
+    d0, d1 = pairs[0]
+    for a0, a1 in pairs[1:]:
+        d0, d1 = _mul_quadratic(p, d0, d1, a0, a1)
+    if (d0, d1) != (1, 0):
+        det = FiniteFieldElement._reduced(p, (d0, d1))
+        raise ValueError(f"determinant is {det!r}, not 1")
+
+
+def _torus_from_pairs(p: int, pairs, degrees) -> DiagonalTorusElement:
+    """diag of the nonzero F_{p^2} elements with these (c0, c1) pairs, each
+    of the given degree: the determinant is checked to be 1 on the pairs,
+    then each entry is built once."""
+    _check_det_one(p, pairs)
+    return DiagonalTorusElement._checked(
+        tuple(
+            FiniteFieldElement._reduced(p, pair[:e]) for pair, e in zip(pairs, degrees)
+        )
+    )
+
+
 def principal_cochar_value(n: int, c: FiniteFieldElement) -> DiagonalTorusElement:
     """The principal-cocharacter value diag(c^(n-1), c^(n-3), ..., c^(-(n-1)))."""
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     if c.is_zero:
         raise ValueError("c must be nonzero")
-    return DiagonalTorusElement(tuple(c**m for m in range(n - 1, -n, -2)))
+    p, order = c.p, c.p**c.e - 1
+    pairs = [
+        _pow_quadratic(p, *c._as_pair(), m if m >= 0 else m % order)
+        for m in range(n - 1, -n, -2)
+    ]
+    return _torus_from_pairs(p, pairs, [c.e] * n)
 
 
 def lang_image(t: DiagonalTorusElement, q: int) -> DiagonalTorusElement:
@@ -308,7 +380,8 @@ def lang_image(t: DiagonalTorusElement, q: int) -> DiagonalTorusElement:
         raise ValueError(f"q must be at least 2, got {q}")
     if q % t.p != 0:
         raise ValueError(f"q = {q} is not a power of the characteristic {t.p}")
-    return DiagonalTorusElement(tuple(x ** (q - 1) for x in t.entries))
+    pairs = [_pow_quadratic(t.p, *x._as_pair(), q - 1) for x in t.entries]
+    return _torus_from_pairs(t.p, pairs, [len(x.coeffs) for x in t.entries])
 
 
 def central_order_two_element(n: int, p: int) -> DiagonalTorusElement:

@@ -330,7 +330,7 @@ def _suite_prop75(max_n=10, max_ell=31, qs=(2, 3, 4, 5, 7, 8, 9), rs=(1, 2)):
                 for r in rs:
                     for n in range(1, max_n + 1):
                         report = fields_mod.check_prop75(eps, n, ell, q, r)
-                        checks += len(report.cases)
+                        checks += report.checked
                         for case in report.failures:
                             bad.append(
                                 f"field mismatch: eps={eps}, n={n}, "

@@ -51,6 +51,8 @@ from .grouptable import (
     ColoredPermGroup,
     _check_group_order,
     _permutations,
+    column_orthogonality,
+    row_orthogonality,
 )
 from .ladic import hd_subgroup
 from .partitions import Partition, _partition_objects, _partitions_of, hooks
@@ -609,61 +611,18 @@ def h_d_invariant(label, m: int, a: int | None = None, d: int = 1, via: str = "a
 
 
 # ---------------------------------------------------------------------------
-# orthogonality validation (exact, vectorized through float64 integer matmuls)
+# orthogonality validation
 # ---------------------------------------------------------------------------
 
 
-def _exactness_guard(table: WreathTable) -> None:
-    bound = float(np.abs(table.raw).max())
-    group_order = table.m**table.a * math.factorial(table.a)
-    if group_order * (table.m * max(bound, 1.0)) ** 2 >= 2**53:
-        raise AssertionError("orthogonality sums would exceed exact float range")
-
-
 def verify_orthogonality(m: int, a: int) -> bool:
-    """Row and column orthogonality of the full table, in exact arithmetic.
-
-    The group-ring coefficient arrays are integer matrices; the bilinear sums
-    are accumulated with float64 matmuls kept inside the exact-integer range
-    (guarded), then reduced modulo the cyclotomic polynomial and compared with
-    the expected right-hand sides.
-    """
+    """Row and column orthogonality of the full table, in exact arithmetic,
+    through the ``grouptable`` passes over its ``raw`` array."""
     table = get_table(m, a)
-    _exactness_guard(table)
-    raw = table.raw.astype(np.float64)
-    L, C, _ = raw.shape
-    sizes = np.array(table.class_sizes, dtype=np.float64)
-    group_order = m**a * math.factorial(a)
-    # conjugate: negate exponents mod m.  Coefficient-axis-first contiguous
-    # copies keep the per-slice matmuls below on the fast BLAS path.
-    conj = np.ascontiguousarray(raw[:, :, (-np.arange(m)) % m].transpose(2, 0, 1))
-    weighted = np.ascontiguousarray(
-        (raw * sizes[None, :, None]).transpose(2, 0, 1)
+    order = m**a * math.factorial(a)
+    return row_orthogonality(table.raw, table.class_sizes, order) and column_orthogonality(
+        table.raw, table.class_sizes, order
     )
-    raw = np.ascontiguousarray(raw.transpose(2, 0, 1))
-    # rows: sum_g ( sum_c sizes[c] chi_i(c)_e chibar_j(c)_f ) with e+f = g
-    R = np.array(_reduction_rows(m), dtype=np.float64)
-    row_sums = np.zeros((L, L, R.shape[1]))
-    for e in range(m):
-        for f in range(m):
-            g = (e + f) % m
-            block = weighted[e] @ conj[f].T
-            row_sums += block[:, :, None] * R[g][None, None, :]
-    expected_rows = np.zeros_like(row_sums)
-    expected_rows[np.arange(L), np.arange(L), 0] = group_order
-    if not np.array_equal(row_sums, expected_rows):
-        return False
-    # columns: sum_i chi_i(c) chibar_i(c'): expected centralizer_order * delta
-    col_sums = np.zeros((C, C, R.shape[1]))
-    for e in range(m):
-        for f in range(m):
-            g = (e + f) % m
-            block = raw[e].T @ conj[f]
-            col_sums += block[:, :, None] * R[g][None, None, :]
-    expected_cols = np.zeros_like(col_sums)
-    for c in range(C):
-        expected_cols[c, c, 0] = table.classes[c].centralizer_order(m)
-    return np.array_equal(col_sums, expected_cols)
 
 
 def sum_of_degree_squares(m: int, a: int) -> int:

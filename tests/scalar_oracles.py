@@ -1,18 +1,27 @@
 """Scalar oracles shared by the tests: one value at a time, through
-``cyclotomic.conductor`` and ``cyclotomic.is_fixed_by``; one group element
-at a time, through Python multiplications of native elements; one label at
-a time, through ``partitions.hooks``; polynomial long division over
-``Fraction``; and powers in F_{p^e}, and the Lang images built from them,
-through repeated ``FiniteFieldElement`` multiplication."""
+``cyclotomic.conductor`` and ``cyclotomic.is_fixed_by``; orthogonality as
+sums of ``CyclotomicNumber`` products; one group element at a time, through
+Python multiplications of native elements; one label at a time, through
+``partitions.hooks``; polynomial long division over ``Fraction``; powers in
+F_{p^e}, and the Lang images built from them, through repeated
+``FiniteFieldElement`` multiplication, and square roots by exhaustive
+search; one partition at a time for prop75, through
+``extension_field_typeA``; and the l-power subgroup by a gcd scan."""
 
 import math
 from fractions import Fraction
 
-from charverify.cyclotomic import conductor, is_fixed_by
+import charverify.fields as fields_mod
+from charverify.cyclotomic import CyclotomicNumber, conductor, is_fixed_by
 from charverify.grouptable import FiniteGroup
 from charverify.ladic import hd_subgroup
-from charverify.langmap import FiniteFieldElement, jacobi_symbol, sqrt_in_quadratic
-from charverify.partitions import hooks, partition_tuples
+from charverify.langmap import (
+    FiniteFieldElement,
+    enumerate_field,
+    jacobi_symbol,
+    sqrt_in_quadratic,
+)
+from charverify.partitions import hooks, partition_tuples, partitions_of
 
 
 def scalar_row_answers(rows, ds):
@@ -147,3 +156,71 @@ def cor55_by_multiplication(n, p, e, k):
     expected = FiniteFieldElement.from_int(p, jacobi_symbol(k, q) ** (n - 1))
     one = FiniteFieldElement.from_int(p, 1)
     return image[0] == expected, image[0] in (one, sign)
+
+
+def sqrt_by_search(p, k):
+    """The first c of ``enumerate_field(p, 2)`` with c * c = k, by testing
+    every element with ``FiniteFieldElement`` multiplication."""
+    target = FiniteFieldElement.from_int(p, k, 2)
+    for c in enumerate_field(p, 2):
+        if c * c == target:
+            return c
+    raise AssertionError(f"no square root of {k} in F_{p}^2")
+
+
+def prop75_by_partition(eps, n, ell, q, r=1, rule=fields_mod.default_omega_rule):
+    """(partition, core, field of the partition, field of the core) for every
+    partition of n, in ``partitions_of`` order: cores from ``fields.d_core``
+    (so a patched one is seen), fields from ``extension_field_typeA``, one
+    partition at a time."""
+    qv = q if isinstance(q, int) else q.value
+    d_prime = fields_mod.mult_order(eps * qv, ell)
+    out = []
+    for lam in partitions_of(n):
+        core, _ = fields_mod.d_core(lam, d_prime)
+        out.append(
+            (
+                lam.parts,
+                core.parts,
+                fields_mod.extension_field_typeA(eps, lam, ell, qv, r, rule),
+                fields_mod.extension_field_typeA(eps, core, ell, qv, r, rule),
+            )
+        )
+    return out
+
+
+def hell_residues_by_scan(ell, n):
+    """The residues k in 1..n with gcd(k, n) = 1 and k mod n' a power of
+    ell, n' the ell'-part of n, reduced mod n."""
+    n_prime = n
+    while n_prime % ell == 0:
+        n_prime //= ell
+    powers = {1 % n_prime}
+    acc = ell % n_prime
+    while acc not in powers:
+        powers.add(acc)
+        acc = (acc * ell) % n_prime
+    return frozenset(
+        k % n for k in range(1, n + 1) if math.gcd(k, n) == 1 and (k % n_prime) in powers
+    )
+
+
+def scalar_orthogonality(values, class_sizes, group_order):
+    """(row orthogonality, column orthogonality) of a table given as rows of
+    ``CyclotomicNumber`` values, as O(r^3) sums of scalar products."""
+    rows_ok = cols_ok = True
+    for i, chi in enumerate(values):
+        for j, psi in enumerate(values):
+            acc = CyclotomicNumber.zero()
+            for k, size in enumerate(class_sizes):
+                acc = acc + size * chi[k] * psi[k].conjugate()
+            if acc != (group_order if i == j else 0):
+                rows_ok = False
+    for k, size in enumerate(class_sizes):
+        for l in range(len(class_sizes)):
+            acc = CyclotomicNumber.zero()
+            for chi in values:
+                acc = acc + chi[k] * chi[l].conjugate()
+            if acc != (group_order // size if k == l else 0):
+                cols_ok = False
+    return rows_ok, cols_ok

@@ -11,14 +11,22 @@ Criteria 1-3, 5-7 and 9-12 drive the named CLI suites at their default
 (full) ranges; criteria 4, 8 and 13 call the library directly.
 """
 
+import hashlib
 import math
 import time
 
 from charverify import wreath
 from charverify.fields import graph_extension_field_typeA
 from charverify.partitions import partitions_of, two_core
-from charverify.report import render_json, report_document
+from charverify.report import render_json, render_text, report_document
 from charverify.suites import SUITE_NAMES, run_suite
+
+
+# The golden report, every suite at its defaults: sha256 of
+# render_json(report_document(...)), and of the standard output of
+# ``charverify --suite all --json -`` (the text summary, then that JSON).
+GOLDEN_RENDER_SHA256 = "6f6fec299425e04821cbfb5f396cbd053de9b5c2173860b174608e6fcf753c82"
+GOLDEN_CLI_SHA256 = "4bf7b5f970dbe49049ef40a97dff70778873e48c770f19b6c08b9f4d67189374"
 
 
 def _announce(capsys, num, ok, desc, elapsed, bound):
@@ -171,6 +179,7 @@ def test_13_determinism(capsys):
         reports = [run_suite(name) for name in SUITE_NAMES]
         assert time.perf_counter() - run_t0 < 300.0
         renders.append(render_json(report_document(reports)))
+    cli_stdout = render_text(reports) + renders[-1]
     elapsed = time.perf_counter() - t0
     ok = renders[0] == renders[1]
     _announce(
@@ -178,3 +187,6 @@ def test_13_determinism(capsys):
         elapsed, 600.0,
     )
     assert renders[0].encode() == renders[1].encode()
+    # A byte change to any suite's output fails here.
+    assert hashlib.sha256(renders[0].encode()).hexdigest() == GOLDEN_RENDER_SHA256
+    assert hashlib.sha256(cli_stdout.encode()).hexdigest() == GOLDEN_CLI_SHA256

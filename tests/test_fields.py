@@ -24,6 +24,8 @@ from charverify.ladic import is_prime, mult_order
 from charverify.partitions import Partition, d_core, partitions_of, two_core
 from charverify.symbols import SymbolBCD, enumerate_symbols, symbol_d_core
 
+from scalar_oracles import prop75_by_partition
+
 TRIVIAL = FieldDescriptor.trivial()
 SQRT_Q = FieldDescriptor.adjoin_sqrt(1)
 SQRT_MINUS_Q = FieldDescriptor.adjoin_sqrt(-1)
@@ -251,15 +253,21 @@ class TestProp75:
 
         calls = []
         original = fields_mod.extension_field_typeA
+        symbolic = fields_mod._symbolic_field
 
-        def counting(eps_, lam, *args):
-            calls.append(Partition(lam).parts)
-            return original(eps_, lam, *args)
+        def counting(eps_, parts, *args):
+            calls.append(parts)
+            return symbolic(eps_, parts, *args)
 
-        monkeypatch.setattr(fields_mod, "extension_field_typeA", counting)
-        report = check_prop75(eps, n, ell, q, r=r)
-        distinct = {c.partition for c in report.cases} | {c.core for c in report.cases}
-        assert sorted(calls) == sorted(distinct)
+        # Partitions are grouped by symbolic field once per (eps, size, r,
+        # rule): over two calls, one symbolic field per partition of each
+        # size met.
+        monkeypatch.setattr(fields_mod, "_symbolic_field", counting)
+        fields_mod._symbolic_classes.cache_clear()
+        for _ in range(2):
+            report = check_prop75(eps, n, ell, q, r=r)
+        sizes = {sum(c.partition) for c in report.cases} | {sum(c.core) for c in report.cases}
+        assert sorted(calls) == sorted(p.parts for s in sizes for p in partitions_of(s))
         for case in report.cases:
             expected = original(eps, Partition(case.core), ell, q, r)
             assert case.field_core == expected, case
@@ -320,6 +328,92 @@ class TestProp75:
             lam = Partition(case.partition)
             core, _ = d_core(lam, report.d_prime)
             assert core.parts == case.core
+
+
+def _always_one(core):
+    return FrobeniusClass.ONE
+
+
+def _always_minus_q(core):
+    return FrobeniusClass.MINUS_Q
+
+
+def _as_tuples(report):
+    return [(c.partition, c.core, c.field_char, c.field_core) for c in report.cases]
+
+
+class TestProp75Oracle:
+    """``check_prop75`` against the per-partition loop of
+    ``scalar_oracles.prop75_by_partition``."""
+
+    def test_matches_oracle_on_suite_grid(self):
+        primes = [p for p in range(3, 32) if is_prime(p)]
+        for ell in primes:
+            for q in (2, 3, 4, 5, 7, 8, 9):
+                if q % ell == 0:
+                    continue
+                for eps in (1, -1):
+                    for r in (1, 2):
+                        for n in range(1, 11):
+                            report = check_prop75(eps, n, ell, q, r)
+                            expected = prop75_by_partition(eps, n, ell, q, r)
+                            assert _as_tuples(report) == expected, (eps, n, ell, q, r)
+                            assert report.checked == len(expected)
+                            assert report.passed
+                            assert report.failures == ()
+
+    @pytest.mark.parametrize("rule", [_always_one, _always_minus_q])
+    def test_matches_oracle_with_custom_rules(self, rule):
+        for ell in (5, 7, 11):
+            for q in (2, 3, 4):
+                for eps in (1, -1):
+                    for r in (1, 2, 3):
+                        for n in range(1, 9):
+                            report = check_prop75(eps, n, ell, q, r, rule)
+                            expected = prop75_by_partition(eps, n, ell, q, r, rule)
+                            assert _as_tuples(report) == expected, (eps, n, ell, q, r)
+                            assert report.passed == all(
+                                fc == fk for _, _, fc, fk in expected
+                            )
+
+    def test_failures_match_oracle_with_wrong_core(self, monkeypatch):
+        import charverify.fields as fields_mod
+
+        monkeypatch.setattr(
+            fields_mod, "d_core", lambda lam, d: (Partition(), lam.size // d)
+        )
+        seen_failure = False
+        for ell, q in ((5, 2), (7, 3), (11, 2)):
+            for eps in (1, -1):
+                for n in range(1, 8):
+                    report = check_prop75(eps, n, ell, q, r=2)
+                    expected = prop75_by_partition(eps, n, ell, q, 2)
+                    assert _as_tuples(report) == expected
+                    failed = [row for row in expected if row[2] != row[3]]
+                    assert [
+                        (c.partition, c.core, c.field_char, c.field_core)
+                        for c in report.failures
+                    ] == failed
+                    assert report.passed == (not failed)
+                    seen_failure |= bool(failed)
+        assert seen_failure
+
+    def test_cases_built_only_when_read(self, monkeypatch):
+        import charverify.fields as fields_mod
+
+        built = []
+        original = fields_mod.Prop75Case.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(fields_mod.Prop75Case, "__init__", counting)
+        report = check_prop75(-1, 10, 7, 3, r=2)
+        assert report.passed and report.failures == () and report.checked == 42
+        assert built == []
+        assert len(report.cases) == 42 and report.cases is report.cases
+        assert len(built) == 42
 
 
 class TestTable1:

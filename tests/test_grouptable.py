@@ -16,8 +16,12 @@ from charverify.grouptable import (
     _nullspace,
     _poly_roots,
     _rref,
+    column_orthogonality,
+    row_orthogonality,
 )
 from charverify.weyl import group_fingerprint, weyl_group
+
+from scalar_oracles import scalar_orthogonality
 
 
 def perm_mul(a, b):
@@ -200,6 +204,82 @@ class TestDixon:
 # ---------------------------------------------------------------------------
 # scalar F_p oracles for the int64 kernels of grouptable
 # ---------------------------------------------------------------------------
+
+
+def dihedral_group(n):
+    # (rotation r, reflection s) as pairs; (r1, s1)(r2, s2)
+    def mul(x, y):
+        return ((x[0] + (-y[0] if x[1] else y[0])) % n, x[1] ^ y[1])
+
+    elements = [(r, s) for r in range(n) for s in (0, 1)]
+    return FiniteGroup(elements, mul, (0, 0), generators=[(1, 0), (0, 1)])
+
+
+def orthogonality(raw, class_sizes, group_order):
+    return (
+        row_orthogonality(raw, class_sizes, group_order),
+        column_orthogonality(raw, class_sizes, group_order),
+    )
+
+
+SMALL_GROUPS = {
+    "C6": lambda: cyclic_group(6),
+    "S3": lambda: symmetric_group(3),
+    "S4": lambda: symmetric_group(4),
+    "Q8": quaternion_group,
+    "D8": lambda: dihedral_group(4),
+    "D10": lambda: dihedral_group(5),
+}
+
+
+class TestOrthogonality:
+    """The passes over ``raw`` against the scalar sums of
+    ``CyclotomicNumber`` products, on small tables only."""
+
+    @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+    def test_matches_scalar_oracle(self, name):
+        table = CharacterTable.dixon(SMALL_GROUPS[name]())
+        order = table.group.order
+        assert orthogonality(table.raw, table.class_sizes, order) == (True, True)
+        assert scalar_orthogonality(table.characters, table.class_sizes, order) == (
+            True,
+            True,
+        )
+        assert table.verify_row_orthogonality()
+        assert table.verify_column_orthogonality()
+
+    @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+    def test_perturbed_entry_fails_both(self, name):
+        table = CharacterTable.dixon(SMALL_GROUPS[name]())
+        order = table.group.order
+        L, C, _ = table.raw.shape
+        for i, j in ((L - 1, C - 1), (0, C - 1), (L - 1, 1 % C)):
+            raw = table.raw.copy()
+            raw[i, j, 0] += 1
+            assert orthogonality(raw, table.class_sizes, order) == (False, False)
+            broken = CharacterTable(
+                table.group, table.class_reps, table.class_sizes, table.class_orders, raw
+            )
+            assert scalar_orthogonality(
+                broken.characters, table.class_sizes, order
+            ) == (False, False)
+
+    def test_wrong_class_size_fails(self):
+        table = CharacterTable.dixon(symmetric_group(3))
+        sizes = list(table.class_sizes)
+        sizes[-1] += 1
+        rows_ok, cols_ok = orthogonality(table.raw, sizes, table.group.order)
+        assert not rows_ok and not cols_ok
+
+    def test_overflow_refused_up_front(self):
+        table = CharacterTable.dixon(cyclic_group(6))
+        raw = table.raw * 2**24
+        with pytest.raises(OverflowError):
+            orthogonality(raw, table.class_sizes, table.group.order)
+        # just inside the float64 range: still exact
+        scaled = table.raw * 2**20
+        rows_ok, _ = orthogonality(scaled, table.class_sizes, table.group.order * 2**40)
+        assert rows_ok
 
 
 def rref_oracle(M, p):

@@ -23,6 +23,8 @@ from charverify.ladic import (
     sqrt_q_fixed,
 )
 
+from scalar_oracles import hell_residues_by_scan
+
 PRIMES_TO_100 = [p for p in range(2, 101) if is_prime(p)]
 ODD_PRIMES_TO_100 = [p for p in PRIMES_TO_100 if p > 2]
 
@@ -127,6 +129,12 @@ def test_hell_subgroup_frozen_examples():
     # ell = 1 mod n gives the trivial subgroup
     assert hell_subgroup(13, 12).residues == frozenset({1})
     assert hell_subgroup(13, 4).residues == frozenset({1})
+
+
+def test_hell_subgroup_matches_gcd_scan():
+    for ell in ODD_PRIMES_TO_100:
+        for n in range(1, 121):
+            assert hell_subgroup(ell, n).residues == hell_residues_by_scan(ell, n), (ell, n)
 
 
 def test_hell_subgroup_contains_powers_of_ell_brute_force():

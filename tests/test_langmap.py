@@ -23,7 +23,11 @@ from charverify.langmap import (
     verify_prop51a,
 )
 
-from scalar_oracles import cor55_by_multiplication, power_by_multiplication
+from scalar_oracles import (
+    cor55_by_multiplication,
+    power_by_multiplication,
+    sqrt_by_search,
+)
 
 SWEEP_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
 
@@ -125,6 +129,15 @@ class TestSqrtSearch:
         c = sqrt_in_quadratic(7, 3)
         assert not c.in_prime_field
 
+    @pytest.mark.parametrize("p", SWEEP_PRIMES)
+    def test_root_table_matches_exhaustive_search(self, p):
+        for k in range(p):
+            c = sqrt_in_quadratic(p, k)
+            expected = sqrt_by_search(p, k)
+            assert c == expected and c.coeffs == expected.coeffs, (p, k)
+            assert sqrt_in_quadratic(p, k + 3 * p) is c
+            assert sqrt_in_quadratic(p, k - p) is c
+
     def test_key_identity_c_to_2q2(self):
         # c^(2(q-1)) = (c^2)^(q-1) = k^(q-1) = 1 whenever k is a unit of F_q.
         for p in SWEEP_PRIMES:
@@ -216,6 +229,40 @@ class TestPrincipalCochar:
             principal_cochar_value(1, c)
         with pytest.raises(ValueError):
             principal_cochar_value(3, ff(7, 0))
+
+    def test_determinant_enforced_on_pairs(self):
+        # x^2 = 3 in F_49: det(x, x) = 3, det(x, x, 5) = 15 = 1 mod 7.
+        x = FiniteFieldElement(7, (0, 1))
+        with pytest.raises(ValueError, match="determinant"):
+            DiagonalTorusElement((x, x))
+        with pytest.raises(ValueError, match="determinant"):
+            DiagonalTorusElement((x, ff(7, 3, 2), ff(7, 1)))
+        t = DiagonalTorusElement((x, x, ff(7, 5)))
+        assert t.entries[2].e == 1
+        # F_4: x * (x + 1) = x^2 + x = 1, so det(x, x + 1) = 1 but not det(x, x).
+        y = FiniteFieldElement(2, (0, 1))
+        DiagonalTorusElement((y, FiniteFieldElement(2, (1, 1))))
+        with pytest.raises(ValueError, match="determinant"):
+            DiagonalTorusElement((y, y))
+        with pytest.raises(TypeError):
+            DiagonalTorusElement((ff(7, 3), ff(5, 2)))
+        with pytest.raises(ValueError):
+            DiagonalTorusElement((ff(7, 1), ff(7, 0)))
+
+    @pytest.mark.parametrize("p,e", [(2, 1), (3, 2), (7, 1), (7, 2), (13, 2)])
+    def test_entries_match_element_powers(self, p, e):
+        # Values built on coefficient pairs equal FiniteFieldElement powers,
+        # entry by entry and degree by degree.
+        for c in enumerate_field(p, e):
+            if c.is_zero:
+                continue
+            for n in (2, 3, 5):
+                t = principal_cochar_value(n, c)
+                powers = tuple(c**m for m in range(n - 1, -n, -2))
+                assert [x.coeffs for x in t.entries] == [x.coeffs for x in powers]
+                image = lang_image(t, p**e)
+                expected = tuple(x ** (p**e - 1) for x in powers)
+                assert [x.coeffs for x in image.entries] == [x.coeffs for x in expected]
 
 
 class TestLangImage:

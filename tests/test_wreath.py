@@ -46,7 +46,12 @@ from charverify.wreath import (
     verify_galois_equivariance,
     verify_orthogonality,
 )
-from scalar_oracles import hook_op_entries, pair_mul, scalar_row_answers
+from scalar_oracles import (
+    hook_op_entries,
+    pair_mul,
+    scalar_orthogonality,
+    scalar_row_answers,
+)
 
 P = Partition
 E = P(())
@@ -182,6 +187,26 @@ class TestOrthogonality:
     )
     def test_row_and_column_orthogonality(self, m, a):
         assert verify_orthogonality(m, a)
+
+    @pytest.mark.parametrize("m,a", [(1, 3), (2, 2), (2, 3), (3, 2), (4, 2)])
+    def test_matches_scalar_oracle(self, m, a):
+        table = get_table(m, a)
+        values = [
+            [table.value(i, j) for j in range(len(table.classes))]
+            for i in range(len(table.labels))
+        ]
+        order = m**a * math.factorial(a)
+        assert scalar_orthogonality(values, table.class_sizes, order) == (True, True)
+
+    @pytest.mark.parametrize("m,a", [(2, 2), (4, 2), (2, 3)])
+    def test_subgroup_tables_match_scalar_oracle(self, m, a):
+        table = get_subgroup_table(m, a)
+        order = table.group.order
+        assert table.verify_row_orthogonality() and table.verify_column_orthogonality()
+        assert scalar_orthogonality(table.characters, table.class_sizes, order) == (
+            True,
+            True,
+        )
 
 
 class TestGaloisAction:
