@@ -7,19 +7,19 @@ order n they were written in; equality across different orders lifts both
 sides to the least common multiple.  Elements are deliberately unhashable
 (mathematical equality is finer than any per-order normal form).
 
-Whole character tables use a second, array layout: an (L, C, N) int64 array
-``raw`` whose entry [i, j] is sum_e raw[i, j, e] zeta_N^e, an element of
-Z[t]/(t^N - 1) with N a common modulus of the table (m for C_m wr S_a, the
-group exponent for Dixon tables).  :func:`galois_fixed_rows` answers Galois
-fixedness for all rows at once: sigma_k is the index permutation e -> ek mod
-N of the last axis, and two coefficient vectors are the same number iff their
-reductions through ``_reduction_rows(N)`` agree (a column whose values lie in
-Z[zeta_o], o | N, is reduced at o).  Its products are checked up front to stay
-inside int64: max|raw| * max|entry of _reduction_rows(n)| * n < 2^63 at
-n = N and at every column order n = o it reduces at (OverflowError
-otherwise).  Per-row conductors and fixedness under a subgroup (H_d) are
-built on it; :func:`conductor` and :func:`is_fixed_by` remain the scalar
-oracles.
+Whole character tables (``grouptable.CharacterTable``) use a second, array
+layout: an (L, C, N) int64 array ``raw`` whose entry [i, j] is
+sum_e raw[i, j, e] zeta_N^e, an element of Z[t]/(t^N - 1) with N a common
+modulus of the table.  :func:`galois_fixed_rows` answers Galois fixedness
+for all rows at once: sigma_k is the index permutation e -> ek mod N of the
+last axis, and two coefficient vectors are the same number iff their
+reductions through ``_reduction_rows(N)`` agree (a column whose values lie
+in Z[zeta_o], o | N, is reduced at o; ``_column_orders``).  Its products are
+checked up front to stay inside int64: max|raw| * max|entry of
+_reduction_rows(n)| * n < 2^63 at n = N and at every column order n = o it
+reduces at (OverflowError otherwise).  The table's per-row conductors and
+H_d-fixedness are built on it; :func:`conductor` and :func:`is_fixed_by`
+remain the scalar oracles.
 """
 
 from __future__ import annotations
@@ -460,23 +460,3 @@ def conductors_from_fixedness(fixed: np.ndarray, n: int) -> np.ndarray:
         out[(out == 0) & fixed[sel].all(axis=0)] = c
     return out
 
-
-def row_conductors(raw: np.ndarray) -> np.ndarray:
-    """For each row of an (L, C, N) value array, the smallest c such that
-    all of its values lie in Q(zeta_c)."""
-    n = raw.shape[2]
-    return conductors_from_fixedness(galois_fixed_rows(raw, unit_residues(n)), n)
-
-
-def rows_fixed_by(raw: np.ndarray, subgroup: GaloisSubgroup) -> np.ndarray:
-    """For each row of an (L, C, N) value array, whether every sigma_k with
-    k in the subgroup fixes all of its values.
-
-    The subgroup's modulus must be a multiple of N; its residues act through
-    their reductions mod N (for H_d: ``hd_subgroup(d, lcm(N, d))``).
-    """
-    n = raw.shape[2]
-    if subgroup.modulus % n != 0:
-        raise ValueError(f"subgroup modulus {subgroup.modulus} is not a multiple of {n}")
-    ks = sorted({k % n for k in subgroup.residues})
-    return galois_fixed_rows(raw, ks).all(axis=0)

@@ -31,30 +31,33 @@ the construction refuses up front (OverflowError) a field in which that sum
 could leave int64.  The lift to exact values is one matmul per class with
 the discrete Fourier matrix of the representative's order.
 
-A table keeps its values as ``raw``, an (L, C, N) int64 array over
-Z[t]/(t^N - 1) with N = exponent(G): entry [i, j, e] is the multiplicity of
-zeta_N^e in the value of character i at class j.  This is the layout of
-``wreath.WreathTable.raw``, so conductors and H_d-fixedness are one pass of
-``cyclotomic.galois_fixed_rows`` over either table; ``characters`` (the
-values as cyclotomic numbers) is built from ``raw`` only when read.
+``CharacterTable`` is the one exact table class: Dixon builds one, and
+``wreath.WreathTable`` is one.  It keeps its values as ``raw``, an (L, C, N)
+int64 array over Z[t]/(t^N - 1) (N = exponent(G) for Dixon, m for
+C_m wr S_a): entry [i, j, e] is the multiplicity of zeta_N^e in the value of
+character i at class j.  Conductors and H_d-fixedness are one pass of
+``cyclotomic.galois_fixed_rows`` over it, the orthogonality relations one
+exact convolution each, and the cyclotomic values are read from it in
+Q(zeta_o), o the order of their column, only when asked for.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .cyclotomic import (
     CyclotomicNumber,
+    _column_orders,
     _reduction_matrix,
-    row_conductors,
-    rows_fixed_by,
+    conductors_from_fixedness,
+    galois_fixed_rows,
+    unit_residues,
 )
-from .ladic import hd_subgroup, is_prime
+from .ladic import hd_residues, is_prime
 
 
 # Explicit groups above this order are refused before any element is listed
@@ -489,39 +492,42 @@ def _primitive_root(p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the Dixon construction
+# exact character tables and the Dixon construction
 # ---------------------------------------------------------------------------
 
 
 class CharacterTable:
-    """An exact character table: classes, sizes, representative orders and
-    values.
+    """An exact character table: the values of L characters on C classes,
+    with the classes' sizes and element orders and the group order.
 
-    ``raw`` is the (L, C, N) int64 value array over Z[t]/(t^N - 1), N the
-    group exponent, with the identity class first; ``characters`` is a view
-    of it as cyclotomic numbers.
+    ``raw`` is the (L, C, N) int64 value array over Z[t]/(t^N - 1): entry
+    [i, j, e] is the multiplicity of zeta_N^e in character i at class j.
+    The identity class is the class of element order 1, wherever it stands;
+    its values are the degrees.  Every whole-table pass is defined here
+    once, on ``raw``: the value view, conductors, H_d-fixedness, both
+    orthogonality relations and the degree-square sum.  A table built by
+    :meth:`dixon` also keeps its ``group`` and the ``class_reps`` of its
+    columns.
     """
 
-    def __init__(self, group, class_reps, class_sizes, class_orders, raw):
-        self.group = group
-        self.class_reps = list(class_reps)
-        self.class_sizes = list(class_sizes)
-        self.class_orders = list(class_orders)
+    def __init__(self, raw: np.ndarray, class_sizes, class_orders, order: int):
         self.raw = raw
         raw.flags.writeable = False
-        if self.class_orders[0] != 1 or np.any(raw[:, 0, 1:]):
-            raise AssertionError("the first class must be the identity class")
-        self.degrees = [int(x) for x in raw[:, 0, 0]]
+        self.class_sizes = list(class_sizes)
+        self.class_orders = list(class_orders)
+        self.order = order
+        identity = self.class_orders.index(1)
+        if np.any(raw[:, identity, 1:]):
+            raise AssertionError("identity-class values must be integers")
+        self.degrees = [int(x) for x in raw[:, identity, 0]]
+        self._column_orders = None
         self._characters = None
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.class_reps)
 
     @classmethod
     def dixon(cls, group) -> "CharacterTable":
-        """The table of a ColoredPermGroup; a FiniteGroup enters through
-        its regular representation."""
+        """The table of a ColoredPermGroup (a FiniteGroup enters through
+        its regular representation), with its ``group`` and the
+        ``class_reps`` of its columns, identity class first."""
         if isinstance(group, FiniteGroup):
             group = group.regular_representation()
         classes = group.conjugacy_classes()
@@ -612,125 +618,124 @@ class CharacterTable:
         # rows by degree, then by the power-basis coordinates of their values
         keys = _row_keys(raw, rep_orders)
         order = sorted(range(r), key=lambda i: (degrees[i], keys[i]))
-        reps = [group.element(g) for g in rep_rows]
-        return cls(group, reps, sizes, rep_orders, raw[order])
+        table = cls(raw[order], sizes, rep_orders, n_g)
+        table.group = group
+        table.class_reps = [group.element(g) for g in rep_rows]
+        return table
+
+    # -- the value view ------------------------------------------------------
+
+    @property
+    def column_orders(self) -> list[int]:
+        """Per class, the least o | N such that every nonzero coefficient of
+        the column sits at a multiple of N/o (``cyclotomic._column_orders``).
+        On a Dixon table that is the order of the class: its coefficients
+        are eigenvalue multiplicities, and some character (a constituent of
+        the regular one) has a primitive o-th root there.  On C_m wr S_a it
+        divides m.  Computed on first read."""
+        if self._column_orders is None:
+            self._column_orders = _column_orders(self.raw).tolist()
+        return self._column_orders
+
+    def value(self, i: int, j: int) -> CyclotomicNumber:
+        """The value of character i at class j, written in Q(zeta_o) for o
+        the order of column j."""
+        o = self.column_orders[j]
+        coeffs = self.raw[i, j, :: self.raw.shape[2] // o].tolist()
+        return CyclotomicNumber(o, {e: c for e, c in enumerate(coeffs) if c})
 
     @property
     def characters(self) -> list[tuple[CyclotomicNumber, ...]]:
-        """The value rows as cyclotomic numbers, each value written in
-        Q(zeta_o) for o the order of its class representative; built from
-        ``raw`` on first use."""
+        """Every row of values (``value``), built on first use."""
         if self._characters is None:
-            coords = _class_coordinates(self.raw, self.class_orders)
-            columns = [
-                [
-                    CyclotomicNumber(o, {e: Fraction(c) for e, c in enumerate(row) if c})
-                    for row in col.tolist()
-                ]
-                for o, col in zip(self.class_orders, coords)
-            ]
-            self._characters = list(zip(*columns))
+            L, C, _ = self.raw.shape
+            self._characters = [tuple(self.value(i, j) for j in range(C)) for i in range(L)]
         return self._characters
 
     # -- Galois fixedness, one pass over the whole table -------------------
 
     def conductors(self) -> np.ndarray:
         """Per character, the smallest c with all its values in Q(zeta_c)."""
-        return row_conductors(self.raw)
+        n = self.raw.shape[2]
+        return conductors_from_fixedness(galois_fixed_rows(self.raw, unit_residues(n)), n)
 
     def hd_fixed_rows(self, d: int) -> np.ndarray:
         """Per character, whether every sigma_k with k = 1 mod d fixes all
-        its values (at the modulus lcm(exponent, d))."""
-        return rows_fixed_by(self.raw, hd_subgroup(d, math.lcm(self.raw.shape[2], d)))
+        its values (H_d at the modulus lcm(N, d)); ValueError unless
+        d >= 1."""
+        return galois_fixed_rows(self.raw, hd_residues(self.raw.shape[2], d)).all(axis=0)
 
-    # -- exact verification helpers ----------------------------------------
+    # -- exact verification ------------------------------------------------
 
     def verify_row_orthogonality(self) -> bool:
-        return row_orthogonality(self.raw, self.class_sizes, self.group.order)
+        """Whether sum_c |c| chi_i(c) conj(chi_j(c)) = |G| delta_ij, in
+        exact arithmetic."""
+        L = self.raw.shape[0]
+        sums = _conjugate_products(self.raw, self.class_sizes)
+        expected = np.zeros_like(sums)
+        expected[np.arange(L), np.arange(L), 0] = self.order
+        return np.array_equal(sums, expected)
 
     def verify_column_orthogonality(self) -> bool:
-        return column_orthogonality(self.raw, self.class_sizes, self.group.order)
+        """Whether sum_i chi_i(c) conj(chi_i(c')) = |C_G(c)| delta_cc', with
+        |C_G(c)| = |G| / |c|, in exact arithmetic."""
+        if any(self.order % size for size in self.class_sizes):
+            return False
+        L, C, _ = self.raw.shape
+        by_class = self.raw.transpose(1, 0, 2)
+        sums = _conjugate_products(by_class, [1] * L)
+        expected = np.zeros_like(sums)
+        expected[np.arange(C), np.arange(C), 0] = [self.order // s for s in self.class_sizes]
+        return np.array_equal(sums, expected)
 
     def sum_of_degree_squares(self) -> int:
         return sum(d * d for d in self.degrees)
 
 
-def _conjugate_products(left: np.ndarray, right: np.ndarray, weights) -> np.ndarray:
-    """(X, Y, phi(N)) power-basis coordinates of
-    sum_k weights[k] * left[x, k] * conj(right[y, k]) for (X, K, N) and
-    (Y, K, N) integer arrays over Z[t]/(t^N - 1).
+def _conjugate_products(values: np.ndarray, weights) -> np.ndarray:
+    """(X, X, phi(N)) power-basis coordinates of
+    sum_k weights[k] * values[x, k] * conj(values[y, k]) for an (X, K, N)
+    integer array over Z[t]/(t^N - 1).
 
     The convolution over the exponents is N^2 float64 matmuls, exact because
     no partial sum can reach 2^53; its reduction through
     ``_reduction_matrix(N)`` is one int64 product.  Both bounds are checked
     up front from the entries (OverflowError otherwise).
     """
-    n = left.shape[2]
+    n = values.shape[2]
     R = _reduction_matrix(n)
     weights = [int(w) for w in weights]
-    peak_left = np.abs(left).max(axis=(0, 2)).tolist()
-    peak_right = np.abs(right).max(axis=(0, 2)).tolist()
-    total = n * sum(
-        abs(w) * a * b for w, a, b in zip(weights, peak_left, peak_right)
-    )
+    peak = np.abs(values).max(axis=(0, 2)).tolist()
+    total = n * sum(abs(w) * a * a for w, a in zip(weights, peak))
     if total >= 2**53 or n * total * int(np.abs(R).max()) >= 2**63:
         raise OverflowError(
             f"conjugate products of these values mod Phi_{n} leave the exact "
             f"float64 range (bound {total} >= 2^53) or int64"
         )
     A = np.ascontiguousarray(
-        (left * np.array(weights, dtype=np.float64)[None, :, None]).transpose(2, 0, 1)
+        (values * np.array(weights, dtype=np.float64)[None, :, None]).transpose(2, 0, 1)
     )
-    # coefficient f of conj(right) is coefficient -f of right
+    # coefficient f of a conjugate is coefficient -f of the value
     B = np.ascontiguousarray(
-        right.transpose(2, 0, 1)[(-np.arange(n)) % n], dtype=np.float64
+        values.transpose(2, 0, 1)[(-np.arange(n)) % n], dtype=np.float64
     )
-    out = np.zeros((n, left.shape[0], right.shape[0]))
+    out = np.zeros((n, values.shape[0], values.shape[0]))
     for e in range(n):
         for f in range(n):
             out[(e + f) % n] += A[e] @ B[f].T
     return np.tensordot(out.astype(np.int64), R, axes=(0, 0))
 
 
-def row_orthogonality(raw: np.ndarray, class_sizes, group_order: int) -> bool:
-    """Whether sum_c |c| chi_i(c) conj(chi_j(c)) = |G| delta_ij for the rows
-    of an (L, C, N) value array over Z[t]/(t^N - 1), in exact arithmetic.
-    With :func:`column_orthogonality`, the one pass for Dixon tables and
-    wreath tables alike."""
-    L = raw.shape[0]
-    sums = _conjugate_products(raw, raw, class_sizes)
-    expected = np.zeros_like(sums)
-    expected[np.arange(L), np.arange(L), 0] = group_order
-    return np.array_equal(sums, expected)
-
-
-def column_orthogonality(raw: np.ndarray, class_sizes, group_order: int) -> bool:
-    """Whether sum_i chi_i(c) conj(chi_i(c')) = |C_G(c)| delta_cc', with
-    |C_G(c)| = |G| / |c|, for the columns of an (L, C, N) value array over
-    Z[t]/(t^N - 1), in exact arithmetic."""
-    if any(group_order % size for size in class_sizes):
-        return False
-    L, C, _ = raw.shape
-    by_class = raw.transpose(1, 0, 2)
-    sums = _conjugate_products(by_class, by_class, [1] * L)
-    expected = np.zeros_like(sums)
-    expected[np.arange(C), np.arange(C), 0] = [group_order // s for s in class_sizes]
-    return np.array_equal(sums, expected)
-
-
-def _class_coordinates(raw: np.ndarray, orders) -> list[np.ndarray]:
-    """Per class, the (L, phi(o)) power-basis coordinates of its values in
-    Q(zeta_o), o the order of the class representative."""
-    n = raw.shape[2]
-    return [raw[:, ci, :: n // o] @ _reduction_matrix(o) for ci, o in enumerate(orders)]
-
-
 def _row_keys(raw: np.ndarray, orders) -> list[tuple]:
     """Per row, the nonzero (exponent, coordinate) pairs of each value in
-    its class's power basis: the order of these keys is the order of the
-    values' canonical serializations."""
+    the power basis of Q(zeta_o), o the order of its class: the order of
+    these keys is the order of the values' canonical serializations."""
+    n = raw.shape[2]
     columns = [
-        [tuple((e, c) for e, c in enumerate(row) if c) for row in coords.tolist()]
-        for coords in _class_coordinates(raw, orders)
+        [
+            tuple((e, c) for e, c in enumerate(row) if c)
+            for row in (raw[:, ci, :: n // o] @ _reduction_matrix(o)).tolist()
+        ]
+        for ci, o in enumerate(orders)
     ]
     return list(zip(*columns))

@@ -152,6 +152,13 @@ def hd_subgroup(d: int, n: int) -> GaloisSubgroup:
     )
 
 
+def hd_residues(n: int, d: int) -> list[int]:
+    """H_d = {k in (Z/NZ)^x : k = 1 mod d} at the common modulus
+    N = lcm(n, d), as the sorted residues mod n through which it acts on
+    Q(zeta_n); ValueError unless d >= 1."""
+    return sorted({k % n for k in hd_subgroup(d, math.lcm(n, d)).residues})
+
+
 @lru_cache(maxsize=None)
 def _element_of_order(a: int, ell: int) -> int:
     """Smallest element of multiplicative order a in F_ell^x; requires a | ell - 1."""

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -501,7 +502,7 @@ def _predicted_factors(series: str, r: int, twisted: bool, d: int) -> list:
     canonical)."""
     word = canonical_regular_word(series, r, twisted, d)
     base = 1 if series == "A" else 2
-    return [(base * c, k) for (c, _), k in sorted(_multiset(sp_cycles(word)).items())]
+    return [(base * c, k) for (c, _), k in sorted(Counter(sp_cycles(word)).items())]
 
 
 def predicted_relative_weyl(series: str, r: int, twisted: bool, d: int) -> tuple:
@@ -523,9 +524,9 @@ def _wreath_product_fingerprint(factors) -> tuple:
     order, degrees, classes = 1, [1], [(1, 1)]
     for b, k in factors:
         table = get_table(b, k)
-        order *= b**k * math.factorial(k)
+        order *= table.order
         degrees = [x * y for x in degrees for y in table.degrees]
-        pairs = [(s, cls.element_order(b)) for s, cls in zip(table.class_sizes, table.classes)]
+        pairs = list(zip(table.class_sizes, table.class_orders))
         classes = [(s * t, math.lcm(o, p)) for s, o in classes for t, p in pairs]
     return order, tuple(sorted(degrees)), tuple(sorted(classes))
 
@@ -545,13 +546,6 @@ def relative_weyl_descriptor(series: str, r: int, twisted: bool, d: int) -> str:
     if series == "D":
         return f"even part of {body}"
     return body
-
-
-def _multiset(items):
-    out = {}
-    for x in items:
-        out[x] = out.get(x, 0) + 1
-    return out
 
 
 @lru_cache(maxsize=None)

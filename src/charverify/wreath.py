@@ -5,13 +5,14 @@ conjugacy classes by colored cycle types (multisets of (length, color) pairs).
 Values are computed by the wreath-product Murnaghan-Nakayama recursion with
 the cyclic base case j -> zeta_m^{jk}, carried out over the group ring
 Z[t]/(t^m - 1) in vectorized integer arithmetic and reduced to canonical
-cyclotomic form on demand.  ``WreathTable.raw`` is the (L, C, m) int64 array
-of those group-ring coefficients, the layout that ``grouptable`` Dixon tables
-share with N = exponent(G).  Recursion columns depend on m and the class
-only, so the tables of one m share them.
+cyclotomic form on demand.  ``WreathTable`` is a ``grouptable.CharacterTable``
+whose ``raw`` is the (L, C, m) int64 array of those group-ring coefficients,
+so its value view, conductors, H_d-fixedness and orthogonality are the
+table class's own; it adds the labels and classes.  Recursion columns
+depend on m and the class only, so the tables of one m share them.
 
 Conductors and H_d-fixedness are answered for a whole table at once: on the
-values route by ``cyclotomic.galois_fixed_rows`` over ``raw``; on the label
+values route by the table's own passes over ``raw``; on the label
 route through the Galois action on labels, sigma_s permuting components as
 mu^(j) = lambda^(j * s^{-1} mod m), which is verified value-by-value on every
 small table (see tests) and then used for tables with more than
@@ -32,8 +33,8 @@ tables are built only up to ``MAX_TABLE_BYTES`` of values.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -41,20 +42,12 @@ import numpy as np
 from .cyclotomic import (
     CyclotomicNumber,
     _reduction_matrix,
-    _reduction_rows,
     conductors_from_fixedness,
     galois_fixed_rows,
     unit_residues,
 )
-from .grouptable import (
-    CharacterTable,
-    ColoredPermGroup,
-    _check_group_order,
-    _permutations,
-    column_orthogonality,
-    row_orthogonality,
-)
-from .ladic import hd_subgroup
+from .grouptable import CharacterTable, ColoredPermGroup, _check_group_order, _permutations
+from .ladic import hd_residues
 from .partitions import Partition, _partition_objects, _partitions_of, hooks
 
 WreathLabel = tuple  # tuple of Partition, length m
@@ -80,7 +73,7 @@ class WreathClass:
 
     def centralizer_order(self, m: int) -> int:
         out = 1
-        for (c, j), mult in _multiplicities(self.cycles).items():
+        for (c, j), mult in Counter(self.cycles).items():
             out *= (c * m) ** mult * math.factorial(mult)
         return out
 
@@ -104,13 +97,6 @@ class WreathClass:
 
     def __repr__(self):
         return f"WreathClass{self.cycles}"
-
-
-def _multiplicities(items):
-    out = {}
-    for x in items:
-        out[x] = out.get(x, 0) + 1
-    return out
 
 
 # Labels of C_m wr S_a are listed only when there are at most this many
@@ -188,10 +174,9 @@ def class_labels(m: int, a: int) -> list[WreathClass]:
     return [WreathClass(cycles) for cycles in rec(a, 0)]
 
 
-def degree(label: WreathLabel, m: int | None = None) -> int:
+def degree(label: WreathLabel) -> int:
     """chi(1) = multinomial(a; component sizes) * prod of tableau counts."""
-    label = tuple(p if isinstance(p, Partition) else Partition(p) for p in label)
-    a = sum(p.size for p in label)
+    label, a = _check_label(label, len(label), None)
     out = math.factorial(a)
     for p in label:
         out //= math.factorial(p.size)
@@ -199,8 +184,9 @@ def degree(label: WreathLabel, m: int | None = None) -> int:
     return out
 
 
-class WreathTable:
-    """The full exact character table of C_m wr S_a."""
+class WreathTable(CharacterTable):
+    """The full exact character table of C_m wr S_a: rows in the order of
+    ``irr_labels(m, a)``, columns in that of ``class_labels(m, a)``."""
 
     def __init__(self, m: int, a: int):
         self.m = m
@@ -211,37 +197,12 @@ class WreathTable:
         self.class_index = {cls.cycles: i for i, cls in enumerate(self.classes)}
         if len(self.labels) != len(self.classes):
             raise AssertionError("label and class counts differ")
-        self.class_sizes = [cls.size(m) for cls in self.classes]
-        self.raw = _build_raw(m, self.classes, _column_memo(m))
-        ident = self.identity_class_index()
-        if np.any(self.raw[:, ident, 1:]):
-            raise AssertionError("identity-class values must be integers")
-        self.degrees = [int(x) for x in self.raw[:, ident, 0]]
-        self._canonical = None
-
-    # -- value access --------------------------------------------------------
-
-    def identity_class_index(self) -> int:
-        ident = WreathClass(((1, 0),) * self.a)
-        return self.class_index[ident.cycles]
-
-    def value(self, label_idx: int, class_idx: int) -> CyclotomicNumber:
-        coeffs = {
-            e: Fraction(int(v))
-            for e, v in enumerate(self.raw[label_idx, class_idx])
-            if v
-        }
-        return CyclotomicNumber(self.m, coeffs)
-
-    def canonical(self) -> np.ndarray:
-        """Values reduced to the power basis of Q(zeta_m): (L, C, phi(m)) ints."""
-        if self._canonical is None:
-            R = _reduction_matrix(self.m)
-            L, C, m = self.raw.shape
-            self._canonical = (self.raw.reshape(L * C, m) @ R).reshape(
-                L, C, R.shape[1]
-            )
-        return self._canonical
+        super().__init__(
+            _build_raw(m, self.classes, _column_memo(m)),
+            [cls.size(m) for cls in self.classes],
+            [cls.element_order(m) for cls in self.classes],
+            m**a * math.factorial(a),
+        )
 
 
 # Label encoding.  A partition of size n <= s has rank
@@ -449,12 +410,9 @@ def get_table(m: int, a: int) -> WreathTable:
 
 def char_value(label, cls, m: int) -> CyclotomicNumber:
     """Exact character value chi_label at the given class of C_m wr S_a."""
-    label = tuple(p if isinstance(p, Partition) else Partition(p) for p in label)
-    if len(label) != m:
-        raise ValueError(f"label must have {m} components, got {len(label)}")
+    label, a = _check_label(label, m, None)
     if not isinstance(cls, WreathClass):
         cls = WreathClass(cls)
-    a = sum(p.size for p in label)
     if cls.total != a:
         raise ValueError(
             f"class weight {cls.total} does not match label size {a}"
@@ -476,33 +434,21 @@ def galois_permuted_label(label, m: int, s: int):
     return tuple(label[(j * s_inv) % m] for j in range(m))
 
 
-def _galois_matrices(m: int) -> dict[int, np.ndarray]:
-    """P_s acting on canonical coordinates: row e -> reduction of e*s mod m."""
-    rows = _reduction_rows(m)
-    phi = len(rows[0])
-    out = {}
-    for s in range(1, m + 1):
-        if math.gcd(s, m) != 1:
-            continue
-        P = np.zeros((phi, phi), dtype=np.int64)
-        for e in range(phi):
-            P[e] = rows[(e * s) % m]
-        out[s % m if m > 1 else 1] = P
-    return out
-
-
 def verify_galois_equivariance(m: int, a: int) -> bool:
-    """Value-level check that chi^{sigma_s} equals the relabeled character."""
+    """Value-level check that chi^{sigma_s} equals the relabeled character:
+    sigma_s moves the coefficient of zeta_m^e to e * s, so the image's
+    coefficient at e is raw[..., e * s^{-1} mod m]; both sides are compared
+    reduced mod Phi_m."""
     table = get_table(m, a)
-    canon = table.canonical()
-    mats = _galois_matrices(m)
-    for s, P in mats.items():
+    R = _reduction_matrix(m)
+    reduced = table.raw @ R
+    e = np.arange(m)
+    for s in unit_residues(m):
         perm = [
             table.label_index[galois_permuted_label(lab, m, s)]
             for lab in table.labels
         ]
-        transformed = canon @ P
-        if not np.array_equal(transformed, canon[perm]):
+        if not np.array_equal(table.raw[:, :, e * pow(s, -1, m) % m] @ R, reduced[perm]):
             return False
     return True
 
@@ -533,11 +479,9 @@ def _labels_fixed(comp: np.ndarray, m: int, ks) -> np.ndarray:
     return out
 
 
-def _table_fixed(m: int, a: int, ks, via: str) -> np.ndarray:
-    """(len(ks), #labels) Galois fixedness of every character of C_m wr S_a,
-    labels in the order of ``irr_labels(m, a)``."""
-    if _route(m, a, via) == "values":
-        return galois_fixed_rows(get_table(m, a).raw, ks)
+def _table_fixed(m: int, a: int, ks) -> np.ndarray:
+    """(len(ks), #labels) Galois fixedness of every character of C_m wr S_a
+    by the label route, labels in the order of ``irr_labels(m, a)``."""
     _check_label_count(m, a)
     return _labels_fixed(_label_ranks(m, a), m, ks)
 
@@ -553,24 +497,21 @@ def _label_fixed(label, m: int, a: int, ks, via: str) -> np.ndarray:
     return _labels_fixed(comp, m, ks)
 
 
-def _hd_residues(m: int, d: int) -> list[int]:
-    """H_d = {k in (Z/NZ)^x : k = 1 mod d} at N = lcm(m, d), reduced mod m."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    return sorted({k % m for k in hd_subgroup(d, math.lcm(m, d)).residues})
-
-
 def table_conductors(m: int, a: int, via: str = "auto") -> np.ndarray:
     """Conductors of all characters of C_m wr S_a, in the order of
     ``irr_labels(m, a)``; ``via`` as in :func:`conductor_of_char`."""
-    return conductors_from_fixedness(_table_fixed(m, a, unit_residues(m), via), m)
+    if _route(m, a, via) == "values":
+        return get_table(m, a).conductors()
+    return conductors_from_fixedness(_table_fixed(m, a, unit_residues(m)), m)
 
 
 def table_hd_fixed(m: int, a: int, d: int, via: str = "auto") -> np.ndarray:
     """For every character of C_m wr S_a (order of ``irr_labels(m, a)``),
     whether it is fixed by every sigma_k with k = 1 mod d; ``via`` as in
     :func:`h_d_invariant`."""
-    return _table_fixed(m, a, _hd_residues(m, d), via).all(axis=0)
+    if _route(m, a, via) == "values":
+        return get_table(m, a).hd_fixed_rows(d)
+    return _table_fixed(m, a, hd_residues(m, d)).all(axis=0)
 
 
 def _check_label(label, m: int, a: int | None):
@@ -607,27 +548,7 @@ def h_d_invariant(label, m: int, a: int | None = None, d: int = 1, via: str = "a
     mod m.  ``via`` as in :func:`conductor_of_char`.
     """
     label, a = _check_label(label, m, a)
-    return bool(_label_fixed(label, m, a, _hd_residues(m, d), via).all())
-
-
-# ---------------------------------------------------------------------------
-# orthogonality validation
-# ---------------------------------------------------------------------------
-
-
-def verify_orthogonality(m: int, a: int) -> bool:
-    """Row and column orthogonality of the full table, in exact arithmetic,
-    through the ``grouptable`` passes over its ``raw`` array."""
-    table = get_table(m, a)
-    order = m**a * math.factorial(a)
-    return row_orthogonality(table.raw, table.class_sizes, order) and column_orthogonality(
-        table.raw, table.class_sizes, order
-    )
-
-
-def sum_of_degree_squares(m: int, a: int) -> int:
-    table = get_table(m, a)
-    return int(sum(d * d for d in table.degrees))
+    return bool(_label_fixed(label, m, a, hd_residues(m, d), via).all())
 
 
 # ---------------------------------------------------------------------------
@@ -775,18 +696,13 @@ def restrict_index2(label, m: int, a: int | None = None) -> list[IndexTwoConstit
     """
     if m % 2 != 0:
         raise ValueError("restriction target G(m,2,a) requires even m")
-    label = tuple(p if isinstance(p, Partition) else Partition(p) for p in label)
-    total = sum(p.size for p in label)
-    if a is not None and a != total:
-        raise ValueError(f"a = {a} does not match label size {total}")
-    a = total
+    label, a = _check_label(label, m, a)
     twisted = twist_label(label, m)
     deg = degree(label)
     if twisted != label:
         orbit = min(label, twisted, key=_label_sort_key)
         return [IndexTwoConstituent(orbit, "full", deg, 1)]
     sub_table = get_subgroup_table(m, a)
-    sub_group = sub_table.group
     # chi restricted to subgroup classes, via the parent colored type
     parent = get_table(m, a)
     chi_values = []
@@ -798,9 +714,9 @@ def restrict_index2(label, m: int, a: int | None = None) -> list[IndexTwoConstit
     found = []
     for psi in sub_table.characters:
         acc = CyclotomicNumber.zero()
-        for k in range(sub_table.num_classes):
-            acc = acc + sub_table.class_sizes[k] * chi_values[k] * psi[k].conjugate()
-        mult = acc / sub_group.order
+        for size, chi, value in zip(sub_table.class_sizes, chi_values, psi):
+            acc = acc + size * chi * value.conjugate()
+        mult = acc / sub_table.order
         if not mult.is_rational():
             raise AssertionError("non-rational inner product")
         mult_q = mult.rational_value()
@@ -813,11 +729,7 @@ def restrict_index2(label, m: int, a: int | None = None) -> list[IndexTwoConstit
             f"twist-fixed restriction did not split into two: {found}"
         )
     (psi1, _), (psi2, _) = found
-    k0 = next(
-        k
-        for k in range(sub_table.num_classes)
-        if psi1[k].to_dict() != psi2[k].to_dict()
-    )
+    k0 = next(k for k, (x, y) in enumerate(zip(psi1, psi2)) if x.to_dict() != y.to_dict())
     if _value_key(psi2[k0]) < _value_key(psi1[k0]):
         psi1, psi2 = psi2, psi1
     assert psi1[0].rational_value() + psi2[0].rational_value() == deg

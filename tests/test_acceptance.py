@@ -76,9 +76,10 @@ def test_04_table_sanity(capsys):
     bad = []
     for m in range(1, 7):
         for a in range(1, 5):
-            if not wreath.verify_orthogonality(m, a):
+            table = wreath.get_table(m, a)
+            if not (table.verify_row_orthogonality() and table.verify_column_orthogonality()):
                 bad.append(f"orthogonality fails for C_{m} wr S_{a}")
-            if wreath.sum_of_degree_squares(m, a) != m**a * math.factorial(a):
+            if table.sum_of_degree_squares() != m**a * math.factorial(a):
                 bad.append(f"degree-square sum wrong for C_{m} wr S_{a}")
     for m in (2, 4, 6):
         for a in range(1, 4):

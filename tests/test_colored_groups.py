@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from charverify import cli, grouptable, weyl, wreath
+from charverify.cyclotomic import CyclotomicNumber, _column_orders
 from charverify.grouptable import MAX_GROUP_ORDER, _check_group_order
 from charverify.suites import suite_defaults
 from charverify.weyl import (
@@ -248,6 +249,25 @@ FROZEN_TABLE_DIGESTS = {
 def test_tables_frozen():
     got = {label: table_digest(_dixon_of(group)) for label, group, _ in all_groups()}
     assert got == FROZEN_TABLE_DIGESTS
+
+
+def test_one_value_rule_for_both_kinds_of_table():
+    """A column is read in Q(zeta_o), o = ``_column_orders(raw)`` of it: on
+    Dixon tables that is the order of the class representative, and on
+    C_m wr S_a it gives the values of the Q(zeta_m) reading of ``raw``."""
+    for label, group, _ in all_groups():
+        table = _dixon_of(group)
+        assert _column_orders(table.raw).tolist() == table.class_orders, label
+    for m in range(1, 7):
+        for a in range(1, 4):
+            table = wreath.get_table(m, a)
+            raw = table.raw.tolist()
+            for i, j in np.ndindex(*table.raw.shape[:2]):
+                want = CyclotomicNumber(m, {e: c for e, c in enumerate(raw[i][j]) if c})
+                assert table.value(i, j) == want, (m, a, i, j)
+    for table in (_dixon_of(weyl_group("B", 2)), wreath.get_table(4, 2)):
+        with pytest.raises(ValueError):
+            table.hd_fixed_rows(0)
 
 
 def refuse_listing(monkeypatch):

@@ -28,10 +28,9 @@ from charverify.cyclotomic import (
     galois_fixed_rows,
     is_fixed_by,
     root_of_unity,
-    row_conductors,
-    rows_fixed_by,
     unit_residues,
 )
+from charverify.grouptable import CharacterTable
 from charverify.ladic import hd_subgroup
 
 
@@ -307,13 +306,18 @@ def test_row_conductors_and_subgroup_fixedness_against_oracles(n):
     rng = random.Random(100 + n)
     raw = _random_raw(rng, n, rows=10, cols=4)
     rows = [[_value(raw, i, j) for j in range(raw.shape[1])] for i in range(raw.shape[0])]
+    # the table passes, on these values and an identity column of degrees
+    degrees = np.zeros((raw.shape[0], 1, n), dtype=np.int64)
+    degrees[:, 0, 0] = 1
+    C = raw.shape[1] + 1
+    table = CharacterTable(np.concatenate([degrees, raw], axis=1), [1] * C, [1] + [n] * (C - 1), 1)
     expected = [math.lcm(*(conductor(x) for x in row)) for row in rows]
-    assert row_conductors(raw).tolist() == expected
+    assert table.conductors().tolist() == expected
     for d in range(1, 13):
         N = math.lcm(n, d)
         H = hd_subgroup(d, N)
         want = [all(is_fixed_by(x.lift(N), H) for x in row) for row in rows]
-        assert rows_fixed_by(raw, H).tolist() == want, d
+        assert table.hd_fixed_rows(d).tolist() == want, d
 
 
 def test_unit_residues_and_column_orders():
@@ -338,8 +342,6 @@ def test_galois_fixed_rows_rejects_non_units():
     raw = np.zeros((1, 1, 6), dtype=np.int64)
     with pytest.raises(ValueError):
         galois_fixed_rows(raw, [2])
-    with pytest.raises(ValueError):
-        rows_fixed_by(raw, hd_subgroup(1, 4))  # modulus 4 is not a multiple of 6
 
 
 @pytest.mark.parametrize("n", [4, 12, 105])

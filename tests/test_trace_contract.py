@@ -1,6 +1,8 @@
 """What the benchmark's tracer (``perfbench/tracer.py``) reads of the package:
-the ``cache_info()`` of the lru_caches named in its ``CACHES``.  If one of
-them is renamed or loses its cache, ``perfbench/run.py --trace 1`` fails."""
+the ``cache_info()`` of the lru_caches named in its ``CACHES``, the methods
+named in its ``METHODS`` (looked up as ``cls.__dict__[attr]``) and the
+functions named in its ``RENAMED`` and ``UNWRAPPED``.  If one of them is
+renamed, moved or loses its cache, ``perfbench/run.py --trace 1`` fails."""
 
 import importlib
 import importlib.util
@@ -33,3 +35,16 @@ def test_traced_caches_are_lru_caches():
     snapshot = tracer.cache_snapshot()
     assert set(snapshot) == {metric for _, _, metric in tracer.CACHES}
     assert all(hits >= 0 and misses >= 0 for hits, misses in snapshot.values())
+
+
+def test_traced_names_exist():
+    """Every method the tracer wraps is found in its class's own namespace,
+    and every span name it renames or leaves unwrapped is a package
+    attribute."""
+    tracer = _load_tracer()
+    for module, cls_name, attr, _ in tracer.METHODS:
+        cls = getattr(importlib.import_module(f"charverify.{module}"), cls_name)
+        assert attr in cls.__dict__, (module, cls_name, attr)
+    for qualified in set(tracer.RENAMED) | tracer.UNWRAPPED:
+        module, attr = qualified.split(".")
+        assert hasattr(importlib.import_module(f"charverify.{module}"), attr), qualified

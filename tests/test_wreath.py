@@ -39,12 +39,10 @@ from charverify.wreath import (
     h_d_invariant,
     irr_labels,
     restrict_index2,
-    sum_of_degree_squares,
     table_conductors,
     table_hd_fixed,
     twist_label,
     verify_galois_equivariance,
-    verify_orthogonality,
 )
 from scalar_oracles import (
     hook_op_entries,
@@ -134,7 +132,7 @@ class TestCharacterValues:
 
     @pytest.mark.parametrize("m,a", [(2, 2), (2, 3), (3, 2), (4, 2), (6, 2), (5, 2)])
     def test_sum_of_degree_squares(self, m, a):
-        assert sum_of_degree_squares(m, a) == m**a * math.factorial(a)
+        assert get_table(m, a).sum_of_degree_squares() == m**a * math.factorial(a)
 
     def test_value_argument_validation(self):
         with pytest.raises(ValueError):
@@ -186,7 +184,9 @@ class TestOrthogonality:
         "m,a", [(1, 4), (2, 2), (2, 4), (3, 3), (4, 2), (5, 2), (6, 2), (6, 3)]
     )
     def test_row_and_column_orthogonality(self, m, a):
-        assert verify_orthogonality(m, a)
+        table = get_table(m, a)
+        assert table.order == m**a * math.factorial(a)
+        assert table.verify_row_orthogonality() and table.verify_column_orthogonality()
 
     @pytest.mark.parametrize("m,a", [(1, 3), (2, 2), (2, 3), (3, 2), (4, 2)])
     def test_matches_scalar_oracle(self, m, a):
