@@ -8,7 +8,7 @@ sides to the least common multiple.  Elements are deliberately unhashable
 (mathematical equality is finer than any per-order normal form).
 
 Whole character tables (``grouptable.CharacterTable``) use a second, array
-layout: an (L, C, N) int64 array ``raw`` whose entry [i, j] is
+layout: an (L, C, N) integer array ``raw`` whose entry [i, j] is
 sum_e raw[i, j, e] zeta_N^e, an element of Z[t]/(t^N - 1) with N a common
 modulus of the table.  :func:`galois_fixed_rows` answers Galois fixedness
 for all rows at once: sigma_k is the index permutation e -> ek mod N of the
@@ -17,7 +17,9 @@ reductions through ``_reduction_rows(N)`` agree (a column whose values lie
 in Z[zeta_o], o | N, is reduced at o; ``_column_orders``).  Its products are
 checked up front to stay inside int64: max|raw| * max|entry of
 _reduction_rows(n)| * n < 2^63 at n = N and at every column order n = o it
-reduces at (OverflowError otherwise).  The table's per-row conductors and
+reduces at (OverflowError otherwise); ``raw`` may be stored in a narrow
+integer type, so each column-order block is widened to int64 before its
+products.  The table's per-row conductors and
 H_d-fixedness are built on it; :func:`conductor` and :func:`is_fixed_by`
 remain the scalar oracles.
 """
@@ -375,6 +377,12 @@ def unit_residues(n: int) -> tuple[int, ...]:
     return tuple(k % n for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
+def _peak(values: np.ndarray) -> int:
+    """max|entry| of an integer array, as a Python integer (0 if empty):
+    read from the extremes, since abs wraps at the dtype's minimum."""
+    return max(int(values.max()), -int(values.min())) if values.size else 0
+
+
 def _check_fixedness_int64(bound: int, n: int) -> None:
     """Refuse raw coefficients whose reduction mod Phi_n could leave int64.
 
@@ -392,7 +400,8 @@ def _check_fixedness_int64(bound: int, n: int) -> None:
 def _column_orders(raw: np.ndarray) -> np.ndarray:
     """Per column j of an (L, C, N) value array, the least o | N such that
     every nonzero coefficient raw[:, j, e] sits at a multiple e of N/o:
-    the column's values then lie in Z[zeta_o]."""
+    the column's values then lie in Z[zeta_o].  It only compares entries
+    with zero, so it reads ``raw`` in its own dtype."""
     n = raw.shape[2]
     support = (raw != 0).any(axis=0)
     orders = np.zeros(raw.shape[1], dtype=np.int64)
@@ -413,10 +422,11 @@ def galois_fixed_rows(raw: np.ndarray, ks: Sequence[int]) -> np.ndarray:
     Columns are taken together by their order o (``_column_orders``): there
     the permutation is e' -> e'k mod o on the coefficients at e = e'N/o, and
     the reduction is through ``_reduction_rows(o)``, so each k is applied
-    once per distinct k mod o.  Raises OverflowError before any product
-    if a reduction at N or at a column order could leave int64.  Returns a
-    (len(ks), L) bool array: entry [t, i] says whether sigma_{ks[t]} fixes
-    row i.
+    once per distinct k mod o.  Each block is widened to int64 before its
+    products, whatever the dtype of ``raw``.  Raises OverflowError before
+    any product if a reduction at N or at a column order could leave int64.
+    Returns a (len(ks), L) bool array: entry [t, i] says whether
+    sigma_{ks[t]} fixes row i.
     """
     L, _, n = raw.shape
     ks = [k % n for k in ks]
@@ -424,7 +434,7 @@ def galois_fixed_rows(raw: np.ndarray, ks: Sequence[int]) -> np.ndarray:
         if math.gcd(k, n) != 1:
             raise ValueError(f"k = {k} is not a unit mod {n}")
     out = np.ones((len(ks), L), dtype=bool)
-    bound = max(int(raw.max()), -int(raw.min()))
+    bound = _peak(raw)
     _check_fixedness_int64(bound, n)
     orders = _column_orders(raw)
     for o in np.unique(orders).tolist():
@@ -432,7 +442,7 @@ def galois_fixed_rows(raw: np.ndarray, ks: Sequence[int]) -> np.ndarray:
         if not moving:
             continue
         _check_fixedness_int64(bound, o)
-        values = raw[:, orders == o, :: n // o].reshape(-1, o)
+        values = raw[:, orders == o, :: n // o].reshape(-1, o).astype(np.int64)
         R = _reduction_matrix(o)
         base = values @ R
         e = np.arange(o)

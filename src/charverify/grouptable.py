@@ -33,11 +33,17 @@ the discrete Fourier matrix of the representative's order.
 
 ``CharacterTable`` is the one exact table class: Dixon builds one, and
 ``wreath.WreathTable`` is one.  It keeps its values as ``raw``, an (L, C, N)
-int64 array over Z[t]/(t^N - 1) (N = exponent(G) for Dixon, m for
+integer array over Z[t]/(t^N - 1) (N = exponent(G) for Dixon, m for
 C_m wr S_a): entry [i, j, e] is the multiplicity of zeta_N^e in the value of
-character i at class j.  Conductors and H_d-fixedness are one pass of
-``cyclotomic.galois_fixed_rows`` over it, the orthogonality relations one
-exact convolution each, and the cyclotomic values are read from it in
+character i at class j.  ``raw`` is compact and read-only: its dtype is the
+smallest signed integer type that holds -peak - 1, peak = max|entry|
+(``_compact_dtype``; int8 for every table of the default grids).  Dixon
+computes in int64 and narrows once, in the constructor.  Arithmetic on
+``raw`` widens first, to int64 or float64, one column-order block at a
+time: an operation between two int8 arrays wraps silently.  Conductors and
+H_d-fixedness read one pass of ``cyclotomic.galois_fixed_rows`` over every
+unit mod N, made once per table; the orthogonality relations are one exact
+convolution each, and the cyclotomic values are read from ``raw`` in
 Q(zeta_o), o the order of their column, only when asked for.
 """
 
@@ -52,6 +58,7 @@ import numpy as np
 from .cyclotomic import (
     CyclotomicNumber,
     _column_orders,
+    _peak,
     _reduction_matrix,
     conductors_from_fixedness,
     galois_fixed_rows,
@@ -496,32 +503,50 @@ def _primitive_root(p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _compact_dtype(peak: int) -> np.dtype:
+    """The smallest signed integer type that holds -peak - 1, ..., peak:
+    int8 up to 127, int16 up to 32767, and so on; OverflowError above
+    int64."""
+    dtype = np.min_scalar_type(-peak - 1)
+    if dtype.kind != "i":
+        raise OverflowError(f"table entries up to {peak} do not fit in int64")
+    return dtype
+
+
 class CharacterTable:
     """An exact character table: the values of L characters on C classes,
     with the classes' sizes and element orders and the group order.
 
-    ``raw`` is the (L, C, N) int64 value array over Z[t]/(t^N - 1): entry
+    ``raw`` is the (L, C, N) value array over Z[t]/(t^N - 1): entry
     [i, j, e] is the multiplicity of zeta_N^e in character i at class j.
-    The identity class is the class of element order 1, wherever it stands;
-    its values are the degrees.  Every whole-table pass is defined here
-    once, on ``raw``: the value view, conductors, H_d-fixedness, both
-    orthogonality relations and the degree-square sum.  A table built by
-    :meth:`dixon` also keeps its ``group`` and the ``class_reps`` of its
-    columns.
+    The constructor stores it read-only in ``_compact_dtype`` of its peak,
+    copying only when the given array is wider (a wreath build hands over
+    an array that is compact already).  Passes over it widen before any
+    arithmetic.  The identity class is the class of element order 1,
+    wherever it stands; its values are the degrees.  Every whole-table pass
+    is defined here once, on ``raw``: the value view, conductors,
+    H_d-fixedness, both orthogonality relations and the degree-square sum.
+    A table built by :meth:`dixon` also keeps its ``group`` and the
+    ``class_reps`` of its columns.
     """
 
     def __init__(self, raw: np.ndarray, class_sizes, class_orders, order: int):
-        self.raw = raw
+        raw = np.asarray(raw)
+        if raw.dtype.kind not in "iu":
+            raise TypeError(f"table values must be integers, got {raw.dtype}")
+        raw = raw.astype(_compact_dtype(_peak(raw)), copy=False)
         raw.flags.writeable = False
+        self.raw = raw
         self.class_sizes = list(class_sizes)
         self.class_orders = list(class_orders)
         self.order = order
         identity = self.class_orders.index(1)
         if np.any(raw[:, identity, 1:]):
             raise AssertionError("identity-class values must be integers")
-        self.degrees = [int(x) for x in raw[:, identity, 0]]
+        self.degrees = raw[:, identity, 0].tolist()
         self._column_orders = None
         self._characters = None
+        self._unit_fixed = None
 
     @classmethod
     def dixon(cls, group) -> "CharacterTable":
@@ -639,7 +664,8 @@ class CharacterTable:
 
     def value(self, i: int, j: int) -> CyclotomicNumber:
         """The value of character i at class j, written in Q(zeta_o) for o
-        the order of column j."""
+        the order of column j; the coefficients leave ``raw`` as Python
+        integers."""
         o = self.column_orders[j]
         coeffs = self.raw[i, j, :: self.raw.shape[2] // o].tolist()
         return CyclotomicNumber(o, {e: c for e, c in enumerate(coeffs) if c})
@@ -654,16 +680,31 @@ class CharacterTable:
 
     # -- Galois fixedness, one pass over the whole table -------------------
 
+    def fixed_by(self, ks) -> np.ndarray:
+        """(len(ks), L) bools: whether sigma_k fixes each character, for
+        units k mod N.  Read off the fixedness under every unit mod N, one
+        ``galois_fixed_rows`` pass made on first use; ValueError for a k
+        that is not a unit mod N."""
+        n = self.raw.shape[2]
+        units = unit_residues(n)
+        if self._unit_fixed is None:
+            self._unit_fixed = galois_fixed_rows(self.raw, units)
+        at = {k: t for t, k in enumerate(units)}
+        rows = [at.get(k % n) for k in ks]
+        if None in rows:
+            raise ValueError(f"not all of {list(ks)} are units mod {n}")
+        return self._unit_fixed[rows]
+
     def conductors(self) -> np.ndarray:
         """Per character, the smallest c with all its values in Q(zeta_c)."""
         n = self.raw.shape[2]
-        return conductors_from_fixedness(galois_fixed_rows(self.raw, unit_residues(n)), n)
+        return conductors_from_fixedness(self.fixed_by(unit_residues(n)), n)
 
     def hd_fixed_rows(self, d: int) -> np.ndarray:
         """Per character, whether every sigma_k with k = 1 mod d fixes all
-        its values (H_d at the modulus lcm(N, d)); ValueError unless
-        d >= 1."""
-        return galois_fixed_rows(self.raw, hd_residues(self.raw.shape[2], d)).all(axis=0)
+        its values (H_d at the modulus lcm(N, d), whose residues mod N are
+        units); ValueError unless d >= 1."""
+        return self.fixed_by(hd_residues(self.raw.shape[2], d)).all(axis=0)
 
     # -- exact verification ------------------------------------------------
 
@@ -700,25 +741,24 @@ def _conjugate_products(values: np.ndarray, weights) -> np.ndarray:
     The convolution over the exponents is N^2 float64 matmuls, exact because
     no partial sum can reach 2^53; its reduction through
     ``_reduction_matrix(N)`` is one int64 product.  Both bounds are checked
-    up front from the entries (OverflowError otherwise).
+    up front from the entries, read as Python integers (OverflowError
+    otherwise); the values are widened to float64 before any product.
     """
     n = values.shape[2]
     R = _reduction_matrix(n)
     weights = [int(w) for w in weights]
-    peak = np.abs(values).max(axis=(0, 2)).tolist()
-    total = n * sum(abs(w) * a * a for w, a in zip(weights, peak))
+    highs = values.max(axis=(0, 2)).tolist()
+    lows = values.min(axis=(0, 2)).tolist()
+    total = n * sum(abs(w) * max(h, -l) ** 2 for w, h, l in zip(weights, highs, lows))
     if total >= 2**53 or n * total * int(np.abs(R).max()) >= 2**63:
         raise OverflowError(
             f"conjugate products of these values mod Phi_{n} leave the exact "
             f"float64 range (bound {total} >= 2^53) or int64"
         )
-    A = np.ascontiguousarray(
-        (values * np.array(weights, dtype=np.float64)[None, :, None]).transpose(2, 0, 1)
-    )
+    wide = values.astype(np.float64).transpose(2, 0, 1)
+    A = np.ascontiguousarray(wide * np.array(weights, dtype=np.float64)[None, None, :])
     # coefficient f of a conjugate is coefficient -f of the value
-    B = np.ascontiguousarray(
-        values.transpose(2, 0, 1)[(-np.arange(n)) % n], dtype=np.float64
-    )
+    B = np.ascontiguousarray(wide[(-np.arange(n)) % n])
     out = np.zeros((n, values.shape[0], values.shape[0]))
     for e in range(n):
         for f in range(n):
@@ -734,7 +774,9 @@ def _row_keys(raw: np.ndarray, orders) -> list[tuple]:
     columns = [
         [
             tuple((e, c) for e, c in enumerate(row) if c)
-            for row in (raw[:, ci, :: n // o] @ _reduction_matrix(o)).tolist()
+            for row in (
+                raw[:, ci, :: n // o].astype(np.int64) @ _reduction_matrix(o)
+            ).tolist()
         ]
         for ci, o in enumerate(orders)
     ]

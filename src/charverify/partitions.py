@@ -36,6 +36,15 @@ class Partition:
             raise ValueError(f"parts must be weakly decreasing: {parts}")
         object.__setattr__(self, "parts", parts)
 
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+        """The partition with these positive, weakly decreasing parts, made
+        without the checks of ``__init__``: only for parts that are so by
+        construction."""
+        lam = object.__new__(cls)
+        object.__setattr__(lam, "parts", parts)
+        return lam
+
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
@@ -221,7 +230,9 @@ def d_core(lam, d: int, check_all_orders: bool = False) -> tuple[Partition, int]
 @lru_cache(maxsize=None)
 def _abacus_core(parts: tuple[int, ...], d: int) -> tuple[Partition, int]:
     """Core and weight from the bead count on each of the d runners; the
-    weight is checked against the size removed once per (parts, d)."""
+    weight is checked against the size removed once per (parts, d).  The
+    core's beads are strictly decreasing, so its parts are weakly
+    decreasing and it skips the checks of ``Partition(...)``."""
     length = len(parts) + d
     beads = [p + length - 1 - i for i, p in enumerate(parts)]
     beads += range(d - 1, -1, -1)
@@ -233,8 +244,8 @@ def _abacus_core(parts: tuple[int, ...], d: int) -> tuple[Partition, int]:
         reverse=True,
     )
     weight = (sum(beads) - sum(core_beads)) // d
-    core = Partition(
-        p for p in (b - (length - 1 - i) for i, b in enumerate(core_beads)) if p > 0
+    core = Partition._trusted(
+        tuple(p for p in (b - (length - 1 - i) for i, b in enumerate(core_beads)) if p > 0)
     )
     removed = sum(parts) - core.size
     assert removed % d == 0

@@ -6,10 +6,14 @@ Values are computed by the wreath-product Murnaghan-Nakayama recursion with
 the cyclic base case j -> zeta_m^{jk}, carried out over the group ring
 Z[t]/(t^m - 1) in vectorized integer arithmetic and reduced to canonical
 cyclotomic form on demand.  ``WreathTable`` is a ``grouptable.CharacterTable``
-whose ``raw`` is the (L, C, m) int64 array of those group-ring coefficients,
-so its value view, conductors, H_d-fixedness and orthogonality are the
-table class's own; it adds the labels and classes.  Recursion columns
-depend on m and the class only, so the tables of one m share them.
+whose ``raw`` is the (L, C, m) array of those group-ring coefficients, so its
+value view, conductors, H_d-fixedness and orthogonality are the table
+class's own; it adds the labels and classes.  ``raw`` is compact and
+read-only, as every table's is: each column is computed in int64 and
+written straight into an array of the smallest signed integer type that
+holds the largest degree, which bounds every coefficient.  Recursion
+columns depend on m and the class only, so the tables of one m share them,
+as views of the compact arrays.
 
 Conductors and H_d-fixedness are answered for a whole table at once: on the
 values route by the table's own passes over ``raw``; on the label
@@ -41,12 +45,18 @@ import numpy as np
 
 from .cyclotomic import (
     CyclotomicNumber,
+    _peak,
     _reduction_matrix,
     conductors_from_fixedness,
-    galois_fixed_rows,
     unit_residues,
 )
-from .grouptable import CharacterTable, ColoredPermGroup, _check_group_order, _permutations
+from .grouptable import (
+    CharacterTable,
+    ColoredPermGroup,
+    _check_group_order,
+    _compact_dtype,
+    _permutations,
+)
 from .ladic import hd_residues
 from .partitions import Partition, _partition_objects, _partitions_of, hooks
 
@@ -116,10 +126,12 @@ def _check_label_count(m: int, a: int) -> None:
         )
 
 
-# Full tables are built only when their (L, L, m) int64 ``raw`` takes at most
-# this many bytes (ValueError otherwise, predicted from ``_label_count`` before
-# anything is built).  The largest table of the default run is C_10 wr S_3,
-# (330, 330, 10) or 8.3 MiB; C_10 wr S_4 (156 MiB) passes, C_11 wr S_4
+# Full tables are built only when their (L, L, m) ``raw`` would take at most
+# this many bytes at 8 bytes an entry (ValueError otherwise, predicted from
+# ``_label_count`` before anything is built).  ``raw`` is stored compact, int8
+# on the default grids, so the prediction is a conservative bound.  The
+# largest table of the default run is C_10 wr S_3, (330, 330, 10), predicted
+# at 8.3 MiB and stored in 1.0 MiB; C_10 wr S_4 (156 MiB) passes, C_11 wr S_4
 # (311 MiB) and C_12 wr S_4 (588 MiB) do not.
 MAX_TABLE_BYTES = 256 * 2**20
 
@@ -342,22 +354,32 @@ def _hook_op(m: int, s: int, c: int):
 @lru_cache(maxsize=None)
 def _column_memo(m: int) -> dict[tuple, np.ndarray]:
     """Columns of the Murnaghan-Nakayama recursion for C_m wr S_s, keyed
-    by cycle tuple: the (labels(s), m) values at that class.  A column
-    depends on m and the cycles only, so the tables of every a share it."""
+    by cycle tuple: the (labels(s), m) values at that class, a read-only
+    view of the compact ``raw`` of C_m wr S_s once that table is built
+    and an int64 array before.  A column depends on m and the cycles only,
+    so the tables of every a share it."""
     return {}
 
 
 def _build_raw(m: int, classes, memo: dict) -> np.ndarray:
-    """The (labels, classes, m) value array over Z[t]/(t^m - 1).
+    """The (labels, classes, m) value array over Z[t]/(t^m - 1), read-only,
+    in ``grouptable._compact_dtype`` of the largest degree.
 
     Removing the leading c-cycle of color j from the class and a c-hook from
     component k of the label contributes zeta_m^{jk} times the smaller
     column: one gather of the smaller column's entries at flat positions
-    cols*m + (e - jk) mod m, signed, and one sum over each row's run of
-    entries.  The gather positions are shared by the columns of one
-    (s, c, j) within this call.  Columns are read from and written to
-    ``memo``; this table's own columns go in as views of the returned
-    (read-only) array.
+    cols*m + (e - jk) mod m, signed in int64, and one sum over each row's
+    run of entries.  The gather positions are shared by the columns of one
+    (s, c, j) within this call.
+
+    Every coefficient is a signed count of Murnaghan-Nakayama paths, at
+    most chi(1) of them, so the identity column, whose entries are the
+    degrees, fixes the dtype before any other column is written.  Each
+    column is checked against that dtype's range as it is written
+    (OverflowError, never a wrap).  Columns are read from and written to
+    ``memo``; this table's own columns go in as read-only views of the
+    returned array as soon as they are written, so no full-size int64
+    table is ever held.
     """
     shifts = np.arange(m)
     gathers = {}
@@ -384,17 +406,24 @@ def _build_raw(m: int, classes, memo: dict) -> np.ndarray:
             prev = column(cycles[1:])
             flat, signs, first, nonempty = gather(s, c, j)
             col = np.zeros((_label_count(m, s), m), dtype=np.int64)
-            col[nonempty] = np.add.reduceat(np.take(prev, flat) * signs, first)
+            terms = np.multiply(np.take(prev, flat), signs, dtype=np.int64)
+            col[nonempty] = np.add.reduceat(terms, first)
         memo[cycles] = col
         return col
 
     a = classes[0].total
-    raw = np.zeros((_label_count(m, a), len(classes), m), dtype=np.int64)
+    dtype = _compact_dtype(_peak(column(((1, 0),) * a)))
+    low, high = np.iinfo(dtype).min, np.iinfo(dtype).max
+    raw = np.empty((_label_count(m, a), len(classes), m), dtype=dtype)
     for ci, cls in enumerate(classes):
-        raw[:, ci, :] = column(cls.cycles)
+        col = column(cls.cycles)
+        if col.min() < low or col.max() > high:
+            raise OverflowError(f"a column of C{m}wrS{a} leaves the range of {dtype}")
+        raw[:, ci, :] = col
+        view = raw[:, ci, :]
+        view.flags.writeable = False
+        memo[cls.cycles] = view
     raw.flags.writeable = False
-    for ci, cls in enumerate(classes):
-        memo[cls.cycles] = raw[:, ci, :]
     # ``column`` refers to itself, so the closures outlive this call until
     # the cycle collector runs; drop the gather positions now
     gathers.clear()
@@ -438,17 +467,18 @@ def verify_galois_equivariance(m: int, a: int) -> bool:
     """Value-level check that chi^{sigma_s} equals the relabeled character:
     sigma_s moves the coefficient of zeta_m^e to e * s, so the image's
     coefficient at e is raw[..., e * s^{-1} mod m]; both sides are compared
-    reduced mod Phi_m."""
+    reduced mod Phi_m, after widening ``raw`` to int64."""
     table = get_table(m, a)
     R = _reduction_matrix(m)
-    reduced = table.raw @ R
+    raw = table.raw.astype(np.int64)
+    reduced = raw @ R
     e = np.arange(m)
     for s in unit_residues(m):
         perm = [
             table.label_index[galois_permuted_label(lab, m, s)]
             for lab in table.labels
         ]
-        if not np.array_equal(table.raw[:, :, e * pow(s, -1, m) % m] @ R, reduced[perm]):
+        if not np.array_equal(raw[:, :, e * pow(s, -1, m) % m] @ R, reduced[perm]):
             return False
     return True
 
@@ -491,7 +521,7 @@ def _label_fixed(label, m: int, a: int, ks, via: str) -> np.ndarray:
     if _route(m, a, via) == "values":
         table = get_table(m, a)
         i = table.label_index[label]
-        return galois_fixed_rows(table.raw[i : i + 1], ks)
+        return table.fixed_by(ks)[:, i : i + 1]
     ids: dict = {}
     comp = np.array([[ids.setdefault(p.parts, len(ids)) for p in label]])
     return _labels_fixed(comp, m, ks)

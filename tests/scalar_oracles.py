@@ -2,7 +2,8 @@
 ``cyclotomic.conductor`` and ``cyclotomic.is_fixed_by``; orthogonality as
 sums of ``CyclotomicNumber`` products; one group element at a time, through
 Python multiplications of native elements; one label at a time, through
-``partitions.hooks``; polynomial long division over ``Fraction``; powers in
+``partitions.hooks``, and whole Murnaghan-Nakayama tables from those
+one-label hook removals; polynomial long division over ``Fraction``; powers in
 F_{p^e}, and the Lang images built from them, through repeated
 ``FiniteFieldElement`` multiplication, and square roots by exhaustive
 search; one partition at a time for prop75, through
@@ -10,6 +11,8 @@ search; one partition at a time for prop75, through
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 import charverify.fields as fields_mod
 from charverify.cyclotomic import CyclotomicNumber, conductor, is_fixed_by
@@ -22,6 +25,7 @@ from charverify.langmap import (
     sqrt_in_quadratic,
 )
 from charverify.partitions import hooks, partition_tuples, partitions_of
+from charverify.wreath import class_labels
 
 
 def scalar_row_answers(rows, ds):
@@ -102,6 +106,34 @@ def hook_op_entries(m, s, c):
                 new_lab = lab[:k] + (new_part,) + lab[k + 1 :]
                 out.append((i, index_small[new_lab], -1 if height % 2 else 1, k))
     return out
+
+
+def mn_raw_by_hooks(m, a):
+    """The (labels, classes, m) int64 value array of C_m wr S_a by the
+    Murnaghan-Nakayama recursion, one hook removal at a time
+    (``hook_op_entries``), in Python integers: removing the leading c-cycle
+    of color j and a c-hook from component k multiplies the smaller column
+    by sign * zeta_m^{jk}.  Rows in the order of ``partition_tuples``,
+    columns in that of ``wreath.class_labels``."""
+    columns = {(): [[1] + [0] * (m - 1)]}
+    entries = {}
+
+    def column(cycles):
+        if cycles not in columns:
+            (c, j), rest = cycles[0], cycles[1:]
+            s = sum(x for x, _ in cycles)
+            if (s, c) not in entries:
+                entries[s, c] = hook_op_entries(m, s, c)
+            prev = column(rest)
+            out = [[0] * m for _ in partition_tuples(s, m)]
+            for row, col, sign, k in entries[s, c]:
+                for e, coeff in enumerate(prev[col]):
+                    out[row][(e + j * k) % m] += sign * coeff
+            columns[cycles] = out
+        return columns[cycles]
+
+    table = [column(cls.cycles) for cls in class_labels(m, a)]
+    return np.array(table, dtype=np.int64).transpose(1, 0, 2)
 
 
 def fraction_divmod(num, den):

@@ -7,16 +7,27 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from charverify.cyclotomic import CyclotomicNumber, root_of_unity
+from charverify.cyclotomic import (
+    CyclotomicNumber,
+    _column_orders,
+    _peak,
+    conductors_from_fixedness,
+    galois_fixed_rows,
+    root_of_unity,
+    unit_residues,
+)
 from charverify.grouptable import (
     CharacterTable,
     FiniteGroup,
     _charpoly,
     _check_int64,
+    _compact_dtype,
+    _conjugate_products,
     _nullspace,
     _poly_roots,
     _rref,
 )
+from charverify.ladic import hd_residues
 from charverify.weyl import group_fingerprint, weyl_group
 
 from scalar_oracles import scalar_orthogonality
@@ -268,13 +279,139 @@ class TestOrthogonality:
 
     def test_overflow_refused_up_front(self):
         table = CharacterTable.dixon(cyclic_group(6))
-        raw = table.raw * 2**24
+        # ``raw`` is stored compact (int8 here): widen before scaling
+        wide = table.raw.astype(np.int64)
+        raw = wide * 2**24
         with pytest.raises(OverflowError):
             orthogonality(table, raw, table.class_sizes, table.group.order)
         # just inside the float64 range: still exact
-        scaled = table.raw * 2**20
+        scaled = wide * 2**20
         rows_ok, _ = orthogonality(table, scaled, table.class_sizes, table.group.order * 2**40)
         assert rows_ok
+
+
+def boundary_table(peak, seed):
+    """A hand-built (6, 6, 12) value array with entries drawn from
+    {0, +-1, +-(peak - 1), +-peak}: column j has order (1, 2, 3, 4, 6, 12)[j],
+    column 0 holds positive degrees, and rows 1, 2 and 3 are made fixed by
+    every unit, by k = 1 mod 4 and by k = 1 mod 3, so that the conductors
+    and H_d answers vary from row to row."""
+    rng = random.Random(seed)
+    n, orders = 12, (1, 2, 3, 4, 6, 12)
+    choices = (0, 1, -1, peak - 1, 1 - peak, peak, -peak)
+    groups = [(1,), unit_residues(n), (1, 5), (1, 7), (1,), (1,)]
+    raw = np.zeros((len(groups), len(orders), n), dtype=np.int64)
+    for i, group in enumerate(groups):
+        raw[i, 0, 0] = rng.choice((1, peak - 1, peak))
+        for j, o in enumerate(orders[1:], start=1):
+            coeffs = [None] * o
+            for e in range(o):
+                if coeffs[e] is None:
+                    x = rng.choice(choices)
+                    for k in group:
+                        coeffs[e * k % o] = x
+            raw[i, j, :: n // o] = coeffs
+    return raw, list(orders)
+
+
+class TestCompactStore:
+    """``raw`` is stored read-only in the smallest signed integer type that
+    holds -peak - 1; every pass widens before its arithmetic, so narrow and
+    int64 input give the same answers."""
+
+    @pytest.mark.parametrize(
+        "peak,dtype",
+        [
+            (0, np.int8),
+            (127, np.int8),
+            (128, np.int16),
+            (32767, np.int16),
+            (32768, np.int32),
+            (2**31 - 1, np.int32),
+            (2**31, np.int64),
+            (2**63 - 1, np.int64),
+        ],
+    )
+    def test_dtype_boundaries(self, peak, dtype):
+        assert _compact_dtype(peak) == dtype
+
+    @pytest.mark.parametrize(
+        "entry,dtype",
+        [
+            (127, np.int8),
+            (-127, np.int8),
+            (128, np.int16),
+            (-128, np.int16),
+            (32767, np.int16),
+            (-32767, np.int16),
+            (32768, np.int32),
+            (-32768, np.int32),
+        ],
+    )
+    def test_constructor_narrows_to_the_peak(self, entry, dtype):
+        raw = np.array([[[1, 0], [entry, 0]]], dtype=np.int64)
+        table = CharacterTable(raw, [1, 1], [1, 2], 2)
+        assert table.raw.dtype == dtype
+        assert table.raw.tolist() == raw.tolist()
+
+    def test_peak_reads_past_the_wrap_of_abs(self):
+        values = np.array([3, -128, 127], dtype=np.int8)
+        assert np.abs(values).max() == 127  # abs(-128) wraps to -128 in int8
+        assert _peak(values) == 128
+
+    def test_refusals(self):
+        with pytest.raises(OverflowError):
+            _compact_dtype(2**63)
+        with pytest.raises(TypeError):
+            CharacterTable(np.ones((1, 1, 1)), [1], [1], 1)
+
+    def test_dixon_tables_are_narrowed(self):
+        for name, build in sorted(SMALL_GROUPS.items()):
+            table = CharacterTable.dixon(build())
+            assert table.raw.dtype == np.int8, name
+            assert not table.raw.flags.writeable, name
+
+    @pytest.mark.parametrize("peak", [127, 128, 32767, 32768])
+    def test_narrow_and_int64_input_agree(self, peak):
+        wide, orders = boundary_table(peak, seed=peak)
+        n = wide.shape[2]
+        sizes = [1, 3, 4, 6, 12, 24]
+        table = CharacterTable(wide, sizes, orders, 48)
+        narrow = table.raw
+        assert narrow.dtype == _compact_dtype(peak) != np.int64
+        assert _column_orders(narrow).tolist() == _column_orders(wide).tolist() == orders
+
+        units = unit_residues(n)
+        assert np.array_equal(galois_fixed_rows(narrow, units), galois_fixed_rows(wide, units))
+        conductors = conductors_from_fixedness(galois_fixed_rows(wide, units), n)
+        assert table.conductors().tolist() == conductors.tolist()
+        assert len(set(conductors.tolist())) > 2
+        for d in range(1, 13):
+            fixed = galois_fixed_rows(wide, hd_residues(n, d)).all(axis=0)
+            assert table.hd_fixed_rows(d).tolist() == fixed.tolist(), d
+        with pytest.raises(ValueError):
+            table.hd_fixed_rows(0)
+
+        rows = _conjugate_products(wide, sizes)
+        assert np.array_equal(_conjugate_products(narrow, sizes), rows)
+        by_class = [1] * wide.shape[0]
+        columns = _conjugate_products(wide.transpose(1, 0, 2), by_class)
+        assert np.array_equal(_conjugate_products(narrow.transpose(1, 0, 2), by_class), columns)
+        # a sum of squares of values near the peak: wrapping would show here
+        assert int(rows[0, 0].max()) >= (peak - 1) ** 2
+        expected = np.zeros_like(rows)
+        expected[np.arange(6), np.arange(6), 0] = 48
+        assert table.verify_row_orthogonality() == np.array_equal(rows, expected)
+        assert not table.verify_column_orthogonality()
+
+        for i, j in np.ndindex(*wide.shape[:2]):
+            o = orders[j]
+            coeffs = {e: int(wide[i, j, e * n // o]) for e in range(o)}
+            assert table.value(i, j) == CyclotomicNumber(o, coeffs), (i, j)
+
+        assert not narrow.flags.writeable
+        with pytest.raises(ValueError):
+            narrow[0, 0, 0] = 1
 
 
 def rref_oracle(M, p):

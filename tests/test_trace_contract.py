@@ -1,8 +1,9 @@
 """What the benchmark's tracer (``perfbench/tracer.py``) reads of the package:
 the ``cache_info()`` of the lru_caches named in its ``CACHES``, the methods
 named in its ``METHODS`` (looked up as ``cls.__dict__[attr]``) and the
-functions named in its ``RENAMED`` and ``UNWRAPPED``.  If one of them is
-renamed, moved or loses its cache, ``perfbench/run.py --trace 1`` fails."""
+functions named in its ``RENAMED`` and ``UNWRAPPED``, and the spans named in
+its ``DISTINCT``.  If one of them is renamed, moved or loses its cache,
+``perfbench/run.py --trace 1`` fails."""
 
 import importlib
 import importlib.util
@@ -48,3 +49,15 @@ def test_traced_names_exist():
     for qualified in set(tracer.RENAMED) | tracer.UNWRAPPED:
         module, attr = qualified.split(".")
         assert hasattr(importlib.import_module(f"charverify.{module}"), attr), qualified
+
+
+def test_distinct_spans_are_traced_functions():
+    """Every span whose distinct arguments the tracer counts is a public
+    function it wraps under exactly that name, so the count is filled."""
+    tracer = _load_tracer()
+    for name in tracer.DISTINCT:
+        module, attr = name.split(".")
+        assert module in tracer.TRACED_MODULES, name
+        functions = tracer._public_functions(importlib.import_module(f"charverify.{module}"))
+        assert attr in functions, name
+        assert name not in tracer.RENAMED and name not in tracer.UNWRAPPED, name

@@ -10,7 +10,7 @@ import pytest
 
 from charverify import cli, partitions, wreath
 from charverify.cyclotomic import CyclotomicNumber, conductor
-from charverify.grouptable import CharacterTable
+from charverify.grouptable import CharacterTable, _compact_dtype
 from charverify.partitions import Partition, partition_tuples
 from charverify.wreath import (
     MAX_LABELS,
@@ -19,6 +19,7 @@ from charverify.wreath import (
     _build_raw,
     _check_label_count,
     _check_table_bytes,
+    _column_memo,
     _hook_op,
     _label_count,
     _label_index,
@@ -46,6 +47,7 @@ from charverify.wreath import (
 )
 from scalar_oracles import (
     hook_op_entries,
+    mn_raw_by_hooks,
     pair_mul,
     scalar_orthogonality,
     scalar_row_answers,
@@ -620,13 +622,41 @@ class TestTableBytesCap:
 class TestSharedColumns:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
     def test_shared_memo_matches_fresh_build(self, m):
+        """The shared-memo table and a fresh build are both stored in the
+        compact dtype of the largest degree (int8 on this grid) and agree
+        with the int64 table of the one-hook-at-a-time recursion."""
         for a in range(1, 5):
             if _label_count(m, a) > VALUES_ROUTE_MAX_LABELS:
                 continue
-            shared = get_table(m, a).raw
+            table = get_table(m, a)
+            shared = table.raw
             fresh = _build_raw(m, class_labels(m, a), {})
-            assert shared.dtype == fresh.dtype == np.int64
-            assert np.array_equal(shared, fresh), (m, a)
+            assert shared.dtype == fresh.dtype == _compact_dtype(max(table.degrees)) == np.int8
+            reference = mn_raw_by_hooks(m, a)
+            assert reference.dtype == np.int64
+            assert np.array_equal(shared.astype(np.int64), reference), (m, a)
+            assert np.array_equal(fresh.astype(np.int64), reference), (m, a)
+
+    @pytest.mark.parametrize("m,a", [(1, 4), (3, 2), (4, 3)])
+    def test_memo_columns_are_read_only_views_of_the_table(self, m, a):
+        table = get_table(m, a)
+        memo = _column_memo(m)
+        for ci, cls in enumerate(table.classes):
+            col = memo[cls.cycles]
+            assert np.shares_memory(col, table.raw), cls
+            assert np.array_equal(col, table.raw[:, ci, :])
+            assert not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[0, 0] = 7
+
+    def test_column_outside_the_dtype_raises(self):
+        """A memo column too large for the dtype the degrees choose is
+        refused as it is written, never wrapped: C_2 wr S_2 has degrees at
+        most 2 (int8), and its class ((1, 1), (1, 1)) is built from the
+        planted column ((1, 1),)."""
+        memo = {((1, 1),): np.array([[300, 0], [0, -300]], dtype=np.int64)}
+        with pytest.raises(OverflowError, match="leaves the range of int8"):
+            _build_raw(2, class_labels(2, 2), memo)
 
     def test_tables_are_read_only(self):
         table = get_table(3, 2)
