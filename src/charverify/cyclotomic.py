@@ -53,13 +53,6 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def euler_phi(n: int) -> int:
-    """Euler's totient."""
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-
-
 @lru_cache(maxsize=None)
 def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """Row e = integer coordinates of zeta_n^e in the power basis (length phi(n))."""
@@ -115,10 +108,6 @@ class CyclotomicNumber:
         raise AttributeError("CyclotomicNumber is immutable")
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, order: int = 1) -> "CyclotomicNumber":
-        return cls(order)
 
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "CyclotomicNumber":
@@ -240,13 +229,6 @@ class CyclotomicNumber:
     def to_dict(self) -> dict:
         return {"order": self.order, "coeffs": self.to_triples()}
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CyclotomicNumber":
-        return cls(
-            int(data["order"]),
-            {int(e): Fraction(int(num), int(den)) for e, num, den in data["coeffs"]},
-        )
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "0"
@@ -268,11 +250,6 @@ class CyclotomicNumber:
 def root_of_unity(n: int, k: int = 1) -> CyclotomicNumber:
     """zeta_n^k as an element of Q(zeta_n)."""
     return CyclotomicNumber(n, {k % n: Fraction(1)})
-
-
-def galois_apply(k: int, x: CyclotomicNumber) -> CyclotomicNumber:
-    """Apply zeta -> zeta^k to x; k must be coprime to the order of x."""
-    return x.galois(k)
 
 
 class GaloisSubgroup:

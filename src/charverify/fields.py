@@ -158,8 +158,9 @@ class FieldDescriptor:
     def resolve(self, ell: int, q) -> "FieldDescriptor":
         """Drop every part already contained in the ell-adic field.
 
-        ``ell`` must be an odd prime not dividing ``q`` (and, for root parts,
-        not dividing the root index -- the tame case).  Resolution only ever
+        ``ell`` must be an odd prime not dividing ``q`` (ValueError
+        otherwise, for every descriptor) and, for root parts, not dividing
+        the root index -- the tame case.  Resolution only ever
         removes parts, so it is idempotent and monotone: supplying (ell, q)
         data never un-trivializes a descriptor.  Memoized on (descriptor,
         ell, value of q).
@@ -183,6 +184,8 @@ class FieldDescriptor:
 
 @lru_cache(maxsize=None)
 def _resolve(desc: FieldDescriptor, ell: int, qv: int) -> FieldDescriptor:
+    if ell == 2 or not is_prime(ell) or qv % ell == 0:
+        raise ValueError(f"ell must be an odd prime not dividing q, got ell = {ell}, q = {qv}")
     kept = []
     for part in sorted(desc.parts, key=repr):
         if part[0] == "sqrt":
@@ -324,10 +327,6 @@ class Prop75Case:
     core: tuple
     field_char: FieldDescriptor
     field_core: FieldDescriptor
-
-    @property
-    def equal(self) -> bool:
-        return self.field_char == self.field_core
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,9 @@ permutation array and a color array with one row per element, in the order
 of the sorted native elements.  Classes, inverses, element orders, the
 powers of the class representatives and the class-multiplication matrices
 all come from array gathers and ``np.searchsorted`` on integer row keys,
-never from a multiplication of two elements in Python.  ``FiniteGroup``,
-a group given by elements and a Python ``mul``, is the construction path
-of the tests and the oracle of the arrays; Dixon reads it through its
-regular representation.  The builders in ``weyl`` and ``wreath`` refuse a
-group above ``MAX_GROUP_ORDER`` from its closed-form order, before any
-element is listed.
+never from a multiplication of two elements in Python.  The builders in
+``weyl`` and ``wreath`` refuse a group above ``MAX_GROUP_ORDER`` from its
+closed-form order, before any element is listed.
 
 The F_p linear algebra runs on numpy int64 arrays.  Each simultaneous
 eigenspace is kept as a basis in reduced row echelon form with its pivot
@@ -51,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -96,124 +93,6 @@ def _compose(px, cx, py, cy, m: int):
     )
 
 
-class FiniteGroup:
-    """An explicit finite group: elements, a Python multiplication, identity.
-
-    This is the construction path of the tests and the oracle of
-    ``ColoredPermGroup``: its classes, inverses and element orders come
-    from one ``mul`` call at a time.  ``CharacterTable.dixon`` reads it
-    through its regular representation.
-    """
-
-    def __init__(
-        self,
-        elements: Iterable,
-        mul: Callable,
-        identity,
-        generators: Sequence | None = None,
-        name: str = "",
-    ):
-        self.elements = sorted(elements)
-        self.index = {g: i for i, g in enumerate(self.elements)}
-        if len(self.index) != len(self.elements):
-            raise ValueError("duplicate elements")
-        if identity not in self.index:
-            raise ValueError("identity not among elements")
-        self.mul = mul
-        self.identity = identity
-        self.name = name
-        self.generators = list(generators) if generators is not None else None
-        self._inverses: dict = {}
-        self._orders: dict = {}
-        self._classes: list[list] | None = None
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def _order_and_inverse(self, g):
-        if g not in self._orders:
-            prev, acc, n = g, g, 1
-            while acc != self.identity:
-                prev = acc
-                acc = self.mul(acc, g)
-                n += 1
-            self._orders[g] = n
-            self._inverses[g] = prev if n > 1 else g
-        return self._orders[g], self._inverses[g]
-
-    def inverse(self, g):
-        return self._order_and_inverse(g)[1]
-
-    def element_order(self, g) -> int:
-        return self._order_and_inverse(g)[0]
-
-    def exponent(self) -> int:
-        """lcm of the element orders; order is a class function, so the
-        class representatives suffice."""
-        classes = self.conjugacy_classes()
-        return math.lcm(*(self.element_order(c[0]) for c in classes))
-
-    def conjugacy_classes(self) -> list[list]:
-        """Classes as sorted element lists; identity class first, the rest
-        ordered by (size, representative)."""
-        if self._classes is not None:
-            return self._classes
-        conjugators = self.generators if self.generators else self.elements
-        conj_pairs = [(t, self.inverse(t)) for t in conjugators]
-        seen = set()
-        classes = []
-        for g in self.elements:
-            if g in seen:
-                continue
-            orbit = {g}
-            frontier = [g]
-            while frontier:
-                x = frontier.pop()
-                for t, t_inv in conj_pairs:
-                    y = self.mul(self.mul(t, x), t_inv)
-                    if y not in orbit:
-                        orbit.add(y)
-                        frontier.append(y)
-            orbit = sorted(orbit)
-            seen.update(orbit)
-            classes.append(orbit)
-        id_cls = next(c for c in classes if self.identity in c)
-        rest = [c for c in classes if c is not id_cls]
-        rest.sort(key=lambda c: (len(c), c[0]))
-        self._classes = [id_cls] + rest
-        return self._classes
-
-    def regular_representation(self) -> "ColoredPermGroup":
-        """The group acting on its element indices by x -> gx (m = 1),
-        rows in the order of ``elements``."""
-        perm = [[self.index[self.mul(g, x)] for x in self.elements] for g in self.elements]
-        return ColoredPermGroup(
-            perm, np.zeros((self.order, self.order), dtype=np.int64), 1,
-            _RegularEncoding(self), generators=self.generators or None, name=self.name,
-        )
-
-
-class _RegularEncoding:
-    """The elements of a FiniteGroup as the rows of its regular
-    representation: g is the row that sends the identity's index to g's."""
-
-    def __init__(self, group: FiniteGroup):
-        self.group = group
-        self.e = group.index[group.identity]
-        self.radices = (group.order,)
-
-    def digits(self, perm, color):
-        return perm[..., self.e : self.e + 1]
-
-    def encode(self, g):
-        group = self.group
-        return [group.index[group.mul(g, x)] for x in group.elements], [0] * group.order
-
-    def decode(self, perm, color):
-        return self.group.elements[int(perm[self.e])]
-
-
 class ColoredPermGroup:
     """A finite group of colored permutations, as arrays: a subgroup of
     C_m wr S_n.
@@ -222,7 +101,7 @@ class ColoredPermGroup:
     e_j -> zeta_m^color[g, j] e_perm[g, j], and (xy)(j) = x(y(j)), so
     multiplying every row by one element is a single gather.  An encoding
     names the native elements (signed words, (color vector, permutation)
-    pairs, tuples of those, or a FiniteGroup's elements): ``digits`` maps
+    pairs, or tuples of those): ``digits`` maps
     colored permutations to digit vectors whose lexicographic order is that
     of the native elements, ``encode``/``decode`` convert one element, and
     ``radices`` bound the digits.  A row's key is its digit vector read in
@@ -545,16 +424,12 @@ class CharacterTable:
             raise AssertionError("identity-class values must be integers")
         self.degrees = raw[:, identity, 0].tolist()
         self._column_orders = None
-        self._characters = None
         self._unit_fixed = None
 
     @classmethod
     def dixon(cls, group) -> "CharacterTable":
-        """The table of a ColoredPermGroup (a FiniteGroup enters through
-        its regular representation), with its ``group`` and the
+        """The table of a ColoredPermGroup, with its ``group`` and the
         ``class_reps`` of its columns, identity class first."""
-        if isinstance(group, FiniteGroup):
-            group = group.regular_representation()
         classes = group.conjugacy_classes()
         r = len(classes)
         sizes = [len(c) for c in classes]
@@ -669,14 +544,6 @@ class CharacterTable:
         o = self.column_orders[j]
         coeffs = self.raw[i, j, :: self.raw.shape[2] // o].tolist()
         return CyclotomicNumber(o, {e: c for e, c in enumerate(coeffs) if c})
-
-    @property
-    def characters(self) -> list[tuple[CyclotomicNumber, ...]]:
-        """Every row of values (``value``), built on first use."""
-        if self._characters is None:
-            L, C, _ = self.raw.shape
-            self._characters = [tuple(self.value(i, j) for j in range(C)) for i in range(L)]
-        return self._characters
 
     # -- Galois fixedness, one pass over the whole table -------------------
 

@@ -136,10 +136,6 @@ class FiniteFieldElement:
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
 
-    @property
-    def in_prime_field(self) -> bool:
-        return self.e == 1 or self.coeffs[1] == 0
-
     def lift(self) -> "FiniteFieldElement":
         """The same element viewed inside the quadratic extension."""
         if self.e == 2:
@@ -159,12 +155,6 @@ class FiniteFieldElement:
         if a.e == 1:
             return FiniteFieldElement(p, ((a.coeffs[0] * b.coeffs[0]) % p,))
         return FiniteFieldElement(p, _mul_quadratic(p, *a.coeffs, *b.coeffs))
-
-    def inverse(self) -> "FiniteFieldElement":
-        if self.is_zero:
-            raise ZeroDivisionError("zero has no inverse")
-        order = self.p**self.e
-        return self ** (order - 2)
 
     def __pow__(self, exponent: int) -> "FiniteFieldElement":
         """Square-and-multiply on the coefficients; a negative exponent is

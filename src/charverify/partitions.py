@@ -14,7 +14,6 @@ Rim-hook removal in every order is kept as the oracle behind
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -97,16 +96,6 @@ class Partition:
     def n_stat(self) -> int:
         """The statistic n(lambda) = sum (i-1) * lambda_i."""
         return sum(i * p for i, p in enumerate(self.parts))
-
-    def num_standard_tableaux(self) -> int:
-        """Number of standard Young tableaux, by the hook length formula."""
-        import math
-
-        hooks = self.hook_lengths()
-        prod = 1
-        for h in hooks:
-            prod *= h
-        return math.factorial(self.size) // prod
 
 
 class BetaSet:
@@ -348,15 +337,3 @@ def partitions_of(n: int) -> Iterator[Partition]:
 def _partition_objects(n: int) -> tuple[Partition, ...]:
     """The ``Partition`` objects of ``partitions_of(n)``, built once."""
     return tuple(Partition(p) for p in _partitions_of(n))
-
-
-def partition_tuples(n: int, components: int) -> Iterator[tuple[Partition, ...]]:
-    """All tuples of ``components`` partitions with total size n, sorted."""
-    if components == 0:
-        if n == 0:
-            yield ()
-        return
-    for first_size in range(n, -1, -1):
-        for first in _partition_objects(first_size):
-            for rest in partition_tuples(n - first_size, components - 1):
-                yield (first,) + rest

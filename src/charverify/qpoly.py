@@ -31,11 +31,6 @@ class QPolynomial:
     def monomial(cls, k: int, c: int = 1) -> "QPolynomial":
         return cls([0] * k + [c])
 
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -125,13 +120,6 @@ class QPolynomial:
             raise ValueError(f"{self.pretty()} is not divisible by {other.pretty()}")
         return quo
 
-    def evaluate(self, x):
-        """Evaluate at x (int or Fraction) by Horner's rule."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def pretty(self, var: str = "q") -> str:
         """Human-readable form, highest degree first, e.g. 'q^4 - q^2 + 1'."""
         if not self.coeffs:
@@ -185,14 +173,6 @@ def phi_d_valuation(poly: QPolynomial, d: int) -> int:
         val += 1
 
 
-def q_int_product(degrees: Iterable[int]) -> QPolynomial:
-    """The product of q^k - 1 over the given k."""
-    out = QPolynomial([1])
-    for k in degrees:
-        out = out * (QPolynomial.monomial(k) - QPolynomial([1]))
-    return out
-
-
 def generic_degree_typeA(lam) -> QPolynomial:
     """Generic degree of the unipotent character labelled by a partition of n.
 
@@ -212,26 +192,3 @@ def generic_degree_typeA(lam) -> QPolynomial:
             out = out * cyclotomic_poly(e) ** c_e
     return out
 
-
-def generic_degree_typeA_by_division(lam) -> QPolynomial:
-    """Same value via the quotient formula q^{n(lambda)} prod(q^i-1)/prod(q^h-1).
-
-    Slower; kept as an independent route (exact division checks integrality).
-    """
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
-    num = QPolynomial.monomial(lam.n_stat()) * q_int_product(
-        range(1, lam.size + 1)
-    )
-    return num.exact_div(q_int_product(lam.hook_lengths()))
-
-
-def in_uch_phid_prime_typeA(lam, d: int) -> bool:
-    """Whether Phi_d does not divide the generic degree (d >= 2).
-
-    d = 1 is rejected: the defining condition ranges over d >= 2, and Phi_1
-    powers play a different role (they are visible via the generic degree
-    itself, e.g. through the CLI's generic-degree query).
-    """
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
-    return phi_d_valuation(generic_degree_typeA(lam), d) == 0

@@ -52,9 +52,6 @@ class SymbolBCD:
     def defect(self) -> int:
         return abs(len(self.row1) - len(self.row2))
 
-    def is_degenerate(self) -> bool:
-        return self.row1 == self.row2
-
     def canonical_key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Unordered canonical form: longer row first, ties lexicographic."""
         a, b = self.row1, self.row2
@@ -181,13 +178,6 @@ def _all_terminal_symbols(S: SymbolBCD, d: int) -> set[SymbolBCD]:
                 remove_symbol_hook(state, row, entry, d) for row, entry in moves
             )
     return terminals
-
-
-def same_series_odd_d(S1: SymbolBCD, S2: SymbolBCD, d: int) -> bool:
-    """Whether two symbols of equal rank have the same d-core (d odd)."""
-    if S1.rank != S2.rank:
-        raise ValueError(f"rank mismatch: {S1.rank} != {S2.rank}")
-    return symbol_d_core(S1, d) == symbol_d_core(S2, d)
 
 
 def _rows_with_sum(length: int, total: int, min_val: int = 0) -> Iterator[tuple[int, ...]]:

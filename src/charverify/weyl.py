@@ -13,9 +13,9 @@ The characteristic polynomial on the reflection representation is a product
 of cyclotomic-friendly blocks, one per signed cycle (q^c - 1 for a positive
 c-cycle, q^c + 1 for a negative one; type A divides out the summand carried
 by the all-ones vector).  The zeta_d-eigenvalue multiplicity of an element is
-the Phi_d-valuation of that polynomial, available both by exact polynomial
-division and by a divisor-counting shortcut (the two are cross-checked in
-tests).
+the Phi_d-valuation of that polynomial, computed here by divisor counting on
+the signed cycle blocks; the polynomial itself, with exact division, is the
+oracle in the tests (``reflection_charpoly`` in ``tests/scalar_oracles.py``).
 
 The groups themselves are ``grouptable.ColoredPermGroup`` arrays: a word is
 a colored permutation with m = 2 (m = 1 in type A), so W is a permutation
@@ -220,29 +220,6 @@ def _weyl_generators(series: str, r: int) -> list:
             w[-2], w[-1] = -w[-1], -w[-2]
             gens.append(tuple(w))
     return gens
-
-
-# ---------------------------------------------------------------------------
-# characteristic polynomials on the reflection representation
-# ---------------------------------------------------------------------------
-
-
-def reflection_charpoly(series: str, r: int, twisted: bool, w: tuple) -> QPolynomial:
-    """Exact characteristic polynomial of (the coset element of) w."""
-    series = _canon_series(series)
-    poly = QPolynomial([1])
-    q = QPolynomial.monomial(1)
-    one = QPolynomial([1])
-    for c, sign in sp_cycles(w):
-        if series == "A" and twisted:
-            # block of -P on a c-cycle: q^c - (-1)^c
-            block = q**c - one if c % 2 == 0 else q**c + one
-        else:
-            block = q**c - one if sign > 0 else q**c + one
-        poly = poly * block
-    if series == "A":
-        poly = poly.exact_div(q + one if twisted else q - one)
-    return poly
 
 
 def eigen_multiplicity(series: str, r: int, twisted: bool, w: tuple, d: int) -> int:

@@ -1,4 +1,4 @@
-"""Exact character tables of C_m wr S_a and their index-2 subgroups.
+"""Exact character tables of C_m wr S_a and of their index-2 subgroups.
 
 Irreducible characters are labelled by m-tuples of partitions of total size a;
 conjugacy classes by colored cycle types (multisets of (length, color) pairs).
@@ -18,16 +18,15 @@ as views of the compact arrays.
 Conductors and H_d-fixedness are answered for a whole table at once: on the
 values route by the table's own passes over ``raw``; on the label
 route through the Galois action on labels, sigma_s permuting components as
-mu^(j) = lambda^(j * s^{-1} mod m), which is verified value-by-value on every
-small table (see tests) and then used for tables with more than
-``VALUES_ROUTE_MAX_LABELS`` characters, whose values are never built.
+mu^(j) = lambda^(j * s^{-1} mod m).  The route is chosen by size: tables of
+at most ``VALUES_ROUTE_MAX_LABELS`` characters take the values route, larger
+ones the label route, whose values are never built.  The tests check the
+label action value by value on small tables.
 
 For even m, G(m,2,a) denotes the index-2 subgroup of elements whose color sum
-is even.  Restrictions are decomposed by Clifford theory; split constituents
-are matched against an independently built exact table of the subgroup
-(Burnside-Dixon on its elements, listed as colored-permutation arrays of
-(color vector, permutation) pairs), which also serves as the oracle for
-orthogonality of the split pieces.  C_m wr S_a and G(m,2,a) above
+is even.  Its exact table comes from Burnside-Dixon on its elements, listed
+as colored-permutation arrays of (color vector, permutation) pairs.
+C_m wr S_a and G(m,2,a) above
 ``grouptable.MAX_GROUP_ORDER`` are refused from their order, m^a a! (halved
 for G(m,2,a)), before any element is listed; labels of C_m wr S_a are listed
 only up to ``MAX_LABELS`` characters, counted by ``_label_count``, and full
@@ -38,18 +37,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .cyclotomic import (
-    CyclotomicNumber,
-    _peak,
-    _reduction_matrix,
-    conductors_from_fixedness,
-    unit_residues,
-)
+from .cyclotomic import _peak, conductors_from_fixedness, unit_residues
 from .grouptable import (
     CharacterTable,
     ColoredPermGroup,
@@ -117,7 +109,10 @@ MAX_LABELS = 10**5
 
 
 def _check_label_count(m: int, a: int) -> None:
-    """Refuse C_m wr S_a above MAX_LABELS characters, from their count."""
+    """Refuse C_m wr S_a unless m >= 1 and a >= 0, and above MAX_LABELS
+    characters, from their count."""
+    if m < 1 or a < 0:
+        raise ValueError(f"need m >= 1 and a >= 0, got m = {m}, a = {a}")
     count = _label_count(m, a)
     if count > MAX_LABELS:
         raise ValueError(
@@ -149,8 +144,6 @@ def _check_table_bytes(m: int, a: int) -> None:
 
 def irr_labels(m: int, a: int) -> list[WreathLabel]:
     """All m-tuples of partitions with total size a, in deterministic order."""
-    if m < 1 or a < 0:
-        raise ValueError("need m >= 1 and a >= 0")
     _check_label_count(m, a)
     return list(_labels_by_size(m, a))
 
@@ -186,16 +179,6 @@ def class_labels(m: int, a: int) -> list[WreathClass]:
     return [WreathClass(cycles) for cycles in rec(a, 0)]
 
 
-def degree(label: WreathLabel) -> int:
-    """chi(1) = multinomial(a; component sizes) * prod of tableau counts."""
-    label, a = _check_label(label, len(label), None)
-    out = math.factorial(a)
-    for p in label:
-        out //= math.factorial(p.size)
-        out *= p.num_standard_tableaux()
-    return out
-
-
 class WreathTable(CharacterTable):
     """The full exact character table of C_m wr S_a: rows in the order of
     ``irr_labels(m, a)``, columns in that of ``class_labels(m, a)``."""
@@ -222,9 +205,9 @@ class WreathTable(CharacterTable):
 # P(n) counts the partitions of size at most n: ranks run over sizes
 # descending, then in the order of ``partitions_of``.  The labels of total
 # size s are the (L, m) array of their component ranks (``_label_ranks``),
-# rows in lexicographic order, which is the order of
-# ``partitions.partition_tuples``; the index of a label is an integer
-# function of its row (``_label_index``).
+# rows in lexicographic order, i.e. tuples of partitions sorted with each
+# component in rank order; the index of a label is an integer function of
+# its row (``_label_index``).
 
 
 @lru_cache(maxsize=None)
@@ -437,64 +420,12 @@ def get_table(m: int, a: int) -> WreathTable:
     return WreathTable(m, a)
 
 
-def char_value(label, cls, m: int) -> CyclotomicNumber:
-    """Exact character value chi_label at the given class of C_m wr S_a."""
-    label, a = _check_label(label, m, None)
-    if not isinstance(cls, WreathClass):
-        cls = WreathClass(cls)
-    if cls.total != a:
-        raise ValueError(
-            f"class weight {cls.total} does not match label size {a}"
-        )
-    table = get_table(m, a)
-    return table.value(table.label_index[label], table.class_index[cls.cycles])
-
-
-# ---------------------------------------------------------------------------
-# Galois action on characters
-# ---------------------------------------------------------------------------
-
-
-def galois_permuted_label(label, m: int, s: int):
-    """The label of chi^{sigma_s}: mu^(j) = lambda^(j * s^{-1} mod m)."""
-    if math.gcd(s, m) != 1:
-        raise ValueError(f"s = {s} not coprime to m = {m}")
-    s_inv = pow(s, -1, m)
-    return tuple(label[(j * s_inv) % m] for j in range(m))
-
-
-def verify_galois_equivariance(m: int, a: int) -> bool:
-    """Value-level check that chi^{sigma_s} equals the relabeled character:
-    sigma_s moves the coefficient of zeta_m^e to e * s, so the image's
-    coefficient at e is raw[..., e * s^{-1} mod m]; both sides are compared
-    reduced mod Phi_m, after widening ``raw`` to int64."""
-    table = get_table(m, a)
-    R = _reduction_matrix(m)
-    raw = table.raw.astype(np.int64)
-    reduced = raw @ R
-    e = np.arange(m)
-    for s in unit_residues(m):
-        perm = [
-            table.label_index[galois_permuted_label(lab, m, s)]
-            for lab in table.labels
-        ]
-        if not np.array_equal(raw[:, :, e * pow(s, -1, m) % m] @ R, reduced[perm]):
-            return False
-    return True
-
-
 # Tables with more labels than this answer conductor and fixedness questions
 # by the label route, which needs neither the table nor (for one label) the
-# list of all labels.
+# list of all labels; tables with at most this many take the values route,
+# the table's own passes over ``raw``.  The count is read from
+# ``_label_count``, so choosing the route lists nothing.
 VALUES_ROUTE_MAX_LABELS = 400
-
-
-def _route(m: int, a: int, via: str) -> str:
-    if via not in ("auto", "values", "label"):
-        raise ValueError(f"unknown via = {via!r}")
-    if via == "auto":
-        return "values" if _label_count(m, a) <= VALUES_ROUTE_MAX_LABELS else "label"
-    return via
 
 
 def _labels_fixed(comp: np.ndarray, m: int, ks) -> np.ndarray:
@@ -516,9 +447,9 @@ def _table_fixed(m: int, a: int, ks) -> np.ndarray:
     return _labels_fixed(_label_ranks(m, a), m, ks)
 
 
-def _label_fixed(label, m: int, a: int, ks, via: str) -> np.ndarray:
+def _label_fixed(label, m: int, a: int, ks) -> np.ndarray:
     """(len(ks), 1) Galois fixedness of the one character chi_label."""
-    if _route(m, a, via) == "values":
+    if _label_count(m, a) <= VALUES_ROUTE_MAX_LABELS:
         table = get_table(m, a)
         i = table.label_index[label]
         return table.fixed_by(ks)[:, i : i + 1]
@@ -527,19 +458,21 @@ def _label_fixed(label, m: int, a: int, ks, via: str) -> np.ndarray:
     return _labels_fixed(comp, m, ks)
 
 
-def table_conductors(m: int, a: int, via: str = "auto") -> np.ndarray:
+def table_conductors(m: int, a: int) -> np.ndarray:
     """Conductors of all characters of C_m wr S_a, in the order of
-    ``irr_labels(m, a)``; ``via`` as in :func:`conductor_of_char`."""
-    if _route(m, a, via) == "values":
+    ``irr_labels(m, a)``, by the route ``VALUES_ROUTE_MAX_LABELS`` picks."""
+    _check_label_count(m, a)
+    if _label_count(m, a) <= VALUES_ROUTE_MAX_LABELS:
         return get_table(m, a).conductors()
     return conductors_from_fixedness(_table_fixed(m, a, unit_residues(m)), m)
 
 
-def table_hd_fixed(m: int, a: int, d: int, via: str = "auto") -> np.ndarray:
+def table_hd_fixed(m: int, a: int, d: int) -> np.ndarray:
     """For every character of C_m wr S_a (order of ``irr_labels(m, a)``),
-    whether it is fixed by every sigma_k with k = 1 mod d; ``via`` as in
-    :func:`h_d_invariant`."""
-    if _route(m, a, via) == "values":
+    whether it is fixed by every sigma_k with k = 1 mod d, by the route
+    ``VALUES_ROUTE_MAX_LABELS`` picks."""
+    _check_label_count(m, a)
+    if _label_count(m, a) <= VALUES_ROUTE_MAX_LABELS:
         return get_table(m, a).hd_fixed_rows(d)
     return _table_fixed(m, a, hd_residues(m, d)).all(axis=0)
 
@@ -554,66 +487,33 @@ def _check_label(label, m: int, a: int | None):
     return label, total
 
 
-def conductor_of_char(label, m: int, a: int | None = None, via: str = "auto") -> int:
+def conductor_of_char(label, m: int, a: int | None = None) -> int:
     """Smallest c | m with all values of chi_label in Q(zeta_c).
 
-    via="values": sweep divisors testing Galois fixedness of the label's row
-    of the table (requires building the full table).
-    via="label": use the component-permutation stabilizer of the label; this
-    rests on the relabeling equivariance, which is itself value-tested on all
-    small tables.
-    via="auto": values when C_m wr S_a has at most VALUES_ROUTE_MAX_LABELS
-    characters (counted, not listed), label otherwise.
+    When C_m wr S_a has at most VALUES_ROUTE_MAX_LABELS characters (counted,
+    not listed), the label's row of the full table is tested for Galois
+    fixedness; above that, the component-permutation stabilizer of the label
+    answers, without building the table.
     """
     label, a = _check_label(label, m, a)
-    fixed = _label_fixed(label, m, a, unit_residues(m), via)
+    fixed = _label_fixed(label, m, a, unit_residues(m))
     return int(conductors_from_fixedness(fixed, m)[0])
 
 
-def h_d_invariant(label, m: int, a: int | None = None, d: int = 1, via: str = "auto") -> bool:
+def h_d_invariant(label, m: int, a: int | None = None, d: int = 1) -> bool:
     """Whether chi_label is fixed by every sigma_k with k = 1 mod d.
 
     The subgroup is {k in (Z/NZ)^x : k = 1 mod d} at the common modulus
     N = lcm(m, d); its residues act on Q(zeta_m) through their reductions
-    mod m.  ``via`` as in :func:`conductor_of_char`.
+    mod m.  The route is chosen as in :func:`conductor_of_char`.
     """
     label, a = _check_label(label, m, a)
-    return bool(_label_fixed(label, m, a, hd_residues(m, d), via).all())
+    return bool(_label_fixed(label, m, a, hd_residues(m, d)).all())
 
 
 # ---------------------------------------------------------------------------
-# the index-2 subgroup G(m,2,a) and Clifford restriction
+# the explicit groups C_m wr S_a and G(m,2,a)
 # ---------------------------------------------------------------------------
-
-
-def twist_label(label, m: int):
-    """Tensoring with the sign-of-color-sum linear character shifts components
-    by m/2."""
-    if m % 2 != 0:
-        raise ValueError("twist requires even m")
-    half = m // 2
-    return tuple(label[(j + half) % m] for j in range(m))
-
-
-def colored_type(element, m: int) -> WreathClass:
-    """Colored cycle type of (f, sigma): cycle lengths with color = sum of f."""
-    f, sigma = element
-    a = len(f)
-    seen = [False] * a
-    cycles = []
-    for start in range(a):
-        if seen[start]:
-            continue
-        length = 0
-        color = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            color += f[i]
-            i = sigma[i]
-            length += 1
-        cycles.append((length, color % m))
-    return WreathClass(cycles)
 
 
 class _Pairs:
@@ -702,78 +602,3 @@ def get_subgroup(m: int, a: int) -> ColoredPermGroup:
 @lru_cache(maxsize=None)
 def get_subgroup_table(m: int, a: int) -> CharacterTable:
     return CharacterTable.dixon(get_subgroup(m, a))
-
-
-@dataclass(frozen=True)
-class IndexTwoConstituent:
-    """One irreducible constituent of a restriction to G(m,2,a)."""
-
-    orbit: tuple  # canonical wreath label of the orbit {label, twisted label}
-    tag: str  # "full" for irreducible restrictions, "plus"/"minus" for splits
-    degree: int
-    multiplicity: int
-    values: tuple | None = None  # values on subgroup classes (splits only)
-
-
-def restrict_index2(label, m: int, a: int | None = None) -> list[IndexTwoConstituent]:
-    """Decompose the restriction of chi_label to G(m,2,a) (m even).
-
-    A label moved by the m/2-component shift restricts irreducibly; a fixed
-    label splits into two constituents.  The split pieces are located inside
-    an independently computed exact table of the subgroup by inner products;
-    "plus" is the constituent whose serialized value row is lexicographically
-    smaller at the first subgroup class where the two differ.
-    """
-    if m % 2 != 0:
-        raise ValueError("restriction target G(m,2,a) requires even m")
-    label, a = _check_label(label, m, a)
-    twisted = twist_label(label, m)
-    deg = degree(label)
-    if twisted != label:
-        orbit = min(label, twisted, key=_label_sort_key)
-        return [IndexTwoConstituent(orbit, "full", deg, 1)]
-    sub_table = get_subgroup_table(m, a)
-    # chi restricted to subgroup classes, via the parent colored type
-    parent = get_table(m, a)
-    chi_values = []
-    for rep in sub_table.class_reps:
-        cls = colored_type(rep, m)
-        chi_values.append(
-            parent.value(parent.label_index[label], parent.class_index[cls.cycles])
-        )
-    found = []
-    for psi in sub_table.characters:
-        acc = CyclotomicNumber.zero()
-        for size, chi, value in zip(sub_table.class_sizes, chi_values, psi):
-            acc = acc + size * chi * value.conjugate()
-        mult = acc / sub_table.order
-        if not mult.is_rational():
-            raise AssertionError("non-rational inner product")
-        mult_q = mult.rational_value()
-        if mult_q.denominator != 1 or mult_q < 0:
-            raise AssertionError(f"bad multiplicity {mult_q}")
-        if mult_q:
-            found.append((psi, int(mult_q)))
-    if [mlt for _, mlt in found] != [1, 1]:
-        raise AssertionError(
-            f"twist-fixed restriction did not split into two: {found}"
-        )
-    (psi1, _), (psi2, _) = found
-    k0 = next(k for k, (x, y) in enumerate(zip(psi1, psi2)) if x.to_dict() != y.to_dict())
-    if _value_key(psi2[k0]) < _value_key(psi1[k0]):
-        psi1, psi2 = psi2, psi1
-    assert psi1[0].rational_value() + psi2[0].rational_value() == deg
-    return [
-        IndexTwoConstituent(label, "plus", int(psi1[0].rational_value()), 1, tuple(psi1)),
-        IndexTwoConstituent(label, "minus", int(psi2[0].rational_value()), 1, tuple(psi2)),
-    ]
-
-
-def _label_sort_key(label):
-    return tuple(p.parts for p in label)
-
-
-def _value_key(x: CyclotomicNumber):
-    return tuple(
-        (e, c.numerator, c.denominator) for e, c in sorted(x.coeffs.items())
-    )

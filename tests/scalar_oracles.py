@@ -1,22 +1,35 @@
 """Scalar oracles shared by the tests: one value at a time, through
 ``cyclotomic.conductor`` and ``cyclotomic.is_fixed_by``; orthogonality as
-sums of ``CyclotomicNumber`` products; one group element at a time, through
-Python multiplications of native elements; one label at a time, through
-``partitions.hooks``, and whole Murnaghan-Nakayama tables from those
-one-label hook removals; polynomial long division over ``Fraction``; powers in
-F_{p^e}, and the Lang images built from them, through repeated
-``FiniteFieldElement`` multiplication, and square roots by exhaustive
-search; one partition at a time for prop75, through
+sums of ``CyclotomicNumber`` products; groups given by elements and a Python
+multiplication (``FiniteGroup``), one group element at a time, and their
+regular representations as colored-permutation groups; one label at a time,
+through ``partitions.hooks``, and whole Murnaghan-Nakayama tables from those
+one-label hook removals; the C_m wr S_a labels as sorted tuples of
+partitions, their degrees by the hook length formula, the Galois action on
+them checked value by value, and the restriction of a character to
+G(m,2,a) by Clifford theory and inner products; polynomial long division
+over ``Fraction``, generic degrees by the quotient of q-integer products and
+characteristic polynomials of Weyl elements on the reflection
+representation; powers in F_{p^e}, and the Lang images built from them,
+through repeated ``FiniteFieldElement`` multiplication, and square roots by
+exhaustive search; one partition at a time for prop75, through
 ``extension_field_typeA``; and the l-power subgroup by a gcd scan."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 import charverify.fields as fields_mod
-from charverify.cyclotomic import CyclotomicNumber, conductor, is_fixed_by
-from charverify.grouptable import FiniteGroup
+from charverify.cyclotomic import (
+    CyclotomicNumber,
+    _reduction_matrix,
+    conductor,
+    is_fixed_by,
+    unit_residues,
+)
+from charverify.grouptable import ColoredPermGroup
 from charverify.ladic import hd_subgroup
 from charverify.langmap import (
     FiniteFieldElement,
@@ -24,8 +37,16 @@ from charverify.langmap import (
     jacobi_symbol,
     sqrt_in_quadratic,
 )
-from charverify.partitions import hooks, partition_tuples, partitions_of
-from charverify.wreath import class_labels
+from charverify.partitions import Partition, hooks, partitions_of
+from charverify.qpoly import QPolynomial
+from charverify.weyl import _canon_series, sp_cycles
+from charverify.wreath import (
+    WreathClass,
+    _check_label,
+    class_labels,
+    get_subgroup_table,
+    get_table,
+)
 
 
 def scalar_row_answers(rows, ds):
@@ -80,6 +101,122 @@ def product_mul(muls):
     return mul
 
 
+class FiniteGroup:
+    """An explicit finite group: elements, a Python multiplication, identity.
+
+    Its classes, inverses and element orders come from one ``mul`` call at
+    a time; it is the oracle of ``ColoredPermGroup``, and
+    ``regular_representation`` hands it to ``CharacterTable.dixon``.
+    """
+
+    def __init__(self, elements, mul, identity, generators=None, name=""):
+        self.elements = sorted(elements)
+        self.index = {g: i for i, g in enumerate(self.elements)}
+        if len(self.index) != len(self.elements):
+            raise ValueError("duplicate elements")
+        if identity not in self.index:
+            raise ValueError("identity not among elements")
+        self.mul = mul
+        self.identity = identity
+        self.name = name
+        self.generators = list(generators) if generators is not None else None
+        self._inverses = {}
+        self._orders = {}
+        self._classes = None
+
+    @property
+    def order(self):
+        return len(self.elements)
+
+    def _order_and_inverse(self, g):
+        if g not in self._orders:
+            prev, acc, n = g, g, 1
+            while acc != self.identity:
+                prev = acc
+                acc = self.mul(acc, g)
+                n += 1
+            self._orders[g] = n
+            self._inverses[g] = prev if n > 1 else g
+        return self._orders[g], self._inverses[g]
+
+    def inverse(self, g):
+        return self._order_and_inverse(g)[1]
+
+    def element_order(self, g):
+        return self._order_and_inverse(g)[0]
+
+    def exponent(self):
+        """lcm of the element orders; order is a class function, so the
+        class representatives suffice."""
+        return math.lcm(*(self.element_order(c[0]) for c in self.conjugacy_classes()))
+
+    def conjugacy_classes(self):
+        """Classes as sorted element lists; identity class first, the rest
+        ordered by (size, representative)."""
+        if self._classes is not None:
+            return self._classes
+        conjugators = self.generators if self.generators else self.elements
+        conj_pairs = [(t, self.inverse(t)) for t in conjugators]
+        seen = set()
+        classes = []
+        for g in self.elements:
+            if g in seen:
+                continue
+            orbit = {g}
+            frontier = [g]
+            while frontier:
+                x = frontier.pop()
+                for t, t_inv in conj_pairs:
+                    y = self.mul(self.mul(t, x), t_inv)
+                    if y not in orbit:
+                        orbit.add(y)
+                        frontier.append(y)
+            orbit = sorted(orbit)
+            seen.update(orbit)
+            classes.append(orbit)
+        id_cls = next(c for c in classes if self.identity in c)
+        rest = [c for c in classes if c is not id_cls]
+        rest.sort(key=lambda c: (len(c), c[0]))
+        self._classes = [id_cls] + rest
+        return self._classes
+
+
+class RegularEncoding:
+    """The elements of a FiniteGroup as the rows of its regular
+    representation: g is the row that sends the identity's index to g's."""
+
+    def __init__(self, group):
+        self.group = group
+        self.e = group.index[group.identity]
+        self.radices = (group.order,)
+
+    def digits(self, perm, color):
+        return perm[..., self.e : self.e + 1]
+
+    def encode(self, g):
+        group = self.group
+        return [group.index[group.mul(g, x)] for x in group.elements], [0] * group.order
+
+    def decode(self, perm, color):
+        return self.group.elements[int(perm[self.e])]
+
+
+def regular_representation(group):
+    """A FiniteGroup acting on its element indices by x -> gx, as a
+    ColoredPermGroup with m = 1, rows in the order of ``elements``."""
+    perm = [[group.index[group.mul(g, x)] for x in group.elements] for g in group.elements]
+    return ColoredPermGroup(
+        perm, np.zeros((group.order, group.order), dtype=np.int64), 1,
+        RegularEncoding(group), generators=group.generators or None, name=group.name,
+    )
+
+
+def table_rows(table):
+    """Every row of a CharacterTable as a tuple of its ``value``s."""
+    L, C, _ = table.raw.shape
+    return [tuple(table.value(i, j) for j in range(C)) for i in range(L)]
+
+
 def python_group(group, mul):
     """The FiniteGroup on the elements and generators of a
     ColoredPermGroup, multiplied by ``mul``."""
@@ -89,6 +226,165 @@ def python_group(group, mul):
         group.element(group.identity),
         generators=[group.element(t) for t in group.generators],
     )
+
+
+def partition_tuples(n, components):
+    """All tuples of ``components`` partitions with total size n, sorted:
+    first components by size descending, then in ``partitions_of`` order."""
+    if components == 0:
+        if n == 0:
+            yield ()
+        return
+    for first_size in range(n, -1, -1):
+        for first in partitions_of(first_size):
+            for rest in partition_tuples(n - first_size, components - 1):
+                yield (first,) + rest
+
+
+def num_standard_tableaux(lam):
+    """The number of standard Young tableaux of shape lam, by the hook
+    length formula."""
+    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    return math.factorial(lam.size) // math.prod(lam.hook_lengths())
+
+
+def wreath_degree(label):
+    """chi(1) of C_m wr S_a: multinomial(a; component sizes) times the
+    tableau counts of the components."""
+    label, a = _check_label(label, len(label), None)
+    out = math.factorial(a)
+    for p in label:
+        out //= math.factorial(p.size)
+        out *= num_standard_tableaux(p)
+    return out
+
+
+def char_value(label, cls, m):
+    """The value of chi_label at a class of C_m wr S_a, read from the
+    table by label and cycle type."""
+    label, a = _check_label(label, m, None)
+    if not isinstance(cls, WreathClass):
+        cls = WreathClass(cls)
+    if cls.total != a:
+        raise ValueError(f"class weight {cls.total} does not match label size {a}")
+    table = get_table(m, a)
+    return table.value(table.label_index[label], table.class_index[cls.cycles])
+
+
+def galois_permuted_label(label, m, s):
+    """The label of chi^{sigma_s}: mu^(j) = lambda^(j * s^{-1} mod m)."""
+    if math.gcd(s, m) != 1:
+        raise ValueError(f"s = {s} not coprime to m = {m}")
+    s_inv = pow(s, -1, m)
+    return tuple(label[(j * s_inv) % m] for j in range(m))
+
+
+def verify_galois_equivariance(m, a):
+    """Whether chi^{sigma_s} equals the relabeled character for every unit
+    s mod m, value by value: sigma_s moves the coefficient of zeta_m^e to
+    e * s, so the image's coefficient at e is raw[..., e * s^{-1} mod m];
+    both sides are compared reduced mod Phi_m, in int64."""
+    table = get_table(m, a)
+    R = _reduction_matrix(m)
+    raw = table.raw.astype(np.int64)
+    reduced = raw @ R
+    e = np.arange(m)
+    for s in unit_residues(m):
+        perm = [table.label_index[galois_permuted_label(lab, m, s)] for lab in table.labels]
+        if not np.array_equal(raw[:, :, e * pow(s, -1, m) % m] @ R, reduced[perm]):
+            return False
+    return True
+
+
+def twist_label(label, m):
+    """Tensoring with the sign-of-color-sum linear character shifts the
+    components by m/2."""
+    if m % 2 != 0:
+        raise ValueError("twist requires even m")
+    half = m // 2
+    return tuple(label[(j + half) % m] for j in range(m))
+
+
+def colored_type(element, m):
+    """Colored cycle type of (f, sigma): cycle lengths with color = sum of f."""
+    f, sigma = element
+    seen = [False] * len(f)
+    cycles = []
+    for start in range(len(f)):
+        if seen[start]:
+            continue
+        length = color = 0
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            color += f[i]
+            i = sigma[i]
+            length += 1
+        cycles.append((length, color % m))
+    return WreathClass(cycles)
+
+
+@dataclass(frozen=True)
+class IndexTwoConstituent:
+    """One irreducible constituent of a restriction to G(m,2,a)."""
+
+    orbit: tuple  # canonical wreath label of the orbit {label, twisted label}
+    tag: str  # "full" for irreducible restrictions, "plus"/"minus" for splits
+    degree: int
+    multiplicity: int
+    values: tuple | None = None  # values on subgroup classes (splits only)
+
+
+def restrict_index2(label, m, a=None):
+    """The restriction of chi_label to G(m,2,a) (m even), by Clifford
+    theory: a label moved by the m/2-component shift restricts irreducibly;
+    a fixed label splits into two constituents, found among the rows of the
+    Dixon table of G(m,2,a) by inner products.  "plus" is the constituent
+    whose serialized value is lexicographically smaller at the first
+    subgroup class where the two differ."""
+    if m % 2 != 0:
+        raise ValueError("restriction target G(m,2,a) requires even m")
+    label, a = _check_label(label, m, a)
+    twisted = twist_label(label, m)
+    deg = wreath_degree(label)
+    if twisted != label:
+        orbit = min(label, twisted, key=lambda lab: tuple(p.parts for p in lab))
+        return [IndexTwoConstituent(orbit, "full", deg, 1)]
+    sub_table = get_subgroup_table(m, a)
+    parent = get_table(m, a)
+    row = parent.label_index[label]
+    chi_values = [
+        parent.value(row, parent.class_index[colored_type(rep, m).cycles])
+        for rep in sub_table.class_reps
+    ]
+    found = []
+    for psi in table_rows(sub_table):
+        acc = CyclotomicNumber(1)
+        for size, chi, value in zip(sub_table.class_sizes, chi_values, psi):
+            acc = acc + size * chi * value.conjugate()
+        mult = acc / sub_table.order
+        if not mult.is_rational():
+            raise AssertionError("non-rational inner product")
+        mult_q = mult.rational_value()
+        if mult_q.denominator != 1 or mult_q < 0:
+            raise AssertionError(f"bad multiplicity {mult_q}")
+        if mult_q:
+            found.append((psi, int(mult_q)))
+    if [mlt for _, mlt in found] != [1, 1]:
+        raise AssertionError(f"twist-fixed restriction did not split into two: {found}")
+    (psi1, _), (psi2, _) = found
+
+    def key(x):
+        return tuple((e, c.numerator, c.denominator) for e, c in sorted(x.coeffs.items()))
+
+    k0 = next(k for k, (x, y) in enumerate(zip(psi1, psi2)) if x.to_dict() != y.to_dict())
+    if key(psi2[k0]) < key(psi1[k0]):
+        psi1, psi2 = psi2, psi1
+    assert psi1[0].rational_value() + psi2[0].rational_value() == deg
+    return [
+        IndexTwoConstituent(label, "plus", int(psi1[0].rational_value()), 1, tuple(psi1)),
+        IndexTwoConstituent(label, "minus", int(psi2[0].rational_value()), 1, tuple(psi2)),
+    ]
 
 
 def hook_op_entries(m, s, c):
@@ -152,6 +448,51 @@ def fraction_divmod(num, den):
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
     return quo, rem
+
+
+def q_int_product(degrees):
+    """The product of q^k - 1 over the given k."""
+    out = QPolynomial([1])
+    for k in degrees:
+        out = out * (QPolynomial.monomial(k) - QPolynomial([1]))
+    return out
+
+
+def generic_degree_typeA_by_division(lam):
+    """The generic degree of the unipotent character labelled by lam, by
+    the quotient formula q^{n(lambda)} prod(q^i - 1) / prod(q^h - 1), h the
+    hook lengths; the exact division checks integrality."""
+    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    num = QPolynomial.monomial(lam.n_stat()) * q_int_product(range(1, lam.size + 1))
+    return num.exact_div(q_int_product(lam.hook_lengths()))
+
+
+def evaluate(poly, x):
+    """A QPolynomial at x (int or Fraction), by Horner's rule."""
+    acc = 0
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def reflection_charpoly(series, r, twisted, w):
+    """The exact characteristic polynomial of (the coset element of) the
+    signed word w on the reflection representation, one block per signed
+    cycle."""
+    series = _canon_series(series)
+    poly = QPolynomial([1])
+    q = QPolynomial.monomial(1)
+    one = QPolynomial([1])
+    for c, sign in sp_cycles(w):
+        if series == "A" and twisted:
+            # block of -P on a c-cycle: q^c - (-1)^c
+            block = q**c - one if c % 2 == 0 else q**c + one
+        else:
+            block = q**c - one if sign > 0 else q**c + one
+        poly = poly * block
+    if series == "A":
+        poly = poly.exact_div(q + one if twisted else q - one)
+    return poly
 
 
 def power_by_multiplication(x, exponent):
@@ -243,14 +584,14 @@ def scalar_orthogonality(values, class_sizes, group_order):
     rows_ok = cols_ok = True
     for i, chi in enumerate(values):
         for j, psi in enumerate(values):
-            acc = CyclotomicNumber.zero()
+            acc = CyclotomicNumber(1)
             for k, size in enumerate(class_sizes):
                 acc = acc + size * chi[k] * psi[k].conjugate()
             if acc != (group_order if i == j else 0):
                 rows_ok = False
     for k, size in enumerate(class_sizes):
         for l in range(len(class_sizes)):
-            acc = CyclotomicNumber.zero()
+            acc = CyclotomicNumber(1)
             for chi in values:
                 acc = acc + chi[k] * chi[l].conjugate()
             if acc != (group_order // size if k == l else 0):

@@ -212,6 +212,13 @@ class TestMainEntry:
         assert main(["--query", "2-core"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lam", ["(2,)", "(2,1)"], ids=["trivial", "nontrivial"])
+    @pytest.mark.parametrize("ell,q", [(9, 2), (2, 3), (4, 3), (3, 3)])
+    def test_field_query_outside_the_domain_exits_two(self, capsys, lam, ell, q):
+        argv = ["--query", "field", "eps=1", f"lambda={lam}", f"ell={ell}", f"q={q}", "r=1"]
+        assert main(argv) == 2
+        assert "odd prime" in capsys.readouterr().err
+
     def test_list_suites(self, capsys):
         assert main(["--list-suites"]) == 0
         out = capsys.readouterr().out

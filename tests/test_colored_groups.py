@@ -28,7 +28,7 @@ from charverify.weyl import (
     weyl_order,
 )
 from charverify.wreath import get_full_group, get_subgroup
-from scalar_oracles import pair_mul, product_mul, python_group
+from scalar_oracles import pair_mul, product_mul, python_group, regular_representation
 from test_grouptable import quaternion_group, symmetric_group
 from test_weyl import _weyl_match_cases
 
@@ -71,7 +71,7 @@ def all_groups():
         (label, group, python_group(group, mul)) for label, group, mul in default_groups()
     ]
     for label, fg in (("S4", symmetric_group(4)), ("Q8", quaternion_group())):
-        out.append((label, fg.regular_representation(), fg))
+        out.append((label, regular_representation(fg), fg))
     d8 = weyl_group("B", 2)
     out.append(("D8", d8, python_group(d8, sp_mul)))
     return tuple(out)

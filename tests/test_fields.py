@@ -84,12 +84,18 @@ class TestFieldDescriptor:
         assert TRIVIAL.resolve(7, 2).is_trivial
 
     def test_resolve_requires_valid_ell(self):
-        with pytest.raises(ValueError):
-            SQRT_Q.resolve(6, 2)  # not prime
-        with pytest.raises(ValueError):
-            SQRT_Q.resolve(2, 3)  # even prime excluded
-        with pytest.raises(ValueError):
-            SQRT_Q.resolve(7, 7)  # ell divides q
+        # whatever the descriptor holds: a trivial one has no part to check
+        for desc in (TRIVIAL, SQRT_Q, SQRT_MINUS_Q):
+            with pytest.raises(ValueError):
+                desc.resolve(6, 2)  # not prime
+            with pytest.raises(ValueError):
+                desc.resolve(9, 2)  # not prime
+            with pytest.raises(ValueError):
+                desc.resolve(2, 3)  # even prime excluded
+            with pytest.raises(ValueError):
+                desc.resolve(7, 7)  # ell divides q
+            with pytest.raises(ValueError):
+                desc.resolve(5, 25)  # ell divides q
 
 
 class TestFrobeniusClass:

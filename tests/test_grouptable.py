@@ -18,7 +18,6 @@ from charverify.cyclotomic import (
 )
 from charverify.grouptable import (
     CharacterTable,
-    FiniteGroup,
     _charpoly,
     _check_int64,
     _compact_dtype,
@@ -30,7 +29,17 @@ from charverify.grouptable import (
 from charverify.ladic import hd_residues
 from charverify.weyl import group_fingerprint, weyl_group
 
-from scalar_oracles import scalar_orthogonality
+from scalar_oracles import (
+    FiniteGroup,
+    regular_representation,
+    scalar_orthogonality,
+    table_rows,
+)
+
+
+def dixon(group):
+    """The Dixon table of a FiniteGroup, through its regular representation."""
+    return CharacterTable.dixon(regular_representation(group))
 
 
 def perm_mul(a, b):
@@ -140,33 +149,33 @@ class TestFiniteGroup:
 
 class TestDixon:
     def test_s3_table(self):
-        table = CharacterTable.dixon(symmetric_group(3))
+        table = dixon(symmetric_group(3))
         assert table.degrees == [1, 1, 2]
         # classes: identity, then 3-cycles (size 2), then transpositions (size 3)
         assert table.class_sizes == [1, 2, 3]
-        rows = [[v.rational_value() for v in row] for row in table.characters]
+        rows = [[v.rational_value() for v in row] for row in table_rows(table)]
         assert [1, 1, 1] in rows
         assert [1, 1, -1] in rows
         assert [2, -1, 0] in rows
 
     def test_s4_degrees(self):
-        table = CharacterTable.dixon(symmetric_group(4))
+        table = dixon(symmetric_group(4))
         assert table.degrees == [1, 1, 2, 3, 3]
         assert table.sum_of_degree_squares() == 24
 
     def test_c4_values_are_fourth_roots(self):
-        table = CharacterTable.dixon(cyclic_group(4))
+        table = dixon(cyclic_group(4))
         assert table.degrees == [1, 1, 1, 1]
         # every value is zeta_4^k; the table contains a faithful character
-        values = [v for row in table.characters for v in row]
+        values = [v for row in table_rows(table) for v in row]
         i = root_of_unity(4, 1)
         assert any(v == i for v in values)
         assert any(v == -1 for v in values)
 
     def test_quaternion(self):
-        table = CharacterTable.dixon(quaternion_group())
+        table = dixon(quaternion_group())
         assert table.degrees == [1, 1, 1, 1, 2]
-        two_dim = table.characters[-1]
+        two_dim = table_rows(table)[-1]
         vals = sorted(
             v.rational_value() for v in two_dim
         )
@@ -174,14 +183,14 @@ class TestDixon:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 6, 8, 12])
     def test_cyclic_linear(self, n):
-        table = CharacterTable.dixon(cyclic_group(n))
+        table = dixon(cyclic_group(n))
         assert table.degrees == [1] * n
         assert table.verify_row_orthogonality()
         assert table.verify_column_orthogonality()
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_symmetric_orthogonality(self, n):
-        table = CharacterTable.dixon(symmetric_group(n))
+        table = dixon(symmetric_group(n))
         assert table.verify_row_orthogonality()
         assert table.verify_column_orthogonality()
         import math
@@ -190,8 +199,8 @@ class TestDixon:
 
     def test_values_are_algebraic_integer_combinations(self):
         # all character values lie in Z[zeta_o] with integer coordinates
-        table = CharacterTable.dixon(symmetric_group(4))
-        for row in table.characters:
+        table = dixon(symmetric_group(4))
+        for row in table_rows(table):
             for v in row:
                 for _, num, den in v.to_triples():
                     assert den == 1
@@ -200,13 +209,13 @@ class TestDixon:
         # W(B2) is the dihedral group of order 8; Q8 has the same order,
         # degrees and class sizes, but three classes of elements of order 4
         fp_d = group_fingerprint(weyl_group("B", 2))
-        fp_q = group_fingerprint(quaternion_group())
+        fp_q = group_fingerprint(regular_representation(quaternion_group()))
         assert fp_d[:2] == fp_q[:2] == (8, (1, 1, 1, 1, 2))
         assert fp_d != fp_q
 
     def test_first_column_is_degree(self):
-        table = CharacterTable.dixon(quaternion_group())
-        for row, deg in zip(table.characters, table.degrees):
+        table = dixon(quaternion_group())
+        for row, deg in zip(table_rows(table), table.degrees):
             assert row[0] == Fraction(deg)
 
 
@@ -247,9 +256,9 @@ class TestOrthogonality:
 
     @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
     def test_matches_scalar_oracle(self, name):
-        table = CharacterTable.dixon(SMALL_GROUPS[name]())
+        table = dixon(SMALL_GROUPS[name]())
         order = table.group.order
-        assert scalar_orthogonality(table.characters, table.class_sizes, order) == (
+        assert scalar_orthogonality(table_rows(table), table.class_sizes, order) == (
             True,
             True,
         )
@@ -258,7 +267,7 @@ class TestOrthogonality:
 
     @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
     def test_perturbed_entry_fails_both(self, name):
-        table = CharacterTable.dixon(SMALL_GROUPS[name]())
+        table = dixon(SMALL_GROUPS[name]())
         order = table.group.order
         L, C, _ = table.raw.shape
         for i, j in ((L - 1, C - 1), (0, C - 1), (L - 1, 1 % C)):
@@ -267,18 +276,18 @@ class TestOrthogonality:
             assert orthogonality(table, raw, table.class_sizes, order) == (False, False)
             broken = CharacterTable(raw, table.class_sizes, table.class_orders, order)
             assert scalar_orthogonality(
-                broken.characters, table.class_sizes, order
+                table_rows(broken), table.class_sizes, order
             ) == (False, False)
 
     def test_wrong_class_size_fails(self):
-        table = CharacterTable.dixon(symmetric_group(3))
+        table = dixon(symmetric_group(3))
         sizes = list(table.class_sizes)
         sizes[-1] += 1
         rows_ok, cols_ok = orthogonality(table, table.raw, sizes, table.group.order)
         assert not rows_ok and not cols_ok
 
     def test_overflow_refused_up_front(self):
-        table = CharacterTable.dixon(cyclic_group(6))
+        table = dixon(cyclic_group(6))
         # ``raw`` is stored compact (int8 here): widen before scaling
         wide = table.raw.astype(np.int64)
         raw = wide * 2**24
@@ -367,7 +376,7 @@ class TestCompactStore:
 
     def test_dixon_tables_are_narrowed(self):
         for name, build in sorted(SMALL_GROUPS.items()):
-            table = CharacterTable.dixon(build())
+            table = dixon(build())
             assert table.raw.dtype == np.int8, name
             assert not table.raw.flags.writeable, name
 

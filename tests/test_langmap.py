@@ -91,17 +91,15 @@ class TestFieldArithmetic:
             if c.is_zero:
                 continue
             assert c ** (p * p - 1) == one
-            assert c * c.inverse() == one
+            assert c * power_by_multiplication(c, -1) == one
 
     def test_pow_negative(self):
         c = FiniteFieldElement(7, (2, 3))
-        assert c**-2 == (c.inverse()) ** 2
+        assert c**-2 == power_by_multiplication(c, -1) ** 2
         assert c**0 == ff(7, 1, 2)
 
     def test_zero_rejections(self):
         zero = ff(7, 0)
-        with pytest.raises(ZeroDivisionError):
-            zero.inverse()
         with pytest.raises(ZeroDivisionError):
             zero**-1
 
@@ -124,10 +122,10 @@ class TestSqrtSearch:
     def test_residues_stay_in_prime_field(self):
         # 2 is a square mod 7 (4^2 = 2), so its root is a prime-field value.
         c = sqrt_in_quadratic(7, 2)
-        assert c.in_prime_field
+        assert c.coeffs[1] == 0
         # 3 is a non-residue mod 7: the root needs the extension.
         c = sqrt_in_quadratic(7, 3)
-        assert not c.in_prime_field
+        assert c.coeffs[1] != 0
 
     @pytest.mark.parametrize("p", SWEEP_PRIMES)
     def test_root_table_matches_exhaustive_search(self, p):

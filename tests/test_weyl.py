@@ -21,7 +21,6 @@ from charverify.weyl import (
     group_fingerprint,
     max_eigen_multiplicity,
     predicted_relative_weyl,
-    reflection_charpoly,
     relevant_d_values,
     relative_weyl_descriptor,
     sp_cycles,
@@ -33,7 +32,13 @@ from charverify.weyl import (
 from charverify.qpoly import QPolynomial, phi_d_valuation
 from charverify.wreath import get_full_group
 from charverify.suites import suite_defaults
-from scalar_oracles import scalar_row_answers
+from scalar_oracles import (
+    FiniteGroup,
+    reflection_charpoly,
+    regular_representation,
+    scalar_row_answers,
+    table_rows,
+)
 
 
 class TestWords:
@@ -114,7 +119,7 @@ class TestCharpoly:
             refl = reflection_charpoly("A", r, False, w)
             full = self._matrix_charpoly(w)
             assert list((refl * (q - one)).coeffs) == [int(c) for c in full]
-            assert refl.degree == r
+            assert len(refl.coeffs) - 1 == r
 
     def test_twisted_a_coset_matrix(self):
         r = 3
@@ -332,10 +337,8 @@ class TestRelativeWeyl:
 
 class TestHdFixedness:
     def test_cyclic_table_fixedness(self):
-        from charverify.grouptable import FiniteGroup
-
         g = FiniteGroup(range(3), lambda x, y: (x + y) % 3, 0, generators=[1])
-        table = CharacterTable.dixon(g)
+        table = CharacterTable.dixon(regular_representation(g))
         # values generate Q(zeta_3): fixed by H_[3] but not by H_[1]
         assert character_values_hd_fixed(table, 3)
         assert not character_values_hd_fixed(table, 1)
@@ -372,7 +375,7 @@ def test_centralizer_tables_against_scalar_oracles():
         seen.add(id(group))
         table = _dixon_of(group)
         ds = range(1, 13)
-        expected = scalar_row_answers(table.characters, ds)
+        expected = scalar_row_answers(table_rows(table), ds)
         assert table.conductors().tolist() == [c for c, _ in expected], (series, r, tw, d)
         for e in ds:
             got = table.hd_fixed_rows(e).tolist()

@@ -1,4 +1,5 @@
-"""Tests for wreath-product character tables, conductors, and restrictions."""
+"""Tests for wreath-product character tables, conductors, and restrictions
+(the restriction to G(m,2,a) is the oracle in ``scalar_oracles``)."""
 
 import hashlib
 import json
@@ -9,9 +10,15 @@ import numpy as np
 import pytest
 
 from charverify import cli, partitions, wreath
-from charverify.cyclotomic import CyclotomicNumber, conductor
+from charverify.cyclotomic import (
+    CyclotomicNumber,
+    conductor,
+    conductors_from_fixedness,
+    unit_residues,
+)
 from charverify.grouptable import CharacterTable, _compact_dtype
-from charverify.partitions import Partition, partition_tuples
+from charverify.ladic import hd_residues
+from charverify.partitions import Partition
 from charverify.wreath import (
     MAX_LABELS,
     MAX_TABLE_BYTES,
@@ -25,32 +32,35 @@ from charverify.wreath import (
     _label_index,
     _label_ranks,
     _labels_by_size,
-    IndexTwoConstituent,
+    _table_fixed,
     WreathClass,
-    char_value,
     class_labels,
-    colored_type,
     conductor_of_char,
-    degree,
-    galois_permuted_label,
     get_full_group,
     get_subgroup,
     get_subgroup_table,
     get_table,
     h_d_invariant,
     irr_labels,
-    restrict_index2,
     table_conductors,
     table_hd_fixed,
-    twist_label,
-    verify_galois_equivariance,
 )
 from scalar_oracles import (
+    IndexTwoConstituent,
+    char_value,
+    colored_type,
+    galois_permuted_label,
     hook_op_entries,
     mn_raw_by_hooks,
     pair_mul,
+    partition_tuples,
+    restrict_index2,
     scalar_orthogonality,
     scalar_row_answers,
+    table_rows,
+    twist_label,
+    verify_galois_equivariance,
+    wreath_degree,
 )
 
 P = Partition
@@ -130,7 +140,7 @@ class TestCharacterValues:
     def test_degree_formula_matches_identity_value(self, m, a):
         table = get_table(m, a)
         for i, lab in enumerate(table.labels):
-            assert table.degrees[i] == degree(lab)
+            assert table.degrees[i] == wreath_degree(lab)
 
     @pytest.mark.parametrize("m,a", [(2, 2), (2, 3), (3, 2), (4, 2), (6, 2), (5, 2)])
     def test_sum_of_degree_squares(self, m, a):
@@ -165,7 +175,7 @@ class TestDixonOracle:
             ]
             hits = [
                 j
-                for j, drow in enumerate(dixon.characters)
+                for j, drow in enumerate(table_rows(dixon))
                 if all(u == v for u, v in zip(row, drow))
             ]
             assert len(hits) == 1, f"row {i} matched {hits}"
@@ -205,7 +215,7 @@ class TestOrthogonality:
         table = get_subgroup_table(m, a)
         order = table.group.order
         assert table.verify_row_orthogonality() and table.verify_column_orthogonality()
-        assert scalar_orthogonality(table.characters, table.class_sizes, order) == (
+        assert scalar_orthogonality(table_rows(table), table.class_sizes, order) == (
             True,
             True,
         )
@@ -240,10 +250,11 @@ class TestGaloisAction:
 
     @pytest.mark.parametrize("m,a", [(3, 2), (4, 2), (5, 2), (6, 2), (6, 3)])
     def test_label_route_matches_values_route(self, m, a):
-        for lab in irr_labels(m, a):
-            assert conductor_of_char(lab, m, via="label") == conductor_of_char(
-                lab, m, via="values"
-            )
+        # these tables are small, so conductor_of_char reads their values
+        assert _label_count(m, a) <= VALUES_ROUTE_MAX_LABELS
+        by_labels = conductors_from_fixedness(_table_fixed(m, a, unit_residues(m)), m)
+        for i, lab in enumerate(irr_labels(m, a)):
+            assert conductor_of_char(lab, m) == by_labels[i]
 
     @pytest.mark.parametrize("m,a", [(3, 2), (4, 2), (6, 2)])
     def test_values_route_matches_elementwise_conductor(self, m, a):
@@ -260,7 +271,8 @@ class TestHdInvariance:
     def test_frozen_false_example(self):
         lab = (E, P((1,)), E, E)
         assert h_d_invariant(lab, 4, d=2) is False
-        assert h_d_invariant(lab, 4, d=2, via="label") is False
+        by_labels = _table_fixed(4, 1, hd_residues(4, 2)).all(axis=0)
+        assert not by_labels[irr_labels(4, 1).index(lab)]
         assert h_d_invariant(lab, 4, d=4) is True
 
     def test_trivial_when_m_divides_d(self):
@@ -268,26 +280,28 @@ class TestHdInvariance:
         for m, d in [(2, 2), (3, 3), (4, 4), (3, 6), (4, 8), (6, 6)]:
             for a in (1, 2):
                 for lab in irr_labels(m, a):
-                    assert h_d_invariant(lab, m, d=d, via="values")
+                    assert h_d_invariant(lab, m, d=d)
 
     def test_label_route_matches_values_route(self):
         for m, a in [(3, 2), (4, 2), (6, 2), (4, 3)]:
             for d in range(1, 9):
-                for lab in irr_labels(m, a):
-                    assert h_d_invariant(lab, m, d=d, via="label") == h_d_invariant(
-                        lab, m, d=d, via="values"
-                    )
+                by_values = get_table(m, a).hd_fixed_rows(d).tolist()
+                assert _table_fixed(m, a, hd_residues(m, d)).all(axis=0).tolist() == by_values
+                for lab, fixed in zip(irr_labels(m, a), by_values):
+                    assert h_d_invariant(lab, m, d=d) is fixed
 
     def test_residue_class_criterion(self):
         # when m is even, m | 2d but m does not divide d, fixedness under
         # H_[d] is exactly invariance under the shift j -> j * (1 + m/2)
         m, d = 8, 12
         shift = 1 + m // 2
-        for lab in irr_labels(m, 2):
+        by_labels = _table_fixed(m, 2, hd_residues(m, d)).all(axis=0)
+        for i, lab in enumerate(irr_labels(m, 2)):
             expected = all(
                 lab[(j * shift) % m] == lab[j] for j in range(m)
             )
-            assert h_d_invariant(lab, m, d=d, via="label") == expected
+            assert by_labels[i] == expected
+            assert h_d_invariant(lab, m, d=d) == expected
 
 
 class TestIndexTwoRestriction:
@@ -349,10 +363,10 @@ class TestIndexTwoRestriction:
             parts = restrict_index2(lab, m)
             if twist_label(lab, m) == lab:
                 assert len(parts) == 2
-                assert sum(c.degree for c in parts) == degree(lab)
+                assert sum(c.degree for c in parts) == wreath_degree(lab)
             else:
                 assert len(parts) == 1
-                assert parts[0].degree == degree(lab)
+                assert parts[0].degree == wreath_degree(lab)
 
     @pytest.mark.parametrize("m,a", [(2, 2), (4, 2), (2, 3)])
     def test_restriction_norm_oracle(self, m, a):
@@ -362,7 +376,7 @@ class TestIndexTwoRestriction:
         sub = get_subgroup(m, a)
         for lab in table.labels:
             i = table.label_index[lab]
-            acc = CyclotomicNumber.zero()
+            acc = CyclotomicNumber(1)
             for h in sub.elements:
                 t = colored_type(h, m)
                 v = table.value(i, table.class_index[t.cycles])
@@ -378,7 +392,7 @@ class TestIndexTwoRestriction:
         for c in parts:
             hits = [
                 row
-                for row in sub_table.characters
+                for row in table_rows(sub_table)
                 if all(u == v for u, v in zip(c.values, row))
             ]
             assert len(hits) == 1
@@ -425,46 +439,47 @@ class TestWholeTableFixedness:
         table = get_table(m, a)
         ds = range(1, 13)
         expected = scalar_row_answers(wreath_value_rows(table), ds)
-        assert table_conductors(m, a, via="values").tolist() == [c for c, _ in expected]
+        assert table_conductors(m, a).tolist() == [c for c, _ in expected]
         for d in ds:
-            got = table_hd_fixed(m, a, d, via="values").tolist()
+            got = table_hd_fixed(m, a, d).tolist()
             assert got == [f[d] for _, f in expected], d
 
     @pytest.mark.parametrize("m,a", SUBGROUP_CELLS)
     def test_subgroup_tables_against_scalar_oracles(self, m, a):
         table = get_subgroup_table(m, a)
         ds = range(1, 13)
-        expected = scalar_row_answers(table.characters, ds)
+        expected = scalar_row_answers(table_rows(table), ds)
         assert table.conductors().tolist() == [c for c, _ in expected]
         for d in ds:
             assert table.hd_fixed_rows(d).tolist() == [f[d] for _, f in expected], d
 
     @pytest.mark.parametrize("m,a", VALUES_CELLS)
     def test_label_route_matches_values_route(self, m, a):
+        table = get_table(m, a)
         assert (
-            table_conductors(m, a, via="label").tolist()
-            == table_conductors(m, a, via="values").tolist()
+            conductors_from_fixedness(_table_fixed(m, a, unit_residues(m)), m).tolist()
+            == table.conductors().tolist()
         )
         for d in range(1, 13):
             assert (
-                table_hd_fixed(m, a, d, via="label").tolist()
-                == table_hd_fixed(m, a, d, via="values").tolist()
+                _table_fixed(m, a, hd_residues(m, d)).all(axis=0).tolist()
+                == table.hd_fixed_rows(d).tolist()
             ), d
 
     def test_per_label_wrappers_match_table_passes(self):
-        for m, a in [(4, 3), (6, 2), (12, 2)]:
-            conductors = table_conductors(m, a).tolist()
-            fixed = table_hd_fixed(m, a, 2).tolist()
+        """The per-label and whole-table entries agree with the table's own
+        passes, on both sides of VALUES_ROUTE_MAX_LABELS: C_11 wr S_3, with
+        418 characters, takes the label route."""
+        assert _label_count(11, 3) == 418 > VALUES_ROUTE_MAX_LABELS
+        for m, a in [(4, 3), (6, 2), (12, 2), (11, 3)]:
+            table = get_table(m, a)
+            conductors = table.conductors().tolist()
+            fixed = table.hd_fixed_rows(2).tolist()
+            assert table_conductors(m, a).tolist() == conductors
+            assert table_hd_fixed(m, a, 2).tolist() == fixed
             for i, lab in enumerate(irr_labels(m, a)):
-                for via in ("values", "label"):
-                    assert conductor_of_char(lab, m, via=via) == conductors[i]
-                    assert h_d_invariant(lab, m, d=2, via=via) is fixed[i]
-
-    def test_unknown_route_rejected(self):
-        with pytest.raises(ValueError):
-            table_conductors(2, 2, via="guess")
-        with pytest.raises(ValueError):
-            h_d_invariant((P((1,)), E), 2, d=1, via="guess")
+                assert conductor_of_char(lab, m) == conductors[i]
+                assert h_d_invariant(lab, m, d=2) is fixed[i]
 
 
 class TestLabelCount:
@@ -565,9 +580,9 @@ class TestLabelCap:
             lambda: get_table(12, 7),
             lambda: get_table(40, 12),
             lambda: table_conductors(12, 7),
-            lambda: table_conductors(12, 7, via="values"),
             lambda: table_hd_fixed(12, 7, 2),
-            lambda: table_hd_fixed(12, 7, 2, via="label"),
+            lambda: _table_fixed(12, 7, unit_residues(12)),
+            lambda: _table_fixed(12, 7, hd_residues(12, 2)),
         ):
             with pytest.raises(ValueError, match="cap"):
                 call()
@@ -576,6 +591,36 @@ class TestLabelCap:
         for suite in ("thm41", "lemma42"):
             assert cli.main(["--suite", suite, "--params", "max_m=40,max_a=12"]) == 2
         assert capsys.readouterr().err.count("cap") == 2
+
+
+class TestEntryDomain:
+    """m < 1 or a < 0 is refused with ValueError by every whole-table and
+    per-label entry before any count or label is formed, and by the CLI
+    with exit code 2."""
+
+    @pytest.mark.parametrize("m,a", [(0, 2), (-1, 2), (0, 0), (2, -1)])
+    def test_whole_table_entries(self, m, a):
+        for call in (
+            lambda: irr_labels(m, a),
+            lambda: get_table(m, a),
+            lambda: table_conductors(m, a),
+            lambda: table_hd_fixed(m, a, 2),
+            lambda: _table_fixed(m, a, [1]),
+            lambda: _check_label_count(m, a),
+        ):
+            with pytest.raises(ValueError, match="need m >= 1 and a >= 0"):
+                call()
+
+    def test_per_label_entries(self):
+        with pytest.raises(ValueError, match="need m >= 1 and a >= 0"):
+            conductor_of_char((), 0)
+        # H_d at the modulus lcm(m, d) is refused first here
+        with pytest.raises(ValueError):
+            h_d_invariant((), 0, d=2)
+
+    def test_cli_exits_2(self, capsys):
+        assert cli.main(["--query", "conductor", "()", "0"]) == 2
+        assert "need m >= 1 and a >= 0" in capsys.readouterr().err
 
 
 class TestTableBytesCap:
@@ -601,14 +646,13 @@ class TestTableBytesCap:
             monkeypatch.setattr(wreath, name, refuse)
 
     def test_refused_before_building(self, no_building):
-        label = ((1, 1),) + ((),) * 10 + ((2,),)
+        # the values route of every whole-table and per-label entry is
+        # get_table(m, a) and its passes
         for call in (
             lambda: get_table(11, 4),
             lambda: get_table(12, 4),
-            lambda: table_conductors(12, 4, via="values"),
-            lambda: table_hd_fixed(12, 4, 2, via="values"),
-            lambda: conductor_of_char(label, 12, via="values"),
-            lambda: h_d_invariant(label, 12, d=2, via="values"),
+            lambda: get_table(12, 4).conductors(),
+            lambda: get_table(12, 4).hd_fixed_rows(2),
         ):
             with pytest.raises(ValueError, match="cap"):
                 call()
@@ -667,9 +711,10 @@ class TestSharedColumns:
 
 
 # sha256 prefixes of the G(m,2,a) value rows ([[value.to_dict() ...] ...],
-# JSON with sorted keys) and of every restrict_index2 result over
-# irr_labels(m, a), recorded from the tables built before values were
-# stored as a raw array (eagerly built cyclotomic rows)
+# JSON with sorted keys) and of every restrict_index2 result (the Clifford
+# restriction oracle of scalar_oracles) over irr_labels(m, a), recorded from
+# the tables built before values were stored as a raw array (eagerly built
+# cyclotomic rows)
 FROZEN_SUBGROUP_DIGESTS = {
     (2, 1): ("3e3fb645af312a27", "c9aac197a9ccdf2d"),
     (2, 2): ("e56c16382a84b237", "8d7ae3cdc52fc643"),
@@ -690,7 +735,8 @@ def _digest(obj) -> str:
 @pytest.mark.parametrize("m,a", SUBGROUP_CELLS)
 def test_subgroup_rows_and_restrictions_frozen(m, a):
     table = get_subgroup_table(m, a)
-    rows = [[v.to_dict() for v in row] for row in table.characters]
+    values = table_rows(table)
+    rows = [[v.to_dict() for v in row] for row in values]
     restrictions = [
         [
             [list(p.parts) for p in c.orbit],
@@ -703,4 +749,4 @@ def test_subgroup_rows_and_restrictions_frozen(m, a):
         for c in restrict_index2(lab, m)
     ]
     assert (_digest(rows), _digest(restrictions)) == FROZEN_SUBGROUP_DIGESTS[(m, a)]
-    assert table.degrees == [int(row[0].rational_value()) for row in table.characters]
+    assert table.degrees == [int(row[0].rational_value()) for row in values]
