@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import os
 import sys
 
 from . import fields as fields_mod
@@ -40,8 +39,6 @@ QUERY_KINDS = (
     "weyl",
     "field",
 )
-
-DATA_ENV_VAR = "CHARVERIFY_DATA"
 
 
 def _parse_partition(text: str) -> Partition:
@@ -101,7 +98,7 @@ def _parse_kv_args(args: list[str]) -> dict:
     return out
 
 
-def run_query(kind: str, args: list[str], data_path: str | None = None) -> dict:
+def run_query(kind: str, args: list[str]) -> dict:
     """Execute one query; returns a JSON-ready dict with a ``text`` field."""
     if kind == "2-core":
         if len(args) != 1:
@@ -244,8 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--data",
         metavar="PATH",
-        help="override the curated data file (table1 suite); the "
-        f"{DATA_ENV_VAR} environment variable is honoured too",
+        help="override the curated data file (table1 suite)",
     )
     parser.add_argument(
         "--seed",
@@ -303,11 +299,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name:12s} {suite_description(name)}")
         return 0
 
-    data_path = options.data or os.environ.get(DATA_ENV_VAR) or None
-
     if options.query:
         try:
-            result = run_query(options.query, options.args, data_path)
+            result = run_query(options.query, options.args)
         except (ValueError, KeyError, SyntaxError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -333,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
                     f"parameter {key!r} is not accepted by any selected suite"
                 )
         reports = [
-            run_suite(n, _suite_params(n, overrides, data_path)) for n in names
+            run_suite(n, _suite_params(n, overrides, options.data)) for n in names
         ]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,16 +23,13 @@ On top of the descriptor algebra the module implements:
   decided by the size of the 2-core of the labelling partition mod 4;
 * the two-valued Frobenius-eigenvalue bookkeeping for the same characters
   (constant on 2-cores; the exact value rule is pluggable because only
-  constancy is ever used) and, for two-row symbols, a +-1 class that factors
-  through the 1-core (equivalently the defect);
+  constancy is ever used);
 * ``check_prop75``: for every partition of ``n``, the full extension field
   over the ell-adics equals that of its d'-core, where d' is the order of
   ``eps*q`` modulo ``ell``;
 * ``table1_consistency``: structural and number-theoretic checks on the
   curated table of cuspidal unipotent characters with irrational fields
-  (shipped as ``data/cuspidal_fields.json``);
-* ``corollary76_consistency``: the symbol eigenvalue class is constant along
-  d-cores for odd d.
+  (shipped as ``data/cuspidal_fields.json``).
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 from importlib import resources
-from typing import Callable, Iterable
+from typing import Callable
 
 from .cyclotomic import is_fixed_by, root_of_unity
 from .ladic import (
@@ -55,7 +52,6 @@ from .ladic import (
     root_exists_for_integer,
 )
 from .partitions import Partition, _partition_objects, _partitions_of, d_core, two_core
-from .symbols import SymbolBCD, enumerate_symbols, symbol_d_core
 
 __all__ = [
     "FrobeniusClass",
@@ -63,7 +59,6 @@ __all__ = [
     "default_omega_rule",
     "frobenius_class_typeA_twisted",
     "graph_extension_field_typeA",
-    "f0_extension_field",
     "extension_field_typeA",
     "Prop75Case",
     "Prop75Report",
@@ -71,9 +66,6 @@ __all__ = [
     "load_cuspidal_field_data",
     "Table1Report",
     "table1_consistency",
-    "frobenius_sign_symbol",
-    "Cor76Report",
-    "corollary76_consistency",
 ]
 
 
@@ -234,15 +226,6 @@ def graph_extension_field_typeA(eps: int, lam) -> FieldDescriptor:
     if core.size % 4 in (2, 3):
         return FieldDescriptor.adjoin_sqrt(eps)
     return FieldDescriptor.trivial()
-
-
-def f0_extension_field(omega: FrobeniusClass, r: int, ell: int, q) -> FieldDescriptor:
-    """Field generated over the ell-adics by a field-automorphism extension.
-
-    The extension adjoins a root ``z`` with ``z**r = omega``; the result is
-    trivial iff ``X**r - omega`` already has a root in the ell-adic field.
-    """
-    return FieldDescriptor.adjoin_root(r, omega).resolve(ell, q)
 
 
 def extension_field_typeA(
@@ -576,75 +559,4 @@ def table1_consistency(data: dict | None = None) -> Table1Report:
         exceptions_checked=len(exceptions),
         numeric_checks=numeric,
         violations=tuple(violations),
-    )
-
-
-# --------------------------------------------------------------------------
-# Symbol eigenvalue classes along d-cores
-# --------------------------------------------------------------------------
-
-
-def frobenius_sign_symbol(S: SymbolBCD) -> int:
-    """Two-valued (+1/-1) eigenvalue class attached to a two-row symbol.
-
-    The class factors through the 1-core, equivalently through the defect
-    (removing any hook moves an entry within its row, so row lengths and
-    hence the defect never change).  Only this factoring is consumed by the
-    consistency check below; the default puts -1 on defects 2 or 3 mod 4.
-    """
-    core = symbol_d_core(S, 1)
-    return -1 if core.defect % 4 in (2, 3) else 1
-
-
-@dataclass(frozen=True)
-class Cor76Report:
-    """Eigenvalue classes are constant along d-cores (d odd)."""
-
-    d: int
-    checked: int
-    skipped: int
-    mismatches: tuple
-
-    @property
-    def passed(self) -> bool:
-        return not self.mismatches
-
-
-def corollary76_consistency(
-    pairs: Iterable[tuple[SymbolBCD, SymbolBCD]] | None = None,
-    d: int = 3,
-    *,
-    rank_bound: int = 5,
-    max_defect: int = 3,
-) -> Cor76Report:
-    """Check that the symbol eigenvalue class is constant on d-cores.
-
-    With explicit ``pairs``, each pair sharing a d-core must get equal
-    classes (pairs with different d-cores are vacuously skipped).  Without
-    ``pairs``, sweeps every symbol of rank <= ``rank_bound`` and defect <=
-    ``max_defect`` against its own d-core.  The check is stronger than the
-    class comparison: the 1-cores themselves are required to agree, so any
-    1-core-factoring value rule passes or fails together with the default.
-    """
-    if d <= 0 or d % 2 == 0:
-        raise ValueError(f"d must be odd and positive, got {d}")
-    if pairs is None:
-        pairs = [
-            (S, symbol_d_core(S, d))
-            for rank in range(rank_bound + 1)
-            for S in enumerate_symbols(rank, max_defect)
-        ]
-    checked = skipped = 0
-    mismatches = []
-    for S1, S2 in pairs:
-        if symbol_d_core(S1, d) != symbol_d_core(S2, d):
-            skipped += 1
-            continue
-        checked += 1
-        same_core = symbol_d_core(S1, 1) == symbol_d_core(S2, 1)
-        same_sign = frobenius_sign_symbol(S1) == frobenius_sign_symbol(S2)
-        if not (same_core and same_sign):
-            mismatches.append((S1, S2))
-    return Cor76Report(
-        d=d, checked=checked, skipped=skipped, mismatches=tuple(mismatches)
     )

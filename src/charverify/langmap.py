@@ -7,11 +7,12 @@ F_{p^2}: the principal cocharacter sends a field unit ``c`` to
 
 automatically of determinant 1, and the Lang map of a diagonal torus element
 is the entrywise (q-1)-th power (t^(-1) * Frobenius(t) for diagonal t).  The
-headline check, :func:`verify_cor55a`, takes an integer ``k`` coprime to
-``p``, takes a square root ``c`` of ``k`` in F_{p^2} (the first one in the
-order of :func:`enumerate_field`, from one pass over the field per prime),
-and confirms that the Lang image of the cocharacter value at ``c`` is the
-scalar matrix ``jacobi_symbol(k, q)^(n-1) * Id``.
+check, :func:`verify_cor55`, takes an integer ``k`` coprime to ``p``, takes a
+square root ``c`` of ``k`` in F_{p^2} (the first one in the order of
+:func:`enumerate_field`, from one pass over the field per prime), and
+confirms that the Lang image of the cocharacter value at ``c`` is the scalar
+matrix ``jacobi_symbol(k, q)^(n-1) * Id`` (Corollary 5.5(a)), and that it is
+central of order dividing 2 (Proposition 5.1(a)).
 
 Because ``k`` is a prime-field scalar, its square roots always lie in
 F_{p^2}; degrees ``e`` in ``{1, 2}`` (so ``q = p`` or ``q = p^2``) are fully
@@ -46,9 +47,6 @@ __all__ = [
     "jacobi_symbol",
     "principal_cochar_value",
     "lang_image",
-    "central_order_two_element",
-    "verify_cor55a",
-    "verify_prop51a",
     "verify_cor55",
 ]
 
@@ -106,11 +104,9 @@ class FiniteFieldElement:
         return self
 
     @classmethod
-    def from_int(cls, p: int, value: int, e: int = 1) -> "FiniteFieldElement":
-        if e not in (1, 2):
-            raise ValueError(f"degree must be 1 or 2, got {e}")
-        coeffs = (value % p,) + ((0,) * (e - 1))
-        return cls(p, coeffs)
+    def from_int(cls, p: int, value: int) -> "FiniteFieldElement":
+        """The prime-field element value mod p."""
+        return cls(p, (value % p,))
 
     @property
     def e(self) -> int:
@@ -374,13 +370,11 @@ def lang_image(t: DiagonalTorusElement, q: int) -> DiagonalTorusElement:
     return _torus_from_pairs(t.p, pairs, [len(x.coeffs) for x in t.entries])
 
 
-def central_order_two_element(n: int, p: int) -> DiagonalTorusElement:
-    """The central element (-1)^(n-1) * Id of SL_n over F_p."""
-    value = FiniteFieldElement.from_int(p, (-1) ** (n - 1), 1)
-    return DiagonalTorusElement((value,) * n)
-
-
-def _cor55_setup(n: int, p: int, e: int, k: int):
+def verify_cor55(n: int, p: int, e: int, k: int) -> tuple[bool, bool]:
+    """Two checks on one Lang image, computed once: that the Lang image of
+    the cocharacter value at sqrt(k) is the scalar jacobi_symbol(k, q)^(n-1)
+    * Id, with q = p^e, and that it is central of order dividing 2 (the
+    identity or (-1)^(n-1) * Id)."""
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     if not is_prime(p):
@@ -390,14 +384,7 @@ def _cor55_setup(n: int, p: int, e: int, k: int):
     if k % p == 0:
         raise ValueError(f"k = {k} is not a unit mod p = {p}")
     q = p**e
-    c = sqrt_in_quadratic(p, k)
-    return q, c, lang_image(principal_cochar_value(n, c), q)
-
-
-def verify_cor55(n: int, p: int, e: int, k: int) -> tuple[bool, bool]:
-    """The checks (``verify_cor55a``, ``verify_prop51a``) on one Lang image,
-    computed once."""
-    q, _, image = _cor55_setup(n, p, e, k)
+    image = lang_image(principal_cochar_value(n, sqrt_in_quadratic(p, k)), q)
     scalar = image.scalar_value()
     if scalar is None:
         return False, False
@@ -405,15 +392,3 @@ def verify_cor55(n: int, p: int, e: int, k: int) -> tuple[bool, bool]:
     one = FiniteFieldElement.from_int(p, 1)
     minus = FiniteFieldElement.from_int(p, (-1) ** (n - 1))
     return scalar == expected, scalar == one or scalar == minus
-
-
-def verify_cor55a(n: int, p: int, e: int, k: int) -> bool:
-    """Check that the Lang image of the cocharacter value at sqrt(k) is the
-    scalar jacobi_symbol(k, q)^(n-1) * Id, with q = p^e."""
-    return verify_cor55(n, p, e, k)[0]
-
-
-def verify_prop51a(n: int, p: int, e: int, k: int) -> bool:
-    """Check that the same Lang image is central of order dividing 2:
-    the identity or (-1)^(n-1) * Id."""
-    return verify_cor55(n, p, e, k)[1]

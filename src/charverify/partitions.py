@@ -8,8 +8,8 @@ rim d-hook is the bead move b -> b - d with b in the set, b - d not in the set.
 d-cores are read off the d-runner abacus (G. James and A. Kerber, *The
 Representation Theory of the Symmetric Group*, 2.7): sliding every bead as far
 up its runner as it goes leaves the core, and the distance slid is the weight.
-Rim-hook removal in every order is kept as the oracle behind
-``d_core(..., check_all_orders=True)``.
+Rim-hook removal in every order is the tests' oracle for it
+(``all_terminal_cores`` in ``tests/scalar_oracles.py``).
 """
 
 from __future__ import annotations
@@ -147,13 +147,6 @@ class BetaSet:
             if p > 0
         )
 
-    def normalized(self) -> "BetaSet":
-        """Remove the common shift: while 0 is a bead, drop it and decrement all."""
-        beads = list(self.beads)
-        while beads and beads[-1] == 0:
-            beads = [b - 1 for b in beads[:-1]]
-        return BetaSet(beads)
-
 
 def beta_set(lam, length: int) -> BetaSet:
     """Beta-set of the partition with the given number of beads."""
@@ -194,26 +187,16 @@ def hooks(lam, d: int) -> list[tuple[int, Partition, int]]:
     return out
 
 
-def d_core(lam, d: int, check_all_orders: bool = False) -> tuple[Partition, int]:
+def d_core(lam, d: int) -> tuple[Partition, int]:
     """The d-core and d-weight of a partition.
 
     Computed on the abacus and memoized on (parts, d), so the returned core
-    is shared between calls.  With ``check_all_orders=True`` every maximal
-    rim-hook removal sequence is also explored (as a DAG over bead-set states)
-    and its terminal state is checked to be unique and equal to the abacus
-    core.
+    is shared between calls.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
-    result = _abacus_core(lam.parts, d)
-    if check_all_orders:
-        terminals = _all_terminal_cores(beta_set(lam, len(lam) + d), d)
-        if terminals != {result[0]}:
-            raise AssertionError(
-                f"removal order changes the {d}-core of {lam}: {sorted(terminals)}"
-            )
-    return result
+    return _abacus_core(lam.parts, d)
 
 
 @lru_cache(maxsize=None)
@@ -240,23 +223,6 @@ def _abacus_core(parts: tuple[int, ...], d: int) -> tuple[Partition, int]:
     assert removed % d == 0
     assert removed // d == weight
     return core, weight
-
-
-def _all_terminal_cores(beta: BetaSet, d: int) -> set[Partition]:
-    seen: set[BetaSet] = set()
-    terminals: set[Partition] = set()
-    stack = [beta]
-    while stack:
-        state = stack.pop()
-        if state in seen:
-            continue
-        seen.add(state)
-        movable = [b for b in state if b - d >= 0 and (b - d) not in state]
-        if not movable:
-            terminals.add(state.normalized().to_partition())
-        else:
-            stack.extend(remove_rim_hook(state, b, d) for b in movable)
-    return terminals
 
 
 def two_core(lam) -> Partition:

@@ -28,8 +28,8 @@ class QPolynomial:
         raise AttributeError("QPolynomial is immutable")
 
     @classmethod
-    def monomial(cls, k: int, c: int = 1) -> "QPolynomial":
-        return cls([0] * k + [c])
+    def monomial(cls, k: int) -> "QPolynomial":
+        return cls([0] * k + [1])
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -120,7 +120,7 @@ class QPolynomial:
             raise ValueError(f"{self.pretty()} is not divisible by {other.pretty()}")
         return quo
 
-    def pretty(self, var: str = "q") -> str:
+    def pretty(self) -> str:
         """Human-readable form, highest degree first, e.g. 'q^4 - q^2 + 1'."""
         if not self.coeffs:
             return "0"
@@ -133,7 +133,7 @@ class QPolynomial:
                 body = str(abs(c))
             else:
                 head = "" if abs(c) == 1 else f"{abs(c)}*"
-                body = f"{head}{var}" + (f"^{k}" if k > 1 else "")
+                body = f"{head}q" + (f"^{k}" if k > 1 else "")
             if not terms:
                 terms.append(("-" if c < 0 else "") + body)
             else:

@@ -48,10 +48,6 @@ class SymbolBCD:
         total = len(self.row1) + len(self.row2)
         return sum(self.row1) + sum(self.row2) - ((total - 1) ** 2 // 4 if total else 0)
 
-    @property
-    def defect(self) -> int:
-        return abs(len(self.row1) - len(self.row2))
-
     def canonical_key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Unordered canonical form: longer row first, ties lexicographic."""
         a, b = self.row1, self.row2
@@ -133,14 +129,12 @@ def symbol_hooks(S: SymbolBCD, d: int) -> list[tuple[int, int]]:
     return out
 
 
-def symbol_d_core(
-    S: SymbolBCD, d: int, check_all_orders: bool = False
-) -> SymbolBCD:
+def symbol_d_core(S: SymbolBCD, d: int) -> SymbolBCD:
     """Repeated d-hook removal (d odd) until no legal move remains.
 
     Greedy order: always remove at the largest movable entry (row 1 first on
-    ties).  With ``check_all_orders=True`` the full removal DAG is explored
-    and the terminal symbol is checked to be unique.
+    ties).  Removal in every order is the tests' oracle
+    (``all_terminal_symbols`` in ``tests/scalar_oracles.py``).
     """
     if d <= 0 or d % 2 == 0:
         raise ValueError(f"d must be odd and positive, got {d}")
@@ -151,33 +145,8 @@ def symbol_d_core(
             break
         row, entry = moves[0]
         state = remove_symbol_hook(state, row, entry, d)
-    if check_all_orders:
-        terminals = _all_terminal_symbols(S, d)
-        if terminals != {state}:
-            raise AssertionError(
-                f"removal order changes the {d}-core of {S}: {terminals}"
-            )
     assert (S.rank - state.rank) % d == 0
     return state
-
-
-def _all_terminal_symbols(S: SymbolBCD, d: int) -> set[SymbolBCD]:
-    seen: set[SymbolBCD] = set()
-    terminals: set[SymbolBCD] = set()
-    stack = [S]
-    while stack:
-        state = stack.pop()
-        if state in seen:
-            continue
-        seen.add(state)
-        moves = symbol_hooks(state, d)
-        if not moves:
-            terminals.add(state)
-        else:
-            stack.extend(
-                remove_symbol_hook(state, row, entry, d) for row, entry in moves
-            )
-    return terminals
 
 
 def _rows_with_sum(length: int, total: int, min_val: int = 0) -> Iterator[tuple[int, ...]]:
@@ -201,13 +170,11 @@ def _rows_with_sum(length: int, total: int, min_val: int = 0) -> Iterator[tuple[
         v += 1
 
 
-def enumerate_symbols(
-    rank: int, max_defect: int = 3, include_degenerate: bool = False
-) -> list[SymbolBCD]:
+def enumerate_symbols(rank: int, max_defect: int = 3) -> list[SymbolBCD]:
     """All reduced symbols of the given rank with defect <= max_defect.
 
     Each unordered pair is listed once (canonical row order).  Degenerate
-    symbols (equal rows) are excluded unless requested.
+    symbols (equal rows) are excluded.
     """
     if rank < 0:
         raise ValueError("rank must be non-negative")
@@ -227,8 +194,8 @@ def enumerate_symbols(
                             continue  # not reduced
                         if a == b and r2 < r1:
                             continue  # unordered pair: emit once
-                        if not include_degenerate and r1 == r2:
-                            continue
+                        if r1 == r2:
+                            continue  # degenerate
                         S = SymbolBCD(r1, r2)
                         assert S.rank == rank, (r1, r2, S.rank, rank)
                         out.append(S)

@@ -16,6 +16,9 @@ by the all-ones vector).  The zeta_d-eigenvalue multiplicity of an element is
 the Phi_d-valuation of that polynomial, computed here by divisor counting on
 the signed cycle blocks; the polynomial itself, with exact division, is the
 oracle in the tests (``reflection_charpoly`` in ``tests/scalar_oracles.py``).
+The largest multiplicity a(d) over a coset is read off its signed cycle
+types, listed from partitions of the rank; the scan over every word of the
+coset is the tests' oracle.
 
 The groups themselves are ``grouptable.ColoredPermGroup`` arrays: a word is
 a colored permutation with m = 2 (m = 1 in type A), so W is a permutation
@@ -29,13 +32,12 @@ predicted product of wreath products C_b wr S_k.  That fingerprint is read
 off the factors' cached Murnaghan-Nakayama tables in series A and B/C, and
 comes from Dixon on the even part of the product, built as arrays, in
 series D.  ``sp_mul``, one word product at a time, is the tests' oracle.
-Weyl groups and cosets above ``grouptable.MAX_GROUP_ORDER`` are refused
-from ``weyl_order`` before any word is listed.
+A Weyl group above ``grouptable.MAX_GROUP_ORDER`` is refused, from its
+order, before any cycle type or word is listed.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -49,6 +51,7 @@ from .grouptable import (
     _check_group_order,
     _permutations,
 )
+from .partitions import _partitions_of
 from .qpoly import QPolynomial, phi_d_valuation
 from .wreath import get_full_group, get_table
 
@@ -103,10 +106,6 @@ def sp_cycles(w: tuple) -> tuple:
     return tuple(sorted(out, reverse=True))
 
 
-def _flip_count(w: tuple) -> int:
-    return sum(1 for x in w if x < 0)
-
-
 class _Words:
     """Signed-permutation words of length n as colored permutations
     (m = 2, or m = 1 for the plain words of type A): w[i] = +-(perm[i] + 1),
@@ -126,50 +125,10 @@ class _Words:
         return tuple(-(p + 1) if c else p + 1 for p, c in zip(perm.tolist(), color.tolist()))
 
 
-@lru_cache(maxsize=None)
-def _plain_words(n: int) -> tuple:
-    return tuple(
-        tuple(p) for p in itertools.permutations(range(1, n + 1))
-    )
-
-
-@lru_cache(maxsize=None)
-def _signed_words(r: int) -> tuple:
-    out = []
-    for p in itertools.permutations(range(1, r + 1)):
-        for signs in itertools.product((1, -1), repeat=r):
-            out.append(tuple(s * x for s, x in zip(signs, p)))
-    return tuple(out)
-
-
 def _check_weyl_order(series: str, r: int) -> None:
     """Refuse, before listing it, a Weyl group above the cap on explicit
     groups (series canonical)."""
     _check_group_order(weyl_order(series, r), f"W({series}{r})")
-
-
-def group_elements(series: str, r: int) -> tuple:
-    """The underlying untwisted Weyl group, as words."""
-    series = _canon_series(series)
-    _check_weyl_order(series, r)
-    if series == "A":
-        return _plain_words(r + 1)
-    if series == "B":
-        return _signed_words(r)
-    return tuple(w for w in _signed_words(r) if _flip_count(w) % 2 == 0)
-
-
-def coset_elements(series: str, r: int, twisted: bool) -> tuple:
-    """The words parameterizing the (possibly twisted) coset being scanned."""
-    series = _canon_series(series)
-    if not twisted:
-        return group_elements(series, r)
-    _check_weyl_order(series, r)
-    if series == "A":
-        return _plain_words(r + 1)  # the coset element acts as -P(word)
-    if series == "D":
-        return tuple(w for w in _signed_words(r) if _flip_count(w) % 2 == 1)
-    raise ValueError(f"series {series} has no graph twist here")
 
 
 def weyl_order(series: str, r: int) -> int:
@@ -222,7 +181,7 @@ def _weyl_generators(series: str, r: int) -> list:
     return gens
 
 
-def eigen_multiplicity(series: str, r: int, twisted: bool, w: tuple, d: int) -> int:
+def eigen_multiplicity(series: str, twisted: bool, w: tuple, d: int) -> int:
     """Multiplicity of primitive d-th roots of unity as eigenvalues of w,
     by divisor counting on the signed cycle blocks."""
     series = _canon_series(series)
@@ -262,10 +221,27 @@ def max_eigen_multiplicity(series: str, r: int, twisted: bool, d: int) -> int:
 
 @lru_cache(maxsize=None)
 def _coset_cycle_types(series: str, r: int, twisted: bool) -> tuple:
-    """The distinct signed cycle types over the coset, from one scan of
-    every element; the multiplicity depends on an element only through
-    its type."""
-    return tuple(sorted({sp_cycles(w) for w in coset_elements(series, r, twisted)}))
+    """The distinct signed cycle types over the coset (series canonical),
+    listed from partitions without listing any element; the multiplicity
+    depends on an element only through its type.  Type A: the partitions
+    of r + 1, all cycles positive (the twist only negates the matrix).
+    B/C: a partition of the positive cycles and one of the negative cycles,
+    of total size r; D keeps the splits with an even number of negative
+    cycles, an odd number in the twisted coset."""
+    _check_rank(series, r)
+    if series == "A":
+        return tuple(sorted(tuple((c, 1) for c in p) for p in _partitions_of(r + 1)))
+    if series == "B" and twisted:
+        raise ValueError("series B/C has no graph twist here")
+    return tuple(
+        sorted(
+            tuple(sorted([(c, 1) for c in pos] + [(c, -1) for c in neg], reverse=True))
+            for k in range(r + 1)
+            for pos in _partitions_of(r - k)
+            for neg in _partitions_of(k)
+            if series == "B" or len(neg) % 2 == twisted
+        )
+    )
 
 
 def generic_degrees(series: str, r: int, twisted: bool) -> list[tuple[int, int]]:
@@ -371,12 +347,13 @@ def canonical_regular_word(series: str, r: int, twisted: bool, d: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def centralizer_group(series: str, r: int, twisted: bool, x: tuple) -> ColoredPermGroup:
+def centralizer_group(series: str, r: int, x: tuple) -> ColoredPermGroup:
     """C_W(x) for a coset element x, as colored-permutation arrays.
 
     For twisted A the coset element is -P(x) and the sign commutes with
     everything, so the condition reduces to commutation of words; in every
-    series the twist only names the coset x lies in.  The group is cached
+    series the twist only names the coset x lies in, and the centralizer
+    of a twisted-coset element is that of its word.  The group is cached
     on (series, rank, word) and, below the whole group, on its rows of W,
     so a repeated centralizer is the same object and its character table
     (keyed on the group in ``_dixon_of``) is built once.
@@ -446,30 +423,19 @@ class _Product:
 
 
 @lru_cache(maxsize=None)
-def _product_group(factors: tuple, even_part: bool = False) -> ColoredPermGroup:
-    """Direct product of wreath-product factors, optionally cut to the
-    subgroup where the total color sum is even.  Cached like
-    ``centralizer_group``; the factors are the cached wreath groups.  The
-    even part is the series-D prediction; the full product is the oracle
-    of ``_wreath_product_fingerprint``."""
+def _product_group(factors: tuple) -> ColoredPermGroup:
+    """The subgroup of the direct product of wreath-product factors where
+    the total color sum is even: the series-D prediction.  Cached like
+    ``centralizer_group``; the factors are the cached wreath groups."""
     sizes = [g.order for g in factors]
-    _check_group_order(math.prod(sizes) // (2 if even_part else 1), "the product group")
+    _check_group_order(math.prod(sizes) // 2, "the product group")
     m = math.lcm(*(g.m for g in factors))
     rows = np.indices(sizes).reshape(len(factors), -1)  # tuples in sorted order
     offsets = np.cumsum([0] + [g.perm.shape[1] for g in factors])
     perm = np.concatenate([g.perm[i] + o for g, i, o in zip(factors, rows, offsets)], axis=1)
     color = np.concatenate([g.color[i] * (m // g.m) for g, i in zip(factors, rows)], axis=1)
-    encoding = _Product(factors, m)
-    if even_part:
-        parity = sum(g.color[i].sum(axis=1) for g, i in zip(factors, rows)) % 2
-        return ColoredPermGroup(perm[parity == 0], color[parity == 0], m, encoding)
-    identity = [g.element(g.identity) for g in factors]
-    gens = [
-        tuple(identity[:i] + [g.element(t)] + identity[i + 1 :])
-        for i, g in enumerate(factors)
-        for t in g.generators
-    ]
-    return ColoredPermGroup(perm, color, m, encoding, generators=gens)
+    even = sum(g.color[i].sum(axis=1) for g, i in zip(factors, rows)) % 2 == 0
+    return ColoredPermGroup(perm[even], color[even], m, _Product(factors, m))
 
 
 def _predicted_factors(series: str, r: int, twisted: bool, d: int) -> list:
@@ -490,7 +456,7 @@ def predicted_relative_weyl(series: str, r: int, twisted: bool, d: int) -> tuple
     factors = _predicted_factors(series, r, twisted, d)
     if series == "D":
         groups = tuple(get_full_group(b, k) for b, k in factors)
-        return group_fingerprint(_product_group(groups, True))
+        return group_fingerprint(_product_group(groups))
     return _wreath_product_fingerprint(factors)
 
 
@@ -553,7 +519,7 @@ class RelativeWeylReport:
     rank: int
     twisted: bool
     d: int
-    eigenspace_dim: int  # a(d) by coset scan
+    eigenspace_dim: int  # a(d) over the coset's signed cycle types
     order_valuation: int  # Phi_d-valuation of the generic order
     canonical_dim: int  # eigenspace dim of the constructed element
     computed_order: int
@@ -573,15 +539,18 @@ class RelativeWeylReport:
 
 
 def analyze_relative_weyl(series: str, r: int, twisted: bool, d: int) -> RelativeWeylReport:
-    """Run every check for one (series, rank, twist, d): eigenvalue counts by
-    scan / generic order / canonical element, centralizer vs predicted
-    fingerprints, and Galois stability of the centralizer's characters."""
+    """Run every check for one (series, rank, twist, d): eigenvalue counts
+    by coset cycle types / generic order / canonical element, centralizer vs
+    predicted fingerprints, and Galois stability of the centralizer's
+    characters.  The centralizer step lists W, so a W above the cap is
+    refused first, before the coset's cycle types are listed."""
     series_c = _canon_series(series)
-    a_scan = max_eigen_multiplicity(series_c, r, twisted, d)
+    _check_weyl_order(series_c, r)
+    a_coset = max_eigen_multiplicity(series_c, r, twisted, d)
     a_order = generic_order_phid_valuation(series_c, r, twisted, d)
     word = canonical_regular_word(series_c, r, twisted, d)
-    a_word = eigen_multiplicity(series_c, r, twisted, word, d)
-    computed = centralizer_group(series_c, r, twisted, word)
+    a_word = eigen_multiplicity(series_c, twisted, word, d)
+    computed = centralizer_group(series_c, r, word)
     fp_c = group_fingerprint(computed)
     fp_p = predicted_relative_weyl(series_c, r, twisted, d)
     hd_ok = character_values_hd_fixed(_dixon_of(computed), d)
@@ -590,7 +559,7 @@ def analyze_relative_weyl(series: str, r: int, twisted: bool, d: int) -> Relativ
         rank=r,
         twisted=twisted,
         d=d,
-        eigenspace_dim=a_scan,
+        eigenspace_dim=a_coset,
         order_valuation=a_order,
         canonical_dim=a_word,
         computed_order=computed.order,

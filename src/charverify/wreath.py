@@ -477,17 +477,19 @@ def table_hd_fixed(m: int, a: int, d: int) -> np.ndarray:
     return _table_fixed(m, a, hd_residues(m, d)).all(axis=0)
 
 
-def _check_label(label, m: int, a: int | None):
+def _check_label(label, m: int):
+    """The label as partitions, and its size a.  One label is answered
+    above MAX_LABELS too, so only the domain of (m, a) is checked."""
     label = tuple(p if isinstance(p, Partition) else Partition(p) for p in label)
+    a = sum(p.size for p in label)
+    if m < 1:
+        raise ValueError(f"need m >= 1 and a >= 0, got m = {m}, a = {a}")
     if len(label) != m:
         raise ValueError(f"label must have {m} components, got {len(label)}")
-    total = sum(p.size for p in label)
-    if a is not None and a != total:
-        raise ValueError(f"a = {a} does not match label size {total}")
-    return label, total
+    return label, a
 
 
-def conductor_of_char(label, m: int, a: int | None = None) -> int:
+def conductor_of_char(label, m: int) -> int:
     """Smallest c | m with all values of chi_label in Q(zeta_c).
 
     When C_m wr S_a has at most VALUES_ROUTE_MAX_LABELS characters (counted,
@@ -495,19 +497,19 @@ def conductor_of_char(label, m: int, a: int | None = None) -> int:
     fixedness; above that, the component-permutation stabilizer of the label
     answers, without building the table.
     """
-    label, a = _check_label(label, m, a)
+    label, a = _check_label(label, m)
     fixed = _label_fixed(label, m, a, unit_residues(m))
     return int(conductors_from_fixedness(fixed, m)[0])
 
 
-def h_d_invariant(label, m: int, a: int | None = None, d: int = 1) -> bool:
+def h_d_invariant(label, m: int, d: int) -> bool:
     """Whether chi_label is fixed by every sigma_k with k = 1 mod d.
 
     The subgroup is {k in (Z/NZ)^x : k = 1 mod d} at the common modulus
     N = lcm(m, d); its residues act on Q(zeta_m) through their reductions
     mod m.  The route is chosen as in :func:`conductor_of_char`.
     """
-    label, a = _check_label(label, m, a)
+    label, a = _check_label(label, m)
     return bool(_label_fixed(label, m, a, hd_residues(m, d)).all())
 
 

@@ -10,14 +10,19 @@ them checked value by value, and the restriction of a character to
 G(m,2,a) by Clifford theory and inner products; polynomial long division
 over ``Fraction``, generic degrees by the quotient of q-integer products and
 characteristic polynomials of Weyl elements on the reflection
-representation; powers in F_{p^e}, and the Lang images built from them,
+representation; the words of Weyl groups and their cosets, listed as
+tuples, and the signed cycle types found by scanning them; the whole direct
+product of wreath groups, with its generators; rim-hook and symbol-hook
+removal in every order; powers in F_{p^e}, and the Lang images built from them,
 through repeated ``FiniteFieldElement`` multiplication, and square roots by
 exhaustive search; one partition at a time for prop75, through
 ``extension_field_typeA``; and the l-power subgroup by a gcd scan."""
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +34,7 @@ from charverify.cyclotomic import (
     is_fixed_by,
     unit_residues,
 )
-from charverify.grouptable import ColoredPermGroup
+from charverify.grouptable import ColoredPermGroup, _check_group_order
 from charverify.ladic import hd_subgroup
 from charverify.langmap import (
     FiniteFieldElement,
@@ -37,9 +42,10 @@ from charverify.langmap import (
     jacobi_symbol,
     sqrt_in_quadratic,
 )
-from charverify.partitions import Partition, hooks, partitions_of
+from charverify.partitions import BetaSet, Partition, beta_set, hooks, partitions_of, remove_rim_hook
 from charverify.qpoly import QPolynomial
-from charverify.weyl import _canon_series, sp_cycles
+from charverify.symbols import remove_symbol_hook, symbol_hooks
+from charverify.weyl import _canon_series, _check_weyl_order, _Product, sp_cycles
 from charverify.wreath import (
     WreathClass,
     _check_label,
@@ -251,7 +257,7 @@ def num_standard_tableaux(lam):
 def wreath_degree(label):
     """chi(1) of C_m wr S_a: multinomial(a; component sizes) times the
     tableau counts of the components."""
-    label, a = _check_label(label, len(label), None)
+    label, a = _check_label(label, len(label))
     out = math.factorial(a)
     for p in label:
         out //= math.factorial(p.size)
@@ -262,7 +268,7 @@ def wreath_degree(label):
 def char_value(label, cls, m):
     """The value of chi_label at a class of C_m wr S_a, read from the
     table by label and cycle type."""
-    label, a = _check_label(label, m, None)
+    label, a = _check_label(label, m)
     if not isinstance(cls, WreathClass):
         cls = WreathClass(cls)
     if cls.total != a:
@@ -335,7 +341,7 @@ class IndexTwoConstituent:
     values: tuple | None = None  # values on subgroup classes (splits only)
 
 
-def restrict_index2(label, m, a=None):
+def restrict_index2(label, m):
     """The restriction of chi_label to G(m,2,a) (m even), by Clifford
     theory: a label moved by the m/2-component shift restricts irreducibly;
     a fixed label splits into two constituents, found among the rows of the
@@ -344,7 +350,7 @@ def restrict_index2(label, m, a=None):
     subgroup class where the two differ."""
     if m % 2 != 0:
         raise ValueError("restriction target G(m,2,a) requires even m")
-    label, a = _check_label(label, m, a)
+    label, a = _check_label(label, m)
     twisted = twist_label(label, m)
     deg = wreath_degree(label)
     if twisted != label:
@@ -495,6 +501,120 @@ def reflection_charpoly(series, r, twisted, w):
     return poly
 
 
+@lru_cache(maxsize=None)
+def plain_words(n):
+    return tuple(itertools.permutations(range(1, n + 1)))
+
+
+@lru_cache(maxsize=None)
+def signed_words(r):
+    return tuple(
+        tuple(s * x for s, x in zip(signs, p))
+        for p in itertools.permutations(range(1, r + 1))
+        for signs in itertools.product((1, -1), repeat=r)
+    )
+
+
+def group_elements(series, r):
+    """The untwisted Weyl group, as a tuple of words."""
+    series = _canon_series(series)
+    _check_weyl_order(series, r)
+    if series == "A":
+        return plain_words(r + 1)
+    if series == "B":
+        return signed_words(r)
+    return tuple(w for w in signed_words(r) if sum(x < 0 for x in w) % 2 == 0)
+
+
+def coset_elements(series, r, twisted):
+    """The words of the (possibly twisted) coset: twisted A is -P(word)
+    for every plain word, twisted D the odd-sign-change words."""
+    series = _canon_series(series)
+    if not twisted:
+        return group_elements(series, r)
+    _check_weyl_order(series, r)
+    if series == "A":
+        return plain_words(r + 1)
+    if series == "D":
+        return tuple(w for w in signed_words(r) if sum(x < 0 for x in w) % 2 == 1)
+    raise ValueError(f"series {series} has no graph twist here")
+
+
+def coset_cycle_types_by_scan(series, r, twisted):
+    """The distinct signed cycle types over the coset, one word at a time."""
+    return tuple(sorted({sp_cycles(w) for w in coset_elements(series, r, twisted)}))
+
+
+def full_product_group(factors):
+    """The whole direct product of the colored-permutation groups
+    ``factors``, listed one tuple of native elements at a time and encoded
+    one tuple at a time, with the factors' generators placed one factor at
+    a time; refused above the cap before anything is listed."""
+    _check_group_order(math.prod(g.order for g in factors), "the product group")
+    m = math.lcm(*(g.m for g in factors))
+    encoding = _Product(factors, m)
+    pairs = [encoding.encode(x) for x in itertools.product(*(g.elements for g in factors))]
+    identity = [g.element(g.identity) for g in factors]
+    gens = [
+        tuple(identity[:i] + [g.element(t)] + identity[i + 1 :])
+        for i, g in enumerate(factors)
+        for t in g.generators
+    ]
+    perm, color = zip(*pairs)
+    return ColoredPermGroup(perm, color, m, encoding, generators=gens)
+
+
+def normalized(beta):
+    """The beta-set with the common shift removed: while 0 is a bead, drop
+    it and decrement the others."""
+    beads = list(beta.beads)
+    while beads and beads[-1] == 0:
+        beads = [b - 1 for b in beads[:-1]]
+    return BetaSet(beads)
+
+
+def all_terminal_cores(lam, d):
+    """The terminal partitions of every maximal rim d-hook removal sequence
+    from lam, explored as a DAG over bead-set states."""
+    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    seen, terminals = set(), set()
+    stack = [beta_set(lam, len(lam) + d)]
+    while stack:
+        state = stack.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        movable = [b for b in state if b - d >= 0 and (b - d) not in state]
+        if not movable:
+            terminals.add(normalized(state).to_partition())
+        else:
+            stack.extend(remove_rim_hook(state, b, d) for b in movable)
+    return terminals
+
+
+def symbol_defect(S):
+    """|len(row1) - len(row2)|, unchanged by the shift and by hook moves."""
+    return abs(len(S.row1) - len(S.row2))
+
+
+def all_terminal_symbols(S, d):
+    """The terminal symbols of every maximal d-hook removal sequence from
+    the symbol S (d odd)."""
+    seen, terminals = set(), set()
+    stack = [S]
+    while stack:
+        state = stack.pop()
+        if state in seen:
+            continue
+        seen.add(state)
+        moves = symbol_hooks(state, d)
+        if not moves:
+            terminals.add(state)
+        else:
+            stack.extend(remove_symbol_hook(state, row, entry, d) for row, entry in moves)
+    return terminals
+
+
 def power_by_multiplication(x, exponent):
     """x**exponent by square-and-multiply through ``FiniteFieldElement``
     multiplication, one element per step; a negative exponent first inverts
@@ -504,7 +624,7 @@ def power_by_multiplication(x, exponent):
     if exponent < 0:
         x = power_by_multiplication(x, x.p**x.e - 2)
         exponent = -exponent
-    result = FiniteFieldElement.from_int(x.p, 1, x.e)
+    result = FiniteFieldElement(x.p, (1,) + (0,) * (x.e - 1))
     while exponent:
         if exponent & 1:
             result = result * x
@@ -534,7 +654,7 @@ def cor55_by_multiplication(n, p, e, k):
 def sqrt_by_search(p, k):
     """The first c of ``enumerate_field(p, 2)`` with c * c = k, by testing
     every element with ``FiniteFieldElement`` multiplication."""
-    target = FiniteFieldElement.from_int(p, k, 2)
+    target = FiniteFieldElement(p, (k % p, 0))
     for c in enumerate_field(p, 2):
         if c * c == target:
             return c

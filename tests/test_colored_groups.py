@@ -21,14 +21,23 @@ from charverify.weyl import (
     analyze_relative_weyl,
     canonical_regular_word,
     centralizer_group,
-    coset_elements,
-    group_elements,
+    generic_order_phid_valuation,
+    max_eigen_multiplicity,
     sp_mul,
     weyl_group,
     weyl_order,
 )
 from charverify.wreath import get_full_group, get_subgroup
-from scalar_oracles import pair_mul, product_mul, python_group, regular_representation
+import scalar_oracles
+from scalar_oracles import (
+    coset_elements,
+    full_product_group,
+    group_elements,
+    pair_mul,
+    product_mul,
+    python_group,
+    regular_representation,
+)
 from test_grouptable import quaternion_group, symmetric_group
 from test_weyl import _weyl_match_cases
 
@@ -50,12 +59,12 @@ def default_groups():
     for series, r, tw, d in _weyl_match_cases():
         case = f"{series}{r}{'~' if tw else ''}, d={d}"
         word = canonical_regular_word(series, r, tw, d)
-        entries = [(f"C_W({case})", centralizer_group(series, r, tw, word), sp_mul)]
+        entries = [(f"C_W({case})", centralizer_group(series, r, word), sp_mul)]
         if series == "D":
             factors = _predicted_factors(series, r, tw, d)
             groups = tuple(get_full_group(b, k) for b, k in factors)
             mul = product_mul([pair_mul(b) for b, _ in factors])
-            entries.append((f"even part({case})", _product_group(groups, True), mul))
+            entries.append((f"even part({case})", _product_group(groups), mul))
         for label, group, mul in entries:
             if id(group) not in seen:
                 seen.add(id(group))
@@ -140,7 +149,7 @@ def test_centralizers_match_commutation_scan():
         scan = sorted(
             u for u in group_elements(series, r) if sp_mul(u, word) == sp_mul(word, u)
         )
-        assert centralizer_group(series, r, tw, word).elements == scan, (series, r, tw, d)
+        assert centralizer_group(series, r, word).elements == scan, (series, r, tw, d)
 
 
 def test_lookup_refuses_an_element_outside_the_group():
@@ -273,15 +282,13 @@ def test_one_value_rule_for_both_kinds_of_table():
 def refuse_listing(monkeypatch):
     """Make every enumerator raise, so a missing guard fails at once
     instead of listing a large group."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("an explicit group was listed")
-
     for module in (weyl, wreath):
-        monkeypatch.setattr(module, "_permutations", refuse)
-    monkeypatch.setattr(weyl, "_signed_words", refuse)
-    monkeypatch.setattr(weyl, "_plain_words", refuse)
-    monkeypatch.setattr(grouptable.ColoredPermGroup, "__init__", refuse)
+        monkeypatch.setattr(module, "_permutations", _refuse)
+    monkeypatch.setattr(grouptable.ColoredPermGroup, "__init__", _refuse)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("an explicit group was listed")
 
 
 class TestSizeCap:
@@ -299,14 +306,33 @@ class TestSizeCap:
         for call in (
             lambda: weyl_group("B", 7),
             lambda: weyl_group("A", 8),
+            lambda: analyze_relative_weyl("B", 9, False, 2),
+            # refused from the order, before the cycle types of the coset
+            # (about 10^8 bipartitions of 60) are listed
+            lambda: analyze_relative_weyl("B", 60, False, 2),
+        ):
+            with pytest.raises(ValueError, match="cap"):
+                call()
+
+    def test_listing_oracles_refused_before_listing(self, monkeypatch):
+        factors = (get_full_group(4, 1),) * 9  # order 4^9
+        refuse_listing(monkeypatch)
+        monkeypatch.setattr(scalar_oracles, "signed_words", _refuse)
+        monkeypatch.setattr(scalar_oracles, "plain_words", _refuse)
+        for call in (
             lambda: group_elements("C", 7),
             lambda: group_elements("D", 8),
             lambda: coset_elements("A", 8, True),
             lambda: coset_elements("D", 8, True),
-            lambda: analyze_relative_weyl("B", 9, False, 2),
+            lambda: full_product_group(factors),
         ):
             with pytest.raises(ValueError, match="cap"):
                 call()
+
+    def test_eigenspace_bound_lists_no_group(self, no_listing):
+        # a(d) comes from the coset's cycle types, so it answers above the cap
+        assert max_eigen_multiplicity("B", 9, False, 2) == 9
+        assert generic_order_phid_valuation("B", 9, False, 2) == 9
 
     def test_wreath_groups_refused_before_listing(self, monkeypatch):
         factors = (get_full_group(4, 1),) * 9  # order 4^9, even part 4^9 / 2
@@ -315,14 +341,14 @@ class TestSizeCap:
             lambda: get_full_group(2, 9),
             lambda: get_subgroup(12, 5),
             lambda: _product_group(factors),
-            lambda: _product_group(factors, True),
         ):
             with pytest.raises(ValueError, match="cap"):
                 call()
 
     def test_cli_exits_2(self, no_listing, capsys):
         assert cli.main(["--query", "weyl", "B", "9", "0", "2"]) == 2
+        assert cli.main(["--query", "weyl", "B", "60", "0", "2"]) == 2
         assert cli.main(["--suite", "weyl-match", "--params", "max_rank=9"]) == 2
         assert cli.main(["--suite", "thm41", "--params", "sub_max_a=7"]) == 2
         assert cli.main(["--suite", "lemma42", "--params", "sub_max_m=12,sub_max_a=5"]) == 2
-        assert capsys.readouterr().err.count("cap") == 4
+        assert capsys.readouterr().err.count("cap") == 5

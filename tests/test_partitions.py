@@ -16,7 +16,7 @@ from charverify.partitions import (
     remove_rim_hook,
     two_core,
 )
-from scalar_oracles import num_standard_tableaux, partition_tuples
+from scalar_oracles import all_terminal_cores, num_standard_tableaux, partition_tuples
 
 
 def test_partition_validation():
@@ -100,8 +100,9 @@ def test_d_core_order_independence_exhaustive():
         for lam in partitions_of(n):
             for d in range(1, 13):
                 memo = d_core(lam, d)
-                core, weight = d_core(lam, d, check_all_orders=True)
-                assert (core, weight) == memo and d_core(lam.parts, d) is memo
+                core, weight = memo
+                assert all_terminal_cores(lam, d) == {core}, (lam, d)
+                assert d_core(lam.parts, d) is memo
                 assert lam.size == core.size + d * weight
             assert two_core(lam.parts) is two_core(lam) == d_core(lam, 2)[0]
 

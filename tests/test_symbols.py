@@ -14,6 +14,7 @@ from charverify.symbols import (
     symbol_d_core,
     symbol_hooks,
 )
+from scalar_oracles import all_terminal_symbols, symbol_defect
 
 
 def test_construction_and_reduction():
@@ -32,9 +33,9 @@ def test_construction_and_reduction():
 def test_rank_and_defect_frozen():
     S = SymbolBCD((0, 2), (1,))
     assert S.rank == 2
-    assert S.defect == 1
+    assert symbol_defect(S) == 1
     empty = SymbolBCD((), ())
-    assert empty.rank == 0 and empty.defect == 0
+    assert empty.rank == 0 and symbol_defect(empty) == 0
     assert SymbolBCD((0,), ()).rank == 0
     assert SymbolBCD((1,), ()).rank == 1
     assert SymbolBCD((0, 1), (0, 1)).rank == 0  # reduces to ((),())
@@ -52,7 +53,7 @@ def test_rank_defect_shift_invariant():
         )
         assert S == shifted
         assert S.rank == shifted.rank
-        assert S.defect == shifted.defect
+        assert symbol_defect(S) == symbol_defect(shifted)
 
 
 def test_equality_is_unordered():
@@ -92,7 +93,7 @@ def test_hook_moves_drop_rank_by_d():
             for row, entry in symbol_hooks(S, d):
                 T = remove_symbol_hook(S, row, entry, d)
                 assert T.rank == S.rank - d, (S, row, entry, d)
-                assert T.defect == S.defect
+                assert symbol_defect(T) == symbol_defect(S)
 
 
 def test_symbol_d_core_frozen_example():
@@ -110,7 +111,8 @@ def test_symbol_d_core_order_independence():
     for rank in range(0, 6):
         for S in enumerate_symbols(rank, max_defect=3):
             for d in (1, 3, 5):
-                core = symbol_d_core(S, d, check_all_orders=True)
+                core = symbol_d_core(S, d)
+                assert all_terminal_symbols(S, d) == {core}, (S, d)
                 assert (S.rank - core.rank) % d == 0
                 assert symbol_hooks(core, d) == []
 
@@ -141,12 +143,10 @@ def test_enumerate_symbols_counts_and_validity():
         assert len(symbols) == len(set(symbols))
         for S in symbols:
             assert S.rank == rank
-            assert S.defect <= 3
+            assert symbol_defect(S) <= 3
             assert S.row1 != S.row2
             # reduced: not both rows contain 0
             assert not (0 in S.row1 and 0 in S.row2)
-    degen = enumerate_symbols(2, max_defect=2, include_degenerate=True)
-    assert any(S.row1 == S.row2 for S in degen)
 
 
 def test_hook_removal_commutes_with_normalization():

@@ -7,6 +7,7 @@ import pytest
 from charverify.grouptable import CharacterTable
 from charverify.suites import run_suite
 from charverify.weyl import (
+    _coset_cycle_types,
     _dixon_of,
     _predicted_factors,
     _product_group,
@@ -14,10 +15,8 @@ from charverify.weyl import (
     canonical_regular_word,
     centralizer_group,
     character_values_hd_fixed,
-    coset_elements,
     eigen_multiplicity,
     generic_order_phid_valuation,
-    group_elements,
     group_fingerprint,
     max_eigen_multiplicity,
     predicted_relative_weyl,
@@ -34,6 +33,10 @@ from charverify.wreath import get_full_group
 from charverify.suites import suite_defaults
 from scalar_oracles import (
     FiniteGroup,
+    coset_cycle_types_by_scan,
+    coset_elements,
+    full_product_group,
+    group_elements,
     reflection_charpoly,
     regular_representation,
     scalar_row_answers,
@@ -75,12 +78,10 @@ class TestWords:
         assert len(coset_elements("D", 3, True)) == 24
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            group_elements("E", 3)
-        with pytest.raises(ValueError):
-            group_elements("D", 1)
-        with pytest.raises(ValueError):
-            coset_elements("B", 2, True)
+        with pytest.raises(ValueError, match="unknown series"):
+            weyl_order("E", 3)
+        with pytest.raises(ValueError, match="too small"):
+            weyl_order("D", 1)
 
     def test_weyl_group_closure(self):
         # the row found for a product is the word sp_mul gives
@@ -138,7 +139,7 @@ class TestCharpoly:
         for w in coset_elements(series, r, twisted):
             poly = reflection_charpoly(series, r, twisted, w)
             for d in range(1, 9):
-                assert eigen_multiplicity(series, r, twisted, w, d) == (
+                assert eigen_multiplicity(series, twisted, w, d) == (
                     phi_d_valuation(poly, d)
                 )
 
@@ -173,7 +174,7 @@ class TestEigenvalueCounts:
     def test_irrelevant_d_has_no_eigenvalue(self):
         # d = 4 never appears for S_3 (degrees 2, 3)
         assert all(
-            eigen_multiplicity("A", 2, False, w, 4) == 0
+            eigen_multiplicity("A", False, w, 4) == 0
             for w in group_elements("A", 2)
         )
 
@@ -186,7 +187,7 @@ class TestEigenvalueCounts:
         for series, r, twisted in cases:
             for d in relevant_d_values(series, r, twisted):
                 w = canonical_regular_word(series, r, twisted, d)
-                assert eigen_multiplicity(series, r, twisted, w, d) == (
+                assert eigen_multiplicity(series, twisted, w, d) == (
                     max_eigen_multiplicity(series, r, twisted, d)
                 ), (series, r, twisted, d)
 
@@ -212,7 +213,7 @@ class TestEigenvalueCounts:
         # every d, including those with no eigenvalue on the coset
         for d in range(1, 13):
             assert max_eigen_multiplicity(series, r, twisted, d) == max(
-                eigen_multiplicity(series, r, twisted, w, d)
+                eigen_multiplicity(series, twisted, w, d)
                 for w in coset_elements(series, r, twisted)
             ), (series, r, twisted, d)
 
@@ -276,13 +277,9 @@ class TestRelativeWeyl:
 
     def test_equal_arguments_give_the_same_group(self):
         w = canonical_regular_word("B", 3, False, 2)
-        assert centralizer_group("B", 3, False, w) is centralizer_group("B", 3, False, w)
-        # the twist names the coset, not the group: -P(w) and P(w) commute
-        # with the same words
-        v = canonical_regular_word("A", 3, True, 1)
-        assert centralizer_group("A", 3, True, v) is centralizer_group("A", 3, False, v)
+        assert centralizer_group("B", 3, w) is centralizer_group("B", 3, w)
         groups = tuple(get_full_group(b, k) for b, k in _predicted_factors("D", 4, False, 2))
-        assert _product_group(groups, True) is _product_group(groups, True)
+        assert _product_group(groups) is _product_group(groups)
 
     def test_different_words_with_one_centralizer_share_the_group(self):
         # a 3-cycle with a fixed point and with a sign-changed fixed point:
@@ -291,8 +288,8 @@ class TestRelativeWeyl:
         u = canonical_regular_word("D", 4, False, 3)
         v = canonical_regular_word("D", 4, True, 3)
         assert u != v
-        cu = centralizer_group("D", 4, False, u)
-        cv = centralizer_group("D", 4, True, v)
+        cu = centralizer_group("D", 4, u)
+        cv = centralizer_group("D", 4, v)
         assert cu.order == 6
         assert cu is cv
         assert _dixon_of(cu) is _dixon_of(cv)
@@ -300,7 +297,7 @@ class TestRelativeWeyl:
     def test_twisted_a_centralizer_is_plain_centralizer(self):
         # the -P sign commutes with everything
         w = canonical_regular_word("A", 3, True, 1)
-        cent = centralizer_group("A", 3, True, w)
+        cent = centralizer_group("A", 3, w)
         plain = [
             u for u in group_elements("A", 3) if sp_mul(u, w) == sp_mul(w, u)
         ]
@@ -323,7 +320,7 @@ class TestRelativeWeyl:
     def test_prediction_tells_cyclic_four_from_klein_four(self):
         # B2, d = 4: the prediction is C_4; C_2 x C_2 has the same order,
         # degrees and class sizes, and differs only in element orders
-        klein = _product_group((get_full_group(2, 1), get_full_group(2, 1)))
+        klein = full_product_group((get_full_group(2, 1), get_full_group(2, 1)))
         assert _predicted_factors("B", 2, False, 4) == [(4, 1)]
         cyclic = predicted_relative_weyl("B", 2, False, 4)
         assert cyclic == (4, (1, 1, 1, 1), ((1, 1), (1, 2), (1, 4), (1, 4)))
@@ -369,7 +366,7 @@ def test_centralizer_tables_against_scalar_oracles():
     table against the scalar conductor and is_fixed_by of each value."""
     seen = set()
     for series, r, tw, d in _weyl_match_cases():
-        group = centralizer_group(series, r, tw, canonical_regular_word(series, r, tw, d))
+        group = centralizer_group(series, r, canonical_regular_word(series, r, tw, d))
         if id(group) in seen:
             continue
         seen.add(id(group))
@@ -394,5 +391,30 @@ def test_predicted_fingerprint_against_dixon_of_product(series, r, twisted, d):
     equals that of the explicitly listed product group, tabulated by Dixon."""
     groups = tuple(get_full_group(b, k) for b, k in _predicted_factors(series, r, twisted, d))
     assert predicted_relative_weyl(series, r, twisted, d) == (
-        group_fingerprint(_product_group(groups))
+        group_fingerprint(full_product_group(groups))
     )
+
+
+class TestCosetCycleTypes:
+    """The signed cycle types listed from partitions against the scan over
+    every word of the coset."""
+
+    @pytest.mark.parametrize(
+        "series,r,twisted",
+        sorted({case[:3] for case in _weyl_match_cases()}) + [("B", 1, False), ("B", 6, False)],
+    )
+    def test_matches_word_scan(self, series, r, twisted):
+        assert _coset_cycle_types(series, r, twisted) == (
+            coset_cycle_types_by_scan(series, r, twisted)
+        )
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="no graph twist"):
+            _coset_cycle_types("B", 2, True)
+        with pytest.raises(ValueError, match="no graph twist"):
+            max_eigen_multiplicity("C", 3, True, 2)
+        for series, r in (("A", 0), ("B", 0), ("D", 1)):
+            with pytest.raises(ValueError, match="too small"):
+                _coset_cycle_types(series, r, False)
+            with pytest.raises(ValueError, match="too small"):
+                max_eigen_multiplicity(series, r, False, 1)

@@ -614,8 +614,7 @@ class TestEntryDomain:
     def test_per_label_entries(self):
         with pytest.raises(ValueError, match="need m >= 1 and a >= 0"):
             conductor_of_char((), 0)
-        # H_d at the modulus lcm(m, d) is refused first here
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need m >= 1 and a >= 0"):
             h_d_invariant((), 0, d=2)
 
     def test_cli_exits_2(self, capsys):
