@@ -7,21 +7,17 @@ order n they were written in; equality across different orders lifts both
 sides to the least common multiple.  Elements are deliberately unhashable
 (mathematical equality is finer than any per-order normal form).
 
-Whole character tables (``grouptable.CharacterTable``) use a second, array
-layout: an (L, C, N) integer array ``raw`` whose entry [i, j] is
-sum_e raw[i, j, e] zeta_N^e, an element of Z[t]/(t^N - 1) with N a common
-modulus of the table.  :func:`galois_fixed_rows` answers Galois fixedness
-for all rows at once: sigma_k is the index permutation e -> ek mod N of the
-last axis, and two coefficient vectors are the same number iff their
-reductions through ``_reduction_rows(N)`` agree (a column whose values lie
-in Z[zeta_o], o | N, is reduced at o; ``_column_orders``).  Its products are
-checked up front to stay inside int64: max|raw| * max|entry of
-_reduction_rows(n)| * n < 2^63 at n = N and at every column order n = o it
-reduces at (OverflowError otherwise); ``raw`` may be stored in a narrow
-integer type, so each column-order block is widened to int64 before its
-products.  The table's per-row conductors and
-H_d-fixedness are built on it; :func:`conductor` and :func:`is_fixed_by`
-remain the scalar oracles.
+Whole tables (``grouptable.CharacterTable``) are (L, C, N) integer arrays
+``raw``, entry [i, j] = sum_e raw[i, j, e] zeta_N^e, and are evaluated: a
+split prime p = 1 mod o (``split_prime``, shared with Burnside-Dixon) maps
+Z[zeta_o] / p onto F_p^phi(o), x -> (x(w^j)) for the units j mod o, by one
+exact float64 product per 2^16 entries of ``raw`` (``evaluate``).  Primes
+above 2^22 are taken until their product exceeds twice the coordinate
+bound of the difference tested.  sigma_k is a gather of the evaluations
+(:func:`galois_fixed_rows`), whose int64 guard (max|raw| * max|entry of
+_reduction_rows(n)| * n < 2^63 at N and at each column order) raises
+OverflowError up front.  :func:`conductor` and :func:`is_fixed_by` remain
+the scalar oracles.
 """
 
 from __future__ import annotations
@@ -51,6 +47,23 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+@lru_cache(maxsize=None)
+def is_prime(n: int) -> bool:
+    """Deterministic trial-division primality test (desk-scale inputs)."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -360,27 +373,25 @@ def _peak(values: np.ndarray) -> int:
     return max(int(values.max()), -int(values.min())) if values.size else 0
 
 
-def _check_fixedness_int64(bound: int, n: int) -> None:
-    """Refuse raw coefficients whose reduction mod Phi_n could leave int64.
-
-    A reduced coordinate sums n products of a raw coefficient (at most
-    ``bound`` in absolute value) with an entry of ``_reduction_rows(n)``.
-    """
+def _check_fixedness_int64(bound: int, n: int) -> int:
+    """Refuse raw coefficients (|.| <= bound) whose reduction mod Phi_n could
+    leave int64, else return n * bound * max|_reduction_rows(n)|."""
     largest = int(np.abs(_reduction_matrix(n)).max())
     if n * bound * largest >= 2**63:
         raise OverflowError(
             f"reducing coefficients up to {bound} mod Phi_{n} overflows int64 "
             f"(need n * bound * {largest} < 2^63)"
         )
+    return n * bound * largest
 
 
 def _column_orders(raw: np.ndarray) -> np.ndarray:
     """Per column j of an (L, C, N) value array, the least o | N such that
     every nonzero coefficient raw[:, j, e] sits at a multiple e of N/o:
-    the column's values then lie in Z[zeta_o].  It only compares entries
-    with zero, so it reads ``raw`` in its own dtype."""
+    the column's values then lie in Z[zeta_o].  It reads ``raw`` in its
+    own dtype, without a full-size boolean copy."""
     n = raw.shape[2]
-    support = (raw != 0).any(axis=0)
+    support = np.any(raw, axis=0)
     orders = np.zeros(raw.shape[1], dtype=np.int64)
     for o in divisors(n):
         on_grid = ~support[:, np.arange(n) % (n // o) != 0].any(axis=1)
@@ -388,23 +399,70 @@ def _column_orders(raw: np.ndarray) -> np.ndarray:
     return orders
 
 
-def galois_fixed_rows(raw: np.ndarray, ks: Sequence[int]) -> np.ndarray:
-    """Which rows of a value array each sigma_k fixes.
+# Split primes lie above _PRIME_FLOOR; arrays are read _CHUNK_ENTRIES at a time.
+_PRIME_FLOOR = 2**22
+_CHUNK_ENTRIES = 2**16
 
-    ``raw`` is an (L, C, N) integer array, entry [i, j] standing for
-    sum_e raw[i, j, e] zeta_N^e.  sigma_k (k a unit mod N) sends zeta_N^e to
-    zeta_N^{ek}, so on the last axis it is the index permutation e -> ek mod
-    N, and a value is fixed iff the reductions of its permuted and its
-    original coefficients agree; a row is fixed iff all its values are.
-    Columns are taken together by their order o (``_column_orders``): there
-    the permutation is e' -> e'k mod o on the coefficients at e = e'N/o, and
-    the reduction is through ``_reduction_rows(o)``, so each k is applied
-    once per distinct k mod o.  Each block is widened to int64 before its
-    products, whatever the dtype of ``raw``.  Raises OverflowError before
-    any product if a reduction at N or at a column order could leave int64.
-    Returns a (len(ks), L) bool array: entry [t, i] says whether
-    sigma_{ks[t]} fixes row i.
-    """
+
+@lru_cache(maxsize=None)
+def split_prime(modulus: int, above: int) -> tuple[int, int]:
+    """The least prime p > above with p = 1 mod modulus (so p splits
+    completely in Q(zeta_modulus)), and the least primitive root mod p."""
+    p = above + 1 + (-above) % modulus
+    while not is_prime(p):
+        p += modulus
+    factors = [q for q in divisors(p - 1) if is_prime(q)]
+    return p, next(z for z in range(1, p) if all(pow(z, (p - 1) // q, p) != 1 for q in factors))
+
+
+def _split_primes(modulus: int, bound: int) -> list[tuple[int, int]]:
+    """Ascending ``split_prime``s above _PRIME_FLOOR until their product exceeds bound."""
+    primes = []
+    while math.prod(p for p, _ in primes) <= bound:
+        primes.append(split_prime(modulus, primes[-1][0] if primes else _PRIME_FLOOR))
+    return primes
+
+
+def _row_chunks(rows: int, width: int) -> list[slice]:
+    """Slices of range(rows) of at most _CHUNK_ENTRIES entries (one row at least)."""
+    step = max(1, _CHUNK_ENTRIES // max(width, 1))
+    return [slice(s, s + step) for s in range(0, rows, step)]
+
+
+def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A @ B mod p, exactly, for float64 integers in (-p, p): sums stay below 2^53."""
+    step = (2**53 - p) // (p - 1) ** 2
+    if step < 1:
+        raise OverflowError(f"products of residues mod {p} leave the exact float64 range")
+    out = np.mod(A[..., :step] @ B[:step], p)
+    for s in range(step, A.shape[-1], step):
+        out += A[..., s : s + step] @ B[s : s + step]
+        np.mod(out, p, out=out)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _evaluation_matrix(o: int, p: int, z: int) -> np.ndarray:
+    """W[e, t] = w^(e * j_t) mod p, w = z^((p-1)/o), j_t = unit_residues(o)[t]."""
+    powers = np.array([pow(z, (p - 1) // o * e, p) for e in range(o)], dtype=np.float64)
+    return powers[np.outer(np.arange(o), unit_residues(o)) % o]
+
+
+def evaluate(block: np.ndarray, p: int, z: int) -> np.ndarray:
+    """The (..., phi(o)) images mod p of an (..., o) integer array over
+    Z[t]/(t^o - 1) under t -> w^j, j the units mod o: one product.  Entries
+    wider than 16 bits are reduced mod p in their own type first."""
+    A = block if block.dtype.itemsize <= 2 else block % p
+    return _matmul_mod(A.astype(np.float64), _evaluation_matrix(block.shape[-1], p, z), p)
+
+
+def galois_fixed_rows(raw: np.ndarray, ks: Sequence[int]) -> np.ndarray:
+    """(len(ks), L) bools: whether sigma_{ks[t]} fixes every value of row i
+    of an (L, C, N) value array.  Columns go by their order o.  sigma_k
+    moves the image at w^j to w^(jk) (``evaluate``), and x is fixed iff
+    sigma_k(x) - x vanishes mod primes whose product exceeds twice the
+    coordinate bound of ``_check_fixedness_int64``; their count is set
+    from the peak of ``raw`` and the guards run before any product."""
     L, _, n = raw.shape
     ks = [k % n for k in ks]
     for k in ks:
@@ -414,22 +472,20 @@ def galois_fixed_rows(raw: np.ndarray, ks: Sequence[int]) -> np.ndarray:
     bound = _peak(raw)
     _check_fixedness_int64(bound, n)
     orders = _column_orders(raw)
-    for o in np.unique(orders).tolist():
+    blocks = []
+    for o in sorted(set(orders.tolist())):
         moving = sorted({k % o for k in ks} - {1 % o})
-        if not moving:
-            continue
-        _check_fixedness_int64(bound, o)
-        values = raw[:, orders == o, :: n // o].reshape(-1, o).astype(np.int64)
-        R = _reduction_matrix(o)
-        base = values @ R
-        e = np.arange(o)
-        fixed = {
-            k: (values @ R[e * k % o] == base).reshape(L, -1).all(axis=1)
-            for k in moving
-        }
-        for t, k in enumerate(ks):
-            if k % o in fixed:
-                out[t] &= fixed[k % o]
+        if moving:
+            blocks.append((o, moving, _split_primes(o, 2 * _check_fixedness_int64(bound, o))))
+    for o, moving, primes in blocks:
+        cols = np.flatnonzero(orders == o)
+        perms = {k: [unit_residues(o).index(j * k % o) for j in unit_residues(o)] for k in moving}
+        for p, z in primes:
+            for rows in _row_chunks(L, len(cols) * o):
+                E = evaluate(raw[rows][:, cols, :: n // o], p, z)
+                fixed = {k: (E[..., perm] == E).all(axis=(1, 2)) for k, perm in perms.items()}
+                for t, k in enumerate(ks):
+                    out[t, rows] &= fixed.get(k % o, True)
     return out
 
 

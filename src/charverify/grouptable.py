@@ -35,13 +35,14 @@ C_m wr S_a): entry [i, j, e] is the multiplicity of zeta_N^e in the value of
 character i at class j.  ``raw`` is compact and read-only: its dtype is the
 smallest signed integer type that holds -peak - 1, peak = max|entry|
 (``_compact_dtype``; int8 for every table of the default grids).  Dixon
-computes in int64 and narrows once, in the constructor.  Arithmetic on
-``raw`` widens first, to int64 or float64, one column-order block at a
-time: an operation between two int8 arrays wraps silently.  Conductors and
-H_d-fixedness read one pass of ``cyclotomic.galois_fixed_rows`` over every
-unit mod N, made once per table; the orthogonality relations are one exact
-convolution each, and the cyclotomic values are read from ``raw`` in
-Q(zeta_o), o the order of their column, only when asked for.
+computes in int64 and narrows once, in the constructor; no pass does
+arithmetic in the narrow type.  Conductors and H_d-fixedness read one
+``cyclotomic.galois_fixed_rows`` pass over every unit mod N, made once per
+table.  Both orthogonality relations run on the same split-prime
+evaluations: one mod-p product per pair of embeddings {j, -j} and prime,
+the primes' product above twice the coordinate bound (``_orthogonal``).
+Cyclotomic values are read from ``raw`` in Q(zeta_o), o the order of
+their column, only when asked for.
 """
 
 from __future__ import annotations
@@ -55,13 +56,18 @@ import numpy as np
 from .cyclotomic import (
     CyclotomicNumber,
     _column_orders,
+    _matmul_mod,
     _peak,
     _reduction_matrix,
+    _row_chunks,
+    _split_primes,
     conductors_from_fixedness,
+    evaluate,
     galois_fixed_rows,
+    split_prime,
     unit_residues,
 )
-from .ladic import hd_residues, is_prime
+from .ladic import hd_residues
 
 
 # Explicit groups above this order are refused before any element is listed
@@ -360,23 +366,6 @@ def _poly_roots(coeffs: Sequence[int], p: int) -> list[int]:
     return np.flatnonzero(acc == 0).tolist()
 
 
-def _primitive_root(p: int) -> int:
-    factors = set()
-    n = p - 1
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        factors.add(n)
-    for z in range(2, p):
-        if all(pow(z, (p - 1) // f, p) != 1 for f in factors):
-            return z
-    raise AssertionError("no primitive root found")
-
-
 # ---------------------------------------------------------------------------
 # exact character tables and the Dixon construction
 # ---------------------------------------------------------------------------
@@ -440,11 +429,8 @@ class CharacterTable:
         exponent = math.lcm(*rep_orders)
 
         # prime field: p = 1 mod exponent, p > 2|G|
-        p = exponent + 1
-        while p <= 2 * n_g or (p - 1) % exponent != 0 or not is_prime(p):
-            p += exponent
+        p, z = split_prime(exponent, 2 * n_g)
         _check_int64(max(r, exponent), p)
-        z = _primitive_root(p)
         class_of = group.class_of
         inv_class = class_of[group.inverses()[rep_rows]]
 
@@ -576,61 +562,51 @@ class CharacterTable:
     # -- exact verification ------------------------------------------------
 
     def verify_row_orthogonality(self) -> bool:
-        """Whether sum_c |c| chi_i(c) conj(chi_j(c)) = |G| delta_ij, in
-        exact arithmetic."""
-        L = self.raw.shape[0]
-        sums = _conjugate_products(self.raw, self.class_sizes)
-        expected = np.zeros_like(sums)
-        expected[np.arange(L), np.arange(L), 0] = self.order
-        return np.array_equal(sums, expected)
+        """Whether sum_c |c| chi_i(c) conj(chi_j(c)) = |G| delta_ij (``_orthogonal``)."""
+        return _orthogonal(self.raw, self.class_sizes, [self.order] * self.raw.shape[0])
 
     def verify_column_orthogonality(self) -> bool:
-        """Whether sum_i chi_i(c) conj(chi_i(c')) = |C_G(c)| delta_cc', with
-        |C_G(c)| = |G| / |c|, in exact arithmetic."""
+        """Whether sum_i chi_i(c) conj(chi_i(c')) = |G| / |c| delta_cc' (``_orthogonal``)."""
         if any(self.order % size for size in self.class_sizes):
             return False
-        L, C, _ = self.raw.shape
-        by_class = self.raw.transpose(1, 0, 2)
-        sums = _conjugate_products(by_class, [1] * L)
-        expected = np.zeros_like(sums)
-        expected[np.arange(C), np.arange(C), 0] = [self.order // s for s in self.class_sizes]
-        return np.array_equal(sums, expected)
+        centralizers = [self.order // s for s in self.class_sizes]
+        return _orthogonal(self.raw.transpose(1, 0, 2), [1] * self.raw.shape[0], centralizers)
 
     def sum_of_degree_squares(self) -> int:
         return sum(d * d for d in self.degrees)
 
 
-def _conjugate_products(values: np.ndarray, weights) -> np.ndarray:
-    """(X, X, phi(N)) power-basis coordinates of
-    sum_k weights[k] * values[x, k] * conj(values[y, k]) for an (X, K, N)
-    integer array over Z[t]/(t^N - 1).
+def _conjugate_evaluations(values: np.ndarray, weights, bound: int):
+    """Yield (p, w, M) per prime of ``_split_primes(N, bound)`` and unit j of
+    each pair {j, -j} mod N: w = z^((p-1)j/N) is the image of zeta_N, M[x, y]
+    that of sum_k weights[k] values[x, k] conj(values[y, k]), one product of
+    the evaluations at j with those at -j (conjugation is sigma_{-1})."""
+    X, K, n = values.shape
+    units = unit_residues(n)
+    for p, z in _split_primes(n, bound):
+        E = np.empty((len(units), X, K))
+        for rows in _row_chunks(X, K * n):
+            E[:, rows] = evaluate(values[rows], p, z).transpose(2, 0, 1)
+        weighted = np.array([int(w) % p for w in weights], dtype=np.float64)
+        for t, j in enumerate(units):
+            if 2 * j <= n:
+                M = _matmul_mod(E[t] * weighted % p, E[units.index(-j % n)].T, p)
+                yield p, pow(z, (p - 1) // n * j, p), M
 
-    The convolution over the exponents is N^2 float64 matmuls, exact because
-    no partial sum can reach 2^53; its reduction through
-    ``_reduction_matrix(N)`` is one int64 product.  Both bounds are checked
-    up front from the entries, read as Python integers (OverflowError
-    otherwise); the values are widened to float64 before any product.
-    """
+
+def _orthogonal(values: np.ndarray, weights, diagonal) -> bool:
+    """Whether sum_k weights[k] values[x, k] conj(values[y, k]) = diagonal[x]
+    delta_xy exactly.  The difference has coordinates at most B = N max|R_N|
+    (total + max diagonal), total = N sum_k |weights[k]| peak_k^2, so it is
+    zero iff it vanishes mod primes whose product exceeds 2B (no CRT).
+    total >= 2^53 or N total max|R_N| >= 2^63 is refused up front."""
     n = values.shape[2]
-    R = _reduction_matrix(n)
-    weights = [int(w) for w in weights]
-    highs = values.max(axis=(0, 2)).tolist()
-    lows = values.min(axis=(0, 2)).tolist()
-    total = n * sum(abs(w) * max(h, -l) ** 2 for w, h, l in zip(weights, highs, lows))
-    if total >= 2**53 or n * total * int(np.abs(R).max()) >= 2**63:
-        raise OverflowError(
-            f"conjugate products of these values mod Phi_{n} leave the exact "
-            f"float64 range (bound {total} >= 2^53) or int64"
-        )
-    wide = values.astype(np.float64).transpose(2, 0, 1)
-    A = np.ascontiguousarray(wide * np.array(weights, dtype=np.float64)[None, None, :])
-    # coefficient f of a conjugate is coefficient -f of the value
-    B = np.ascontiguousarray(wide[(-np.arange(n)) % n])
-    out = np.zeros((n, values.shape[0], values.shape[0]))
-    for e in range(n):
-        for f in range(n):
-            out[(e + f) % n] += A[e] @ B[f].T
-    return np.tensordot(out.astype(np.int64), R, axes=(0, 0))
+    largest = int(np.abs(_reduction_matrix(n)).max())
+    total = n * sum(abs(int(w)) * _peak(values[:, k]) ** 2 for k, w in enumerate(weights))
+    if total >= 2**53 or n * total * largest >= 2**63:
+        raise OverflowError(f"conjugate products mod Phi_{n} refused: bound {total}")
+    products = _conjugate_evaluations(values, weights, 2 * n * largest * (total + max(diagonal)))
+    return all(np.array_equal(M, np.diag([d % p for d in diagonal])) for p, _, M in products)
 
 
 def _row_keys(raw: np.ndarray, orders) -> list[tuple]:

@@ -6,9 +6,9 @@ root-existence predicates for X^r - zeta_a over the ell-adic numbers (decided
 at the residue level; Hensel lifting applies since ell does not divide r).
 
 The suites ask the same few thousand questions many times over, so the pure
-integer functions (primality, orders mod ell, elements of given order, the
-subgroups H_d) are memoized.  Arguments are validated before the cache is
-consulted, and a call that raises is never cached.
+integer functions (orders mod ell, elements of given order, the subgroups
+H_d; primality in cyclotomic) are memoized.  Arguments are validated before
+the cache is consulted, and a call that raises is never cached.
 """
 
 from __future__ import annotations
@@ -17,24 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import GaloisSubgroup, unit_residues
-
-
-@lru_cache(maxsize=None)
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (desk-scale inputs)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+from .cyclotomic import GaloisSubgroup, is_prime, unit_residues
 
 
 def _check_odd_prime(ell: int) -> None:

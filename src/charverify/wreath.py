@@ -121,20 +121,30 @@ def _check_label_count(m: int, a: int) -> None:
         )
 
 
-# Full tables are built only when their (L, L, m) ``raw`` would take at most
-# this many bytes at 8 bytes an entry (ValueError otherwise, predicted from
-# ``_label_count`` before anything is built).  ``raw`` is stored compact, int8
-# on the default grids, so the prediction is a conservative bound.  The
-# largest table of the default run is C_10 wr S_3, (330, 330, 10), predicted
-# at 8.3 MiB and stored in 1.0 MiB; C_10 wr S_4 (156 MiB) passes, C_11 wr S_4
-# (311 MiB) and C_12 wr S_4 (588 MiB) do not.
+# Full tables are built only when their (L, L, m) ``raw``, at the item size of
+# ``_compact_dtype`` of the largest degree, takes at most this many bytes
+# (ValueError before anything is built).  C_12 wr S_4 (74 MiB in int8) and
+# C_6 wr S_6 (71 MiB in int16) pass, C_7 wr S_6 (273 MiB in int16) does not.
 MAX_TABLE_BYTES = 256 * 2**20
 
 
+def _max_degree(m: int, a: int) -> int:
+    """The largest degree of C_m wr S_a by the hook formula: a! over the least
+    prod_j H(s_j), s_1 + ... + s_m = a, H(s) the least hook product of s."""
+    H = [min(math.prod(Partition(q).hook_lengths()) for q in _partitions_of(s))
+         for s in range(a + 1)]
+    least = [1] + [math.inf] * a
+    for _ in range(min(m, a)):
+        least = [min(least[t - s] * H[s] for s in range(t + 1)) for t in range(a + 1)]
+    return math.factorial(a) // least[a]
+
+
 def _check_table_bytes(m: int, a: int) -> None:
-    """Refuse the full table of C_m wr S_a above MAX_TABLE_BYTES of values."""
-    count = _label_count(m, a)
-    size = count * count * m * 8
+    """Refuse the full table of C_m wr S_a above MAX_TABLE_BYTES; one over
+    it at one byte an entry is refused before its degrees are bounded."""
+    size = _label_count(m, a) ** 2 * m
+    if size <= MAX_TABLE_BYTES:
+        size *= _compact_dtype(_max_degree(m, a)).itemsize
     if size > MAX_TABLE_BYTES:
         raise ValueError(
             f"the table of C{m}wrS{a} would hold {size / 2**20:.0f} MiB of "

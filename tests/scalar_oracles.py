@@ -16,7 +16,10 @@ product of wreath groups, with its generators; rim-hook and symbol-hook
 removal in every order; powers in F_{p^e}, and the Lang images built from them,
 through repeated ``FiniteFieldElement`` multiplication, and square roots by
 exhaustive search; one partition at a time for prop75, through
-``extension_field_typeA``; and the l-power subgroup by a gcd scan."""
+``extension_field_typeA``; the l-power subgroup by a gcd scan; and, for
+whole value arrays, Galois fixedness by reduction through the power basis
+and the conjugate products of the orthogonality relations by float64
+convolution, the references for the split-prime evaluation kernel."""
 
 import itertools
 import math
@@ -29,6 +32,9 @@ import numpy as np
 import charverify.fields as fields_mod
 from charverify.cyclotomic import (
     CyclotomicNumber,
+    _check_fixedness_int64,
+    _column_orders,
+    _peak,
     _reduction_matrix,
     conductor,
     is_fixed_by,
@@ -717,3 +723,61 @@ def scalar_orthogonality(values, class_sizes, group_order):
             if acc != (group_order // size if k == l else 0):
                 cols_ok = False
     return rows_ok, cols_ok
+
+
+def fixed_rows_by_reduction(raw, ks):
+    """``cyclotomic.galois_fixed_rows`` by reduction: sigma_k is the index
+    permutation e -> ek mod o of each column-order block, and a value is
+    fixed iff its permuted and original coefficients reduce through
+    ``_reduction_matrix(o)`` to the same coordinates, one int64 matmul per
+    moving k mod o, under the same up-front int64 guard."""
+    L, _, n = raw.shape
+    ks = [k % n for k in ks]
+    for k in ks:
+        if math.gcd(k, n) != 1:
+            raise ValueError(f"k = {k} is not a unit mod {n}")
+    out = np.ones((len(ks), L), dtype=bool)
+    bound = _peak(raw)
+    _check_fixedness_int64(bound, n)
+    orders = _column_orders(raw)
+    for o in np.unique(orders).tolist():
+        moving = sorted({k % o for k in ks} - {1 % o})
+        if not moving:
+            continue
+        _check_fixedness_int64(bound, o)
+        values = raw[:, orders == o, :: n // o].reshape(-1, o).astype(np.int64)
+        R = _reduction_matrix(o)
+        base = values @ R
+        e = np.arange(o)
+        fixed = {
+            k: (values @ R[e * k % o] == base).reshape(L, -1).all(axis=1)
+            for k in moving
+        }
+        for t, k in enumerate(ks):
+            if k % o in fixed:
+                out[t] &= fixed[k % o]
+    return out
+
+
+def conjugate_products(values, weights):
+    """(X, X, phi(N)) power-basis coordinates of
+    sum_k weights[k] * values[x, k] * conj(values[y, k]) for an (X, K, N)
+    integer array over Z[t]/(t^N - 1): the convolution over the exponents
+    as N^2 float64 matmuls, exact below 2^53 (asserted), then one int64
+    reduction through ``_reduction_matrix(N)``."""
+    n = values.shape[2]
+    R = _reduction_matrix(n)
+    weights = [int(w) for w in weights]
+    highs = values.max(axis=(0, 2)).tolist()
+    lows = values.min(axis=(0, 2)).tolist()
+    total = n * sum(abs(w) * max(h, -l) ** 2 for w, h, l in zip(weights, highs, lows))
+    assert total < 2**53 and n * total * int(np.abs(R).max()) < 2**63, total
+    wide = values.astype(np.float64).transpose(2, 0, 1)
+    A = np.ascontiguousarray(wide * np.array(weights, dtype=np.float64)[None, None, :])
+    # coefficient f of a conjugate is coefficient -f of the value
+    B = np.ascontiguousarray(wide[(-np.arange(n)) % n])
+    out = np.zeros((n, values.shape[0], values.shape[0]))
+    for e in range(n):
+        for f in range(n):
+            out[(e + f) % n] += A[e] @ B[f].T
+    return np.tensordot(out.astype(np.int64), R, axes=(0, 0))

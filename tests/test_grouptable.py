@@ -21,7 +21,7 @@ from charverify.grouptable import (
     _charpoly,
     _check_int64,
     _compact_dtype,
-    _conjugate_products,
+    _conjugate_evaluations,
     _nullspace,
     _poly_roots,
     _rref,
@@ -31,6 +31,8 @@ from charverify.weyl import group_fingerprint, weyl_group
 
 from scalar_oracles import (
     FiniteGroup,
+    conjugate_products,
+    fixed_rows_by_reduction,
     regular_representation,
     scalar_orthogonality,
     table_rows,
@@ -392,6 +394,7 @@ class TestCompactStore:
 
         units = unit_residues(n)
         assert np.array_equal(galois_fixed_rows(narrow, units), galois_fixed_rows(wide, units))
+        assert np.array_equal(galois_fixed_rows(wide, units), fixed_rows_by_reduction(narrow, units))
         conductors = conductors_from_fixedness(galois_fixed_rows(wide, units), n)
         assert table.conductors().tolist() == conductors.tolist()
         assert len(set(conductors.tolist())) > 2
@@ -401,11 +404,24 @@ class TestCompactStore:
         with pytest.raises(ValueError):
             table.hd_fixed_rows(0)
 
-        rows = _conjugate_products(wide, sizes)
-        assert np.array_equal(_conjugate_products(narrow, sizes), rows)
+        rows = conjugate_products(wide, sizes)
+        assert np.array_equal(conjugate_products(narrow, sizes), rows)
         by_class = [1] * wide.shape[0]
-        columns = _conjugate_products(wide.transpose(1, 0, 2), by_class)
-        assert np.array_equal(_conjugate_products(narrow.transpose(1, 0, 2), by_class), columns)
+        columns = conjugate_products(wide.transpose(1, 0, 2), by_class)
+        assert np.array_equal(conjugate_products(narrow.transpose(1, 0, 2), by_class), columns)
+        # the kernel's products are the oracle's sums, evaluated at each
+        # embedding zeta_12 -> w mod p, on narrow and on int64 input alike
+        for values, weights, sums in (
+            (wide, sizes, rows),
+            (narrow, sizes, rows),
+            (wide.transpose(1, 0, 2), by_class, columns),
+            (narrow.transpose(1, 0, 2), by_class, columns),
+        ):
+            products = list(_conjugate_evaluations(values, weights, 2**40))
+            assert len(products) == 2 * 2  # two primes above 2^20, the pairs {1, 11}, {5, 7}
+            for p, w, M in products:
+                powers = np.array([pow(w, e, p) for e in range(sums.shape[2])])
+                assert np.array_equal(M, sums % p @ powers % p)
         # a sum of squares of values near the peak: wrapping would show here
         assert int(rows[0, 0].max()) >= (peak - 1) ** 2
         expected = np.zeros_like(rows)

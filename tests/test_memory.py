@@ -1,32 +1,53 @@
-"""Memory gate: the table suites in a fresh interpreter.
+"""Memory gates: the table suites in a fresh interpreter, and the
+transient of one fixedness pass.
 
 thm41, lemma42 and weyl-match build every exact character table of the
 default run (wreath tables by Murnaghan-Nakayama, Dixon tables of G(m,2,a)
 and of Weyl centralizers) and keep them cached.  With ``raw`` stored in the
-narrowest integer type the three suites raise the process's peak resident
-set (``ru_maxrss``) by about 19 MiB over its figure after import, against
-about 49 MiB when every table was held in int64; the gate sits between.
+narrowest integer type and Galois fixedness evaluated at a split prime in
+bounded row chunks, the three suites raise the process's peak resident set
+(VmHWM) by 13-15 MiB over its figure after import.  Reducing every
+column-order block through the power basis at once, as the pass did
+before, took it to 19.5-21.5 MiB (and holding every table in int64 to about
+49 MiB); the gate sits between.
+
+The fixedness pass over C_10 wr S_3, whose ``raw`` takes 1.0 MiB, allocates
+at most 2 MiB beyond the table under tracemalloc (the reduction pass: 12.0
+MiB).
 """
 
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import charverify
+from charverify.cyclotomic import galois_fixed_rows, unit_residues
+from charverify.wreath import get_table
 
-MAX_GROWTH_MIB = 32
+MAX_GROWTH_MIB = 17
+MAX_FIXEDNESS_TRANSIENT_MIB = 2
 
+# The child reads its peak resident set from VmHWM, which starts afresh at
+# exec.  ``ru_maxrss`` does not: Linux carries the peak of the forking
+# process over the exec, so under a large pytest process it read that
+# process's size and the growth came out near zero.
 CHILD = """
-import json, resource
+import json
 import charverify.cli
 from charverify import fields, suites
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
 fields.load_cuspidal_field_data()
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_kib()
 failed = [name for name in ("thm41", "lemma42", "weyl-match")
           if suites.run_suite(name).counterexamples]
-after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+after = peak_kib()
 print(json.dumps({"before_kib": before, "after_kib": after, "failed": failed}))
 """
 
@@ -39,5 +60,17 @@ def test_table_suites_peak_rss_growth():
     )
     out = json.loads(result.stdout.strip().splitlines()[-1])
     assert out["failed"] == []
-    growth_mib = (out["after_kib"] - out["before_kib"]) / 1024  # ru_maxrss is in KiB
+    growth_mib = (out["after_kib"] - out["before_kib"]) / 1024
     assert growth_mib <= MAX_GROWTH_MIB, f"peak RSS grew by {growth_mib:.1f} MiB"
+
+
+def test_fixedness_pass_transient():
+    table = get_table(10, 3)
+    assert table.raw.nbytes == 330 * 330 * 10
+    tracemalloc.start()
+    try:
+        galois_fixed_rows(table.raw, unit_residues(10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= MAX_FIXEDNESS_TRANSIENT_MIB * 2**20, f"{peak / 2**20:.2f} MiB"

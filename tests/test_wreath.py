@@ -32,6 +32,7 @@ from charverify.wreath import (
     _label_index,
     _label_ranks,
     _labels_by_size,
+    _max_degree,
     _table_fixed,
     WreathClass,
     class_labels,
@@ -58,6 +59,7 @@ from scalar_oracles import (
     scalar_orthogonality,
     scalar_row_answers,
     table_rows,
+    wreath_degree,
     twist_label,
     verify_galois_equivariance,
     wreath_degree,
@@ -623,16 +625,36 @@ class TestEntryDomain:
 
 
 class TestTableBytesCap:
+    """The cap counts the bytes ``raw`` will take: L * L * m entries at the
+    item size of ``_compact_dtype`` of the largest degree."""
+
     @staticmethod
     def table_bytes(m, a):
-        return _label_count(m, a) ** 2 * m * 8
+        return _label_count(m, a) ** 2 * m * _compact_dtype(_max_degree(m, a)).itemsize
+
+    @pytest.mark.parametrize("m,a", [(1, 0), (4, 0), (1, 7), (2, 6), (3, 5), (5, 3), (12, 2)])
+    def test_largest_degree_by_hook_formula(self, m, a):
+        assert _max_degree(m, a) == max(wreath_degree(label) for label in partition_tuples(a, m))
+
+    def test_largest_degree_of_the_built_tables(self):
+        for m, a in VALUES_CELLS:
+            table = get_table(m, a)
+            assert _max_degree(m, a) == max(table.degrees), (m, a)
+            assert table.raw.nbytes == self.table_bytes(m, a), (m, a)
 
     def test_boundary(self):
         largest = max(VALUES_CELLS, key=lambda cell: self.table_bytes(*cell))
-        assert largest == (10, 3) and self.table_bytes(10, 3) == 330 * 330 * 10 * 8
-        assert self.table_bytes(10, 4) <= MAX_TABLE_BYTES < self.table_bytes(11, 4)
-        _check_table_bytes(10, 4)
-        for m, a in ((11, 4), (12, 4)):
+        assert largest == (10, 3) and self.table_bytes(10, 3) == 330 * 330 * 10
+        # every degree of C_m wr S_4 is at most 4! = 24: int8
+        assert self.table_bytes(12, 4) == 2535 * 2535 * 12
+        for m, a in ((10, 4), (11, 4), (12, 4), (9, 5), (6, 6)):
+            assert self.table_bytes(m, a) <= MAX_TABLE_BYTES, (m, a)
+            _check_table_bytes(m, a)
+        # C_7 wr S_6 would pass at one byte an entry; its degrees need int16
+        assert _compact_dtype(_max_degree(7, 6)) == np.int16
+        assert _label_count(7, 6) ** 2 * 7 <= MAX_TABLE_BYTES < self.table_bytes(7, 6)
+        for m, a in ((10, 5), (7, 6)):
+            assert self.table_bytes(m, a) > MAX_TABLE_BYTES, (m, a)
             with pytest.raises(ValueError, match="cap"):
                 _check_table_bytes(m, a)
 
@@ -648,10 +670,10 @@ class TestTableBytesCap:
         # the values route of every whole-table and per-label entry is
         # get_table(m, a) and its passes
         for call in (
-            lambda: get_table(11, 4),
-            lambda: get_table(12, 4),
-            lambda: get_table(12, 4).conductors(),
-            lambda: get_table(12, 4).hd_fixed_rows(2),
+            lambda: get_table(10, 5),
+            lambda: get_table(7, 6),
+            lambda: get_table(10, 5).conductors(),
+            lambda: get_table(7, 6).hd_fixed_rows(2),
         ):
             with pytest.raises(ValueError, match="cap"):
                 call()
