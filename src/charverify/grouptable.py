@@ -13,7 +13,11 @@ permutation array and a color array with one row per element, in the order
 of the sorted native elements.  Classes, inverses, element orders, the
 powers of the class representatives and the class-multiplication matrices
 all come from array gathers and ``np.searchsorted`` on integer row keys,
-never from a multiplication of two elements in Python.  The builders in
+never from a multiplication of two elements in Python.  Each such pass over
+every element (inverses, conjugation maps, the products behind the greedy
+generators and the class matrices) runs over row chunks
+(``cyclotomic._row_chunks``) sized for the int64 arrays a row lookup holds
+at once, and writes into one preallocated row or count array.  The builders in
 ``weyl`` and ``wreath`` refuse a group above ``MAX_GROUP_ORDER`` from its
 closed-form order, before any element is listed.
 
@@ -35,8 +39,10 @@ C_m wr S_a): entry [i, j, e] is the multiplicity of zeta_N^e in the value of
 character i at class j.  ``raw`` is compact and read-only: its dtype is the
 smallest signed integer type that holds -peak - 1, peak = max|entry|
 (``_compact_dtype``; int8 for every table of the default grids).  Dixon
-computes in int64 and narrows once, in the constructor; no pass does
-arithmetic in the narrow type.  Conductors and H_d-fixedness read one
+lifts its values straight into that type: every lifted multiplicity is
+checked against its character's degree before it is written, and the
+largest degree is the table's peak.  No pass does arithmetic in the narrow
+type.  Conductors and H_d-fixedness read one
 ``cyclotomic.galois_fixed_rows`` pass over every unit mod N, made once per
 table.  Both orthogonality relations run on the same split-prime
 evaluations: one mod-p product per pair of embeddings {j, -j} and prime,
@@ -74,6 +80,12 @@ from .ladic import hd_residues
 # (ValueError).  The default suites build groups of order at most 3840
 # (W(B5)); W(B6), of order 46080, passes and W(B7), of order 645120, does not.
 MAX_GROUP_ORDER = 10**5
+
+
+# A row lookup holds up to this many int64 arrays the shape of its input at
+# once (the composed pair, its digits, keys and positions), so the group
+# passes hand ``rows`` chunks of at most _CHUNK_ENTRIES / _ROW_ARRAYS points.
+_ROW_ARRAYS = 16
 
 
 def _check_group_order(order: int, name: str) -> None:
@@ -178,9 +190,24 @@ class ColoredPermGroup:
     def product(self, x, y) -> np.ndarray:
         """Rows of the products of rows x and y (broadcast)."""
         x, y = np.broadcast_arrays(np.asarray(x), np.asarray(y))
-        return self.rows(
-            *_compose(self.perm[x], self.color[x], self.perm[y], self.color[y], self.m)
-        )
+        shape, x, y = x.shape, x.ravel(), y.ravel()
+
+        def product_rows(s):
+            xs, ys = x[s], y[s]
+            return self.rows(
+                *_compose(self.perm[xs], self.color[xs], self.perm[ys], self.color[ys], self.m)
+            )
+
+        return self._chunked_rows(x.size, product_rows).reshape(shape)
+
+    def _chunked_rows(self, count: int, rows_of) -> np.ndarray:
+        """``rows_of(s)`` for the row chunks s of range(count), written into
+        one int64 array; a chunk of colored permutations of n points has at
+        most _CHUNK_ENTRIES / (_ROW_ARRAYS n) rows."""
+        out = np.empty(count, dtype=np.int64)
+        for s in _row_chunks(count, _ROW_ARRAYS * self.perm.shape[1]):
+            out[s] = rows_of(s)
+        return out
 
     def subgroup(self, rows, name: str = "") -> "ColoredPermGroup":
         """The subgroup on the given rows, in the same encoding."""
@@ -189,8 +216,12 @@ class ColoredPermGroup:
     def inverses(self) -> np.ndarray:
         """Row of the inverse of every row."""
         if self._inverses is None:
-            pinv = np.argsort(self.perm, axis=1)
-            self._inverses = self.rows(pinv, -np.take_along_axis(self.color, pinv, 1))
+
+            def inverse_rows(s):
+                pinv = np.argsort(self.perm[s], axis=1)
+                return self.rows(pinv, -np.take_along_axis(self.color[s], pinv, 1))
+
+            self._inverses = self._chunked_rows(self.order, inverse_rows)
         return self._inverses
 
     def powers(self, rows=None) -> tuple[np.ndarray, np.ndarray]:
@@ -228,8 +259,10 @@ class ColoredPermGroup:
             maps.append(self.product(every, gens[-1]))
             frontier = np.flatnonzero(span)
             while frontier.size:
-                new = np.unique(np.concatenate([mp[frontier] for mp in maps]))
-                frontier = new[~span[new]]
+                hit = np.zeros(self.order, dtype=bool)
+                for mp in maps:
+                    hit[mp[frontier]] = True
+                frontier = np.flatnonzero(hit & ~span)
                 span[frontier] = True
         return gens or [self.identity]
 
@@ -237,8 +270,12 @@ class ColoredPermGroup:
         """Row of t x t^-1 for every row x."""
         pt, ct = self.perm[t], self.color[t]
         pti = np.argsort(pt)
-        tx_p, tx_c = pt[self.perm], self.color + ct[self.perm]
-        return self.rows(tx_p[:, pti], tx_c[:, pti] - ct[pti])
+
+        def conjugate_rows(s):
+            p = self.perm[s]
+            return self.rows(pt[p][:, pti], (self.color[s] + ct[p])[:, pti] - ct[pti])
+
+        return self._chunked_rows(self.order, conjugate_rows)
 
     def conjugacy_classes(self) -> list[np.ndarray]:
         """Classes as ascending row arrays: the identity class first, the
@@ -266,21 +303,17 @@ class ColoredPermGroup:
 
     def class_matrix(self, i: int) -> np.ndarray:
         """(M_i)_{jk} = #{x in C_i : x^-1 rep_k in C_j}, rep_k the smallest
-        row of class k: the inverses of C_i times every representative in
-        one gather, counted by ``np.bincount``."""
+        row of class k: the inverses of C_i times every representative, a
+        chunk of rows of C_i at a time, counted by ``np.bincount``."""
         classes = self.conjugacy_classes()
         r = len(classes)
         reps = np.array([c[0] for c in classes])
         x = self.inverses()[classes[i]]
-        hits = self.class_of[
-            self.rows(
-                *_compose(
-                    self.perm[x][:, None], self.color[x][:, None],
-                    self.perm[reps][None], self.color[reps][None], self.m,
-                )
-            )
-        ]
-        return np.bincount((hits * r + np.arange(r)).ravel(), minlength=r * r).reshape(r, r)
+        counts = np.zeros(r * r, dtype=np.int64)
+        for s in _row_chunks(len(x), _ROW_ARRAYS * r * self.perm.shape[1]):
+            hits = self.class_of[self.product(x[s, None], reps)]
+            counts += np.bincount((hits * r + np.arange(r)).ravel(), minlength=r * r)
+        return counts.reshape(r, r)
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +421,8 @@ class CharacterTable:
     ``raw`` is the (L, C, N) value array over Z[t]/(t^N - 1): entry
     [i, j, e] is the multiplicity of zeta_N^e in character i at class j.
     The constructor stores it read-only in ``_compact_dtype`` of its peak,
-    copying only when the given array is wider (a wreath build hands over
-    an array that is compact already).  Passes over it widen before any
+    copying only when the given array is wider (a wreath build and Dixon
+    hand over an array that is compact already).  Passes over it widen before any
     arithmetic.  The identity class is the class of element order 1,
     wherever it stands; its values are the degrees.  Every whole-table pass
     is defined here once, on ``raw``: the value view, conductors,
@@ -487,7 +520,7 @@ class CharacterTable:
         # exact lift: the multiplicity of w^j on <g> is a Fourier sum over
         # the values at the powers of g, one matmul per class; it is the
         # coefficient of zeta_N^{jN/o} in the raw layout over Z[t]/(t^N - 1)
-        raw = np.zeros((r, r, exponent), dtype=np.int64)
+        raw = np.zeros((r, r, exponent), dtype=_compact_dtype(max(degrees)))
         dft: dict[int, np.ndarray] = {}
         for ci, o in enumerate(rep_orders):
             power_classes = class_of[powers[ci, :o]]

@@ -206,13 +206,12 @@ def _suite_thm41(max_m=12, max_a=4, sub_max_m=6, sub_max_a=3):
     checks, bad = 0, []
     subgroup_cells = _subgroup_grid(sub_max_m, sub_max_a)
     for m, a in _wreath_grid(max_m, max_a):
-        conductors = wreath_mod.table_conductors(m, a).tolist()
-        for label, c in zip(wreath_mod.irr_labels(m, a), conductors):
+        for i, c in enumerate(wreath_mod.table_conductors(m, a).tolist()):
             checks += 1
             if m % c != 0:
                 bad.append(
-                    f"C_{m} wr S_{a}: conductor {c} of {label} does not "
-                    f"divide {m}"
+                    f"C_{m} wr S_{a}: conductor {c} of "
+                    f"{wreath_mod.irr_labels(m, a)[i]} does not divide {m}"
                 )
     for m, a in subgroup_cells:
         table = wreath_mod.get_subgroup_table(m, a)
@@ -233,12 +232,12 @@ def _suite_lemma42(max_m=12, max_a=4, sub_max_m=6, sub_max_a=3, max_d=12):
         for d in range(1, max_d + 1):
             if math.lcm(2, d) % m != 0:
                 continue
-            fixed = wreath_mod.table_hd_fixed(m, a, d).tolist()
-            for label, ok in zip(wreath_mod.irr_labels(m, a), fixed):
+            for i, ok in enumerate(wreath_mod.table_hd_fixed(m, a, d).tolist()):
                 checks += 1
                 if not ok:
                     bad.append(
-                        f"C_{m} wr S_{a}: {label} not fixed at d={d}"
+                        f"C_{m} wr S_{a}: {wreath_mod.irr_labels(m, a)[i]} "
+                        f"not fixed at d={d}"
                     )
     for m, a in subgroup_cells:
         table = wreath_mod.get_subgroup_table(m, a)

@@ -16,9 +16,10 @@ by the all-ones vector).  The zeta_d-eigenvalue multiplicity of an element is
 the Phi_d-valuation of that polynomial, computed here by divisor counting on
 the signed cycle blocks; the polynomial itself, with exact division, is the
 oracle in the tests (``reflection_charpoly`` in ``tests/scalar_oracles.py``).
-The largest multiplicity a(d) over a coset is read off its signed cycle
-types, listed from partitions of the rank; the scan over every word of the
-coset is the tests' oracle.
+The multiplicity is additive over the cycles, so the largest one over a
+coset, a(d), is a knapsack over cycle lengths that lists no cycle type;
+listing the coset's signed cycle types from partitions, and the scan over
+every word of the coset, are the tests' oracles.
 
 The groups themselves are ``grouptable.ColoredPermGroup`` arrays: a word is
 a colored permutation with m = 2 (m = 1 in type A), so W is a permutation
@@ -33,7 +34,7 @@ off the factors' cached Murnaghan-Nakayama tables in series A and B/C, and
 comes from Dixon on the even part of the product, built as arrays, in
 series D.  ``sp_mul``, one word product at a time, is the tests' oracle.
 A Weyl group above ``grouptable.MAX_GROUP_ORDER`` is refused, from its
-order, before any cycle type or word is listed.
+order, before any word is listed.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .grouptable import (
     _check_group_order,
     _permutations,
 )
-from .partitions import _partitions_of
 from .qpoly import QPolynomial, phi_d_valuation
 from .wreath import get_full_group, get_table
 
@@ -193,55 +193,60 @@ def eigen_multiplicity(series: str, twisted: bool, w: tuple, d: int) -> int:
 def _type_multiplicity(series: str, twisted: bool, cycles: tuple, d: int) -> int:
     """The zeta_d-eigenvalue multiplicity shared by every element of the
     signed cycle type ``cycles`` (series canonical, d positive)."""
-    total = 0
-    for c, sign in cycles:
-        if series == "A" and twisted:
-            negative = c % 2 == 1
-        else:
-            negative = sign < 0
-        if negative:
-            total += 1 if (2 * c) % d == 0 and c % d != 0 else 0
-        else:
-            total += 1 if c % d == 0 else 0
-    if series == "A":
-        total -= 1 if d == (2 if twisted else 1) else 0
-    return total
+    return sum(
+        _cycle_multiplicity(series, twisted, c, sign, d) for c, sign in cycles
+    ) - _summand_multiplicity(series, twisted, d)
+
+
+def _cycle_multiplicity(series: str, twisted: bool, c: int, sign: int, d: int) -> int:
+    """The zeta_d-eigenvalue multiplicity of one signed c-cycle block: one
+    when Phi_d divides q^c - 1 (positive) or q^c + 1 (negative), else none.
+    In twisted A the matrix is negated, so the odd cycles count as negative."""
+    negative = c % 2 == 1 if series == "A" and twisted else sign < 0
+    if negative:
+        return int((2 * c) % d == 0 and c % d != 0)
+    return int(c % d == 0)
+
+
+def _summand_multiplicity(series: str, twisted: bool, d: int) -> int:
+    """Type A divides out the summand carried by the all-ones vector, whose
+    eigenvalue is 1 (-1 in the twisted coset)."""
+    return int(series == "A" and d == (2 if twisted else 1))
 
 
 def max_eigen_multiplicity(series: str, r: int, twisted: bool, d: int) -> int:
-    """a(d): the largest zeta_d-eigenspace dimension over the coset."""
+    """a(d): the largest zeta_d-eigenspace dimension over the coset.
+
+    The multiplicity is a sum over the cycles of a signed cycle type, so
+    a(d) is a knapsack over cycle lengths, O(r^2) with no type listed:
+    best[s, q] is the largest sum over the signed cycle types of s points
+    with q negative cycles mod 2.  Type A fills r + 1 points with positive
+    cycles, B/C r points with cycles of either sign, and D keeps an even
+    number of negative cycles, an odd number in the twisted coset."""
     series = _canon_series(series)
     if d < 1:
         raise ValueError("d must be positive")
-    return max(
-        _type_multiplicity(series, twisted, cycles, d)
-        for cycles in _coset_cycle_types(series, r, twisted)
-    )
-
-
-@lru_cache(maxsize=None)
-def _coset_cycle_types(series: str, r: int, twisted: bool) -> tuple:
-    """The distinct signed cycle types over the coset (series canonical),
-    listed from partitions without listing any element; the multiplicity
-    depends on an element only through its type.  Type A: the partitions
-    of r + 1, all cycles positive (the twist only negates the matrix).
-    B/C: a partition of the positive cycles and one of the negative cycles,
-    of total size r; D keeps the splits with an even number of negative
-    cycles, an odd number in the twisted coset."""
     _check_rank(series, r)
-    if series == "A":
-        return tuple(sorted(tuple((c, 1) for c in p) for p in _partitions_of(r + 1)))
     if series == "B" and twisted:
         raise ValueError("series B/C has no graph twist here")
-    return tuple(
-        sorted(
-            tuple(sorted([(c, 1) for c in pos] + [(c, -1) for c in neg], reverse=True))
-            for k in range(r + 1)
-            for pos in _partitions_of(r - k)
-            for neg in _partitions_of(k)
-            if series == "B" or len(neg) % 2 == twisted
-        )
+    n = r + 1 if series == "A" else r
+    gain = np.array(
+        [[_cycle_multiplicity(series, twisted, c, sign, d) for c in range(1, n + 1)]
+         for sign in (1, -1)],
+        dtype=float,
     )
+    if series == "A":
+        gain[1] = -np.inf
+    best = np.full((n + 1, 2), -np.inf)
+    best[0, 0] = 0
+    for s in range(1, n + 1):
+        before = best[s - 1 :: -1]  # best[s - c] for c = 1, ..., s
+        best[s] = np.maximum(
+            (before + gain[0, :s, None]).max(axis=0),
+            (before[:, ::-1] + gain[1, :s, None]).max(axis=0),
+        )
+    top = best[n, int(twisted)] if series == "D" else best[n].max()
+    return int(top) - _summand_multiplicity(series, twisted, d)
 
 
 def generic_degrees(series: str, r: int, twisted: bool) -> list[tuple[int, int]]:
@@ -519,7 +524,7 @@ class RelativeWeylReport:
     rank: int
     twisted: bool
     d: int
-    eigenspace_dim: int  # a(d) over the coset's signed cycle types
+    eigenspace_dim: int  # a(d) over the coset, by the cycle-length knapsack
     order_valuation: int  # Phi_d-valuation of the generic order
     canonical_dim: int  # eigenspace dim of the constructed element
     computed_order: int
@@ -540,10 +545,10 @@ class RelativeWeylReport:
 
 def analyze_relative_weyl(series: str, r: int, twisted: bool, d: int) -> RelativeWeylReport:
     """Run every check for one (series, rank, twist, d): eigenvalue counts
-    by coset cycle types / generic order / canonical element, centralizer vs
-    predicted fingerprints, and Galois stability of the centralizer's
-    characters.  The centralizer step lists W, so a W above the cap is
-    refused first, before the coset's cycle types are listed."""
+    by the coset's cycle lengths / generic order / canonical element,
+    centralizer vs predicted fingerprints, and Galois stability of the
+    centralizer's characters.  The centralizer step lists W, so a W above
+    the cap is refused first."""
     series_c = _canon_series(series)
     _check_weyl_order(series_c, r)
     a_coset = max_eigen_multiplicity(series_c, r, twisted, d)

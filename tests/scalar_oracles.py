@@ -11,7 +11,8 @@ G(m,2,a) by Clifford theory and inner products; polynomial long division
 over ``Fraction``, generic degrees by the quotient of q-integer products and
 characteristic polynomials of Weyl elements on the reflection
 representation; the words of Weyl groups and their cosets, listed as
-tuples, and the signed cycle types found by scanning them; the whole direct
+tuples, and the signed cycle types found by scanning them or listed from
+partitions, with a(d) read off that list; the whole direct
 product of wreath groups, with its generators; rim-hook and symbol-hook
 removal in every order; powers in F_{p^e}, and the Lang images built from them,
 through repeated ``FiniteFieldElement`` multiplication, and square roots by
@@ -48,10 +49,25 @@ from charverify.langmap import (
     jacobi_symbol,
     sqrt_in_quadratic,
 )
-from charverify.partitions import BetaSet, Partition, beta_set, hooks, partitions_of, remove_rim_hook
+from charverify.partitions import (
+    BetaSet,
+    Partition,
+    _partitions_of,
+    beta_set,
+    hooks,
+    partitions_of,
+    remove_rim_hook,
+)
 from charverify.qpoly import QPolynomial
 from charverify.symbols import remove_symbol_hook, symbol_hooks
-from charverify.weyl import _canon_series, _check_weyl_order, _Product, sp_cycles
+from charverify.weyl import (
+    _canon_series,
+    _check_rank,
+    _check_weyl_order,
+    _Product,
+    _type_multiplicity,
+    sp_cycles,
+)
 from charverify.wreath import (
     WreathClass,
     _check_label,
@@ -549,6 +565,39 @@ def coset_elements(series, r, twisted):
 def coset_cycle_types_by_scan(series, r, twisted):
     """The distinct signed cycle types over the coset, one word at a time."""
     return tuple(sorted({sp_cycles(w) for w in coset_elements(series, r, twisted)}))
+
+
+@lru_cache(maxsize=None)
+def coset_cycle_types(series, r, twisted):
+    """The distinct signed cycle types over the coset (series canonical),
+    listed from partitions without listing any element.  Type A: the
+    partitions of r + 1, all cycles positive (the twist only negates the
+    matrix).  B/C: a partition of the positive cycles and one of the
+    negative cycles, of total size r; D keeps the splits with an even
+    number of negative cycles, an odd number in the twisted coset."""
+    _check_rank(series, r)
+    if series == "A":
+        return tuple(sorted(tuple((c, 1) for c in p) for p in _partitions_of(r + 1)))
+    if series == "B" and twisted:
+        raise ValueError("series B/C has no graph twist here")
+    return tuple(
+        sorted(
+            tuple(sorted([(c, 1) for c in pos] + [(c, -1) for c in neg], reverse=True))
+            for k in range(r + 1)
+            for pos in _partitions_of(r - k)
+            for neg in _partitions_of(k)
+            if series == "B" or len(neg) % 2 == twisted
+        )
+    )
+
+
+def max_eigen_multiplicity_by_listing(series, r, twisted, d):
+    """a(d) as the largest multiplicity over the listed signed cycle types."""
+    series = _canon_series(series)
+    return max(
+        _type_multiplicity(series, twisted, cycles, d)
+        for cycles in coset_cycle_types(series, r, twisted)
+    )
 
 
 def full_product_group(factors):

@@ -10,9 +10,9 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from charverify import cli, grouptable, weyl, wreath
+from charverify import cli, cyclotomic, grouptable, weyl, wreath
 from charverify.cyclotomic import CyclotomicNumber, _column_orders
-from charverify.grouptable import MAX_GROUP_ORDER, _check_group_order
+from charverify.grouptable import MAX_GROUP_ORDER, CharacterTable, _check_group_order
 from charverify.suites import suite_defaults
 from charverify.weyl import (
     _dixon_of,
@@ -258,6 +258,41 @@ FROZEN_TABLE_DIGESTS = {
 def test_tables_frozen():
     got = {label: table_digest(_dixon_of(group)) for label, group, _ in all_groups()}
     assert got == FROZEN_TABLE_DIGESTS
+
+
+@pytest.mark.parametrize(
+    "label,build",
+    [
+        ("C_W(B4, d=1)", lambda: weyl_group.__wrapped__("B", 4)),
+        ("G(4,2,3)", lambda: get_subgroup.__wrapped__(4, 3)),
+    ],
+)
+def test_row_chunks_do_not_change_the_group_passes(monkeypatch, label, build):
+    """Classes, inverses, every class matrix, greedy generators and the
+    Dixon table of a fresh group agree whether the group passes run in one
+    chunk or in chunks of a few rows (one row for the class matrices)."""
+
+    def passes(entries):
+        monkeypatch.setattr(cyclotomic, "_CHUNK_ENTRIES", entries)
+        group = build()
+        n = group.perm.shape[1]
+        chunks = len(cyclotomic._row_chunks(group.order, grouptable._ROW_ARRAYS * n))
+        classes = group.conjugacy_classes()
+        answers = (
+            [c.tolist() for c in classes],
+            group.inverses().tolist(),
+            [group.class_matrix(i).tolist() for i in range(len(classes))],
+            group.subgroup(np.arange(group.order)).generators,
+        )
+        return chunks, answers, CharacterTable.dixon(build())
+
+    one_chunk, answers, table = passes(2**40)
+    chunks, tiny_answers, tiny_table = passes(1000)
+    assert one_chunk == 1 and chunks >= 10
+    assert tiny_answers == answers
+    assert tiny_table.raw.dtype == table.raw.dtype == np.int8
+    assert np.array_equal(tiny_table.raw, table.raw)
+    assert table_digest(tiny_table) == FROZEN_TABLE_DIGESTS[label]
 
 
 def test_one_value_rule_for_both_kinds_of_table():

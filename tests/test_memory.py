@@ -1,19 +1,24 @@
 """Memory gates: the table suites in a fresh interpreter, and the
-transient of one fixedness pass.
+transients of one fixedness pass and of one Dixon construction.
 
 thm41, lemma42 and weyl-match build every exact character table of the
 default run (wreath tables by Murnaghan-Nakayama, Dixon tables of G(m,2,a)
 and of Weyl centralizers) and keep them cached.  With ``raw`` stored in the
-narrowest integer type and Galois fixedness evaluated at a split prime in
-bounded row chunks, the three suites raise the process's peak resident set
-(VmHWM) by 13-15 MiB over its figure after import.  Reducing every
-column-order block through the power basis at once, as the pass did
-before, took it to 19.5-21.5 MiB (and holding every table in int64 to about
-49 MiB); the gate sits between.
+narrowest integer type, Galois fixedness evaluated at a split prime in
+bounded row chunks, Dixon lifting straight into the compact type with its
+group passes in row chunks, and no label listed unless a check fails, the
+three suites raise the process's peak resident set (VmHWM) by about 10 MiB
+over its figure after import, and never import ``numpy.ma`` (a plain
+``np.unique`` does, for 1.3 MiB).  Lifting Dixon's values in int64 and
+forming each class matrix in one gather, as before, took it to 15 MiB
+(reducing every column-order block of the fixedness pass at once, before
+that, to 19.5-21.5 MiB); the gate sits just above the current band.
 
 The fixedness pass over C_10 wr S_3, whose ``raw`` takes 1.0 MiB, allocates
 at most 2 MiB beyond the table under tracemalloc (the reduction pass: 12.0
-MiB).
+MiB).  Dixon on a fresh W(B5) = C_2 wr S_5, classes and inverses included,
+allocates about 0.6 MiB (2.8 MiB with the int64 lift and unchunked group
+passes).
 """
 
 import json
@@ -25,10 +30,12 @@ from pathlib import Path
 
 import charverify
 from charverify.cyclotomic import galois_fixed_rows, unit_residues
-from charverify.wreath import get_table
+from charverify.grouptable import CharacterTable
+from charverify.wreath import get_full_group, get_table
 
-MAX_GROWTH_MIB = 17
+MAX_GROWTH_MIB = 11
 MAX_FIXEDNESS_TRANSIENT_MIB = 2
+MAX_DIXON_TRANSIENT_MIB = 1
 
 # The child reads its peak resident set from VmHWM, which starts afresh at
 # exec.  ``ru_maxrss`` does not: Linux carries the peak of the forking
@@ -36,6 +43,7 @@ MAX_FIXEDNESS_TRANSIENT_MIB = 2
 # process's size and the growth came out near zero.
 CHILD = """
 import json
+import sys
 import charverify.cli
 from charverify import fields, suites
 
@@ -48,7 +56,8 @@ before = peak_kib()
 failed = [name for name in ("thm41", "lemma42", "weyl-match")
           if suites.run_suite(name).counterexamples]
 after = peak_kib()
-print(json.dumps({"before_kib": before, "after_kib": after, "failed": failed}))
+print(json.dumps({"before_kib": before, "after_kib": after, "failed": failed,
+                  "numpy_ma": "numpy.ma" in sys.modules}))
 """
 
 
@@ -60,6 +69,7 @@ def test_table_suites_peak_rss_growth():
     )
     out = json.loads(result.stdout.strip().splitlines()[-1])
     assert out["failed"] == []
+    assert not out["numpy_ma"]
     growth_mib = (out["after_kib"] - out["before_kib"]) / 1024
     assert growth_mib <= MAX_GROWTH_MIB, f"peak RSS grew by {growth_mib:.1f} MiB"
 
@@ -74,3 +84,15 @@ def test_fixedness_pass_transient():
     finally:
         tracemalloc.stop()
     assert peak <= MAX_FIXEDNESS_TRANSIENT_MIB * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+def test_dixon_transient():
+    group = get_full_group.__wrapped__(2, 5)  # fresh: no classes or inverses yet
+    tracemalloc.start()
+    try:
+        table = CharacterTable.dixon(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.degrees) == 36
+    assert peak <= MAX_DIXON_TRANSIENT_MIB * 2**20, f"{peak / 2**20:.2f} MiB"

@@ -1,13 +1,13 @@
 """Tests for Weyl-group words, eigenvalue counts, and relative Weyl groups."""
 
 import random
+import time
 
 import pytest
 
 from charverify.grouptable import CharacterTable
 from charverify.suites import run_suite
 from charverify.weyl import (
-    _coset_cycle_types,
     _dixon_of,
     _predicted_factors,
     _product_group,
@@ -33,7 +33,9 @@ from charverify.wreath import get_full_group
 from charverify.suites import suite_defaults
 from scalar_oracles import (
     FiniteGroup,
+    coset_cycle_types,
     coset_cycle_types_by_scan,
+    max_eigen_multiplicity_by_listing,
     coset_elements,
     full_product_group,
     group_elements,
@@ -397,24 +399,45 @@ def test_predicted_fingerprint_against_dixon_of_product(series, r, twisted, d):
 
 class TestCosetCycleTypes:
     """The signed cycle types listed from partitions against the scan over
-    every word of the coset."""
+    every word of the coset, and a(d) by the knapsack over cycle lengths
+    against the largest multiplicity over that list."""
 
     @pytest.mark.parametrize(
         "series,r,twisted",
         sorted({case[:3] for case in _weyl_match_cases()}) + [("B", 1, False), ("B", 6, False)],
     )
     def test_matches_word_scan(self, series, r, twisted):
-        assert _coset_cycle_types(series, r, twisted) == (
+        assert coset_cycle_types(series, r, twisted) == (
             coset_cycle_types_by_scan(series, r, twisted)
         )
 
+    def test_knapsack_matches_listing(self):
+        cases = [("A", r, tw) for r in range(1, 9) for tw in (False, True)]
+        cases += [("B", r, False) for r in range(1, 9)]
+        cases += [("D", r, tw) for r in range(2, 9) for tw in (False, True)]
+        for series, r, twisted in cases:
+            # every d with a(d) > 0 is at most twice the largest cycle
+            for d in range(1, 2 * r + 5):
+                assert max_eigen_multiplicity(series, r, twisted, d) == (
+                    max_eigen_multiplicity_by_listing(series, r, twisted, d)
+                ), (series, r, twisted, d)
+
+    def test_large_rank_lists_nothing(self):
+        start = time.perf_counter()
+        assert max_eigen_multiplicity("B", 50, False, 2) == 50
+        assert max_eigen_multiplicity("B", 50, False, 4) == 25
+        assert time.perf_counter() - start < 0.5
+        assert max_eigen_multiplicity("B", 1000, False, 2) == 1000
+        assert max_eigen_multiplicity("D", 1000, True, 2) == 999
+        assert max_eigen_multiplicity("A", 1000, False, 1) == 1000
+
     def test_validation(self):
         with pytest.raises(ValueError, match="no graph twist"):
-            _coset_cycle_types("B", 2, True)
+            coset_cycle_types("B", 2, True)
         with pytest.raises(ValueError, match="no graph twist"):
             max_eigen_multiplicity("C", 3, True, 2)
         for series, r in (("A", 0), ("B", 0), ("D", 1)):
             with pytest.raises(ValueError, match="too small"):
-                _coset_cycle_types(series, r, False)
+                coset_cycle_types(series, r, False)
             with pytest.raises(ValueError, match="too small"):
                 max_eigen_multiplicity(series, r, False, 1)

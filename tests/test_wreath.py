@@ -19,6 +19,7 @@ from charverify.cyclotomic import (
 from charverify.grouptable import CharacterTable, _compact_dtype
 from charverify.ladic import hd_residues
 from charverify.partitions import Partition
+from charverify.suites import run_suite
 from charverify.wreath import (
     MAX_LABELS,
     MAX_TABLE_BYTES,
@@ -771,3 +772,40 @@ def test_subgroup_rows_and_restrictions_frozen(m, a):
     ]
     assert (_digest(rows), _digest(restrictions)) == FROZEN_SUBGROUP_DIGESTS[(m, a)]
     assert table.degrees == [int(row[0].rational_value()) for row in values]
+
+
+class TestSuiteLabelMessages:
+    """thm41 and lemma42 look a character's label up only when its check
+    fails, and then name it, on the values route (C_6 wr S_3) and on the
+    label route (C_12 wr S_4, which builds no table)."""
+
+    @pytest.mark.parametrize("m,a", [(6, 3), (12, 4)])
+    def test_one_flipped_entry_names_its_label(self, monkeypatch, m, a):
+        i = 7
+        conductors, hd_fixed = wreath.table_conductors, wreath.table_hd_fixed
+
+        def flipped_conductors(mm, aa):
+            out = conductors(mm, aa)
+            if (mm, aa) == (m, a):
+                out = out.copy()
+                out[i] = m + 1
+            return out
+
+        def flipped_hd_fixed(mm, aa, d):
+            out = hd_fixed(mm, aa, d)
+            if (mm, aa, d) == (m, a, m):
+                out = out.copy()
+                out[i] = not out[i]
+            return out
+
+        monkeypatch.setattr(wreath, "table_conductors", flipped_conductors)
+        monkeypatch.setattr(wreath, "table_hd_fixed", flipped_hd_fixed)
+        assert (_label_count(m, a) <= VALUES_ROUTE_MAX_LABELS) == (m == 6)
+        grid = {"max_m": m, "max_a": a, "sub_max_m": 2, "sub_max_a": 1}
+        label = wreath.irr_labels(m, a)[i]
+        assert run_suite("thm41", grid).counterexamples == (
+            f"C_{m} wr S_{a}: conductor {m + 1} of {label} does not divide {m}",
+        )
+        assert run_suite("lemma42", grid).counterexamples == (
+            f"C_{m} wr S_{a}: {label} not fixed at d={m}",
+        )
