@@ -16,8 +16,9 @@ above 2^22 are taken until their product exceeds twice the coordinate
 bound of the difference tested.  sigma_k is a gather of the evaluations
 (:func:`galois_fixed_rows`), whose int64 guard (max|raw| * max|entry of
 _reduction_rows(n)| * n < 2^63 at N and at each column order) raises
-OverflowError up front.  :func:`conductor` and :func:`is_fixed_by` remain
-the scalar oracles.
+OverflowError up front.  It is the one routine of the package that tests
+Galois fixedness of values; the scalar conductor and fixedness of one
+number are the tests' oracles.
 """
 
 from __future__ import annotations
@@ -260,11 +261,6 @@ class CyclotomicNumber:
         return " ".join(parts)
 
 
-def root_of_unity(n: int, k: int = 1) -> CyclotomicNumber:
-    """zeta_n^k as an element of Q(zeta_n)."""
-    return CyclotomicNumber(n, {k % n: Fraction(1)})
-
-
 class GaloisSubgroup:
     """A subgroup of (Z/nZ)^x given by its modulus and residue set."""
 
@@ -324,36 +320,6 @@ class GaloisSubgroup:
 
     def __repr__(self) -> str:
         return f"GaloisSubgroup(mod {self.modulus}, {sorted(self.residues)})"
-
-
-def is_fixed_by(x: CyclotomicNumber, subgroup: GaloisSubgroup) -> bool:
-    """Whether every sigma_k, k in the subgroup, fixes x.
-
-    The subgroup modulus must equal the order x is written in; a mismatch is
-    an error rather than a silent lift.
-    """
-    if subgroup.modulus != x.order:
-        raise ValueError(
-            f"subgroup modulus {subgroup.modulus} != element order {x.order}"
-        )
-    return all(x.galois(k) == x for k in subgroup.residues)
-
-
-def conductor(x: CyclotomicNumber) -> int:
-    """The smallest c such that x lies in Q(zeta_c).
-
-    Sweeps divisors c of the ambient order ascending and returns the first c
-    for which every sigma_k with k = 1 mod c fixes x.  Intersections of
-    cyclotomic fields are cyclotomic, so this divisor sweep attains the global
-    minimum.  Convention: the smallest such integer is returned, so the result
-    is never 2 * (odd).
-    """
-    n = x.order
-    units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
-    for c in divisors(n):
-        if all(x.galois(k) == x for k in units if k % c == 1 % c):
-            return c
-    raise AssertionError("unreachable: c = n always fixes x")
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +459,8 @@ def conductors_from_fixedness(fixed: np.ndarray, n: int) -> np.ndarray:
     """Per-row conductors from per-unit fixedness.
 
     ``fixed[t, i]`` says whether sigma_k, k = unit_residues(n)[t], fixes
-    row i.  The sweep of :func:`conductor`, over all rows at once: a row's
-    conductor is the smallest c | n such that every k = 1 mod c fixes it.
+    row i.  A row's conductor is the smallest c | n such that every
+    k = 1 mod c fixes it.
     """
     units = unit_residues(n)
     out = np.zeros(fixed.shape[1], dtype=np.int64)

@@ -35,17 +35,18 @@ On top of the descriptor algebra the module implements:
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Callable
 
-from .cyclotomic import is_fixed_by, root_of_unity
+import numpy as np
+
+from .cyclotomic import galois_fixed_rows
 from .ladic import (
     PrimePower,
-    hd_subgroup,
+    hd_residues,
     is_prime,
     is_square_mod,
     mult_order,
@@ -455,9 +456,12 @@ class Table1Report:
 
 def _check_root_of_unity_row(row: dict, violations: list) -> int:
     """Every listed d must be divisible by the root order k, and zeta_k must
-    be fixed by the subgroup of residues = 1 mod d (verified on the nose in
-    the cyclotomic field of order lcm(k, d))."""
+    be fixed by the subgroup of residues = 1 mod d (verified by
+    ``galois_fixed_rows`` on zeta_k as a one-entry value array, the
+    subgroup acting through its residues mod k)."""
     k = row["field"]["order"]
+    zeta = np.zeros((1, 1, k), dtype=np.int8)
+    zeta[0, 0, 1 % k] = 1
     checks = 0
     for d in row["d_values"]:
         if d % k != 0:
@@ -465,9 +469,7 @@ def _check_root_of_unity_row(row: dict, violations: list) -> int:
                 f"{row['group']}: d = {d} not divisible by root order {k}"
             )
             continue
-        n = math.lcm(k, d)
-        zeta = root_of_unity(n, n // k)
-        if not is_fixed_by(zeta, hd_subgroup(d, n)):
+        if not galois_fixed_rows(zeta, hd_residues(k, d)).all():
             violations.append(
                 f"{row['group']}: zeta_{k} not fixed by the d = {d} subgroup"
             )

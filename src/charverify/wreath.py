@@ -15,13 +15,11 @@ holds the largest degree, which bounds every coefficient.  Recursion
 columns depend on m and the class only, so the tables of one m share them,
 as views of the compact arrays.
 
-Conductors and H_d-fixedness are answered for a whole table at once: on the
-values route by the table's own passes over ``raw``; on the label
-route through the Galois action on labels, sigma_s permuting components as
-mu^(j) = lambda^(j * s^{-1} mod m).  The route is chosen by size: tables of
-at most ``VALUES_ROUTE_MAX_LABELS`` characters take the values route, larger
-ones the label route, whose values are never built.  The tests check the
-label action value by value on small tables.
+Conductors and H_d-fixedness of C_m wr S_a are read from the labels alone,
+for a whole table or one label, at every size: sigma_s permutes components
+as mu^(j) = lambda^(j * s^{-1} mod m), so no value is built.  The tests
+check this action against the table's own passes over ``raw`` and value by
+value on small tables.
 
 For even m, G(m,2,a) denotes the index-2 subgroup of elements whose color sum
 is even.  Its exact table comes from Burnside-Dixon on its elements, listed
@@ -430,14 +428,6 @@ def get_table(m: int, a: int) -> WreathTable:
     return WreathTable(m, a)
 
 
-# Tables with more labels than this answer conductor and fixedness questions
-# by the label route, which needs neither the table nor (for one label) the
-# list of all labels; tables with at most this many take the values route,
-# the table's own passes over ``raw``.  The count is read from
-# ``_label_count``, so choosing the route lists nothing.
-VALUES_ROUTE_MAX_LABELS = 400
-
-
 def _labels_fixed(comp: np.ndarray, m: int, ks) -> np.ndarray:
     """(len(ks), L) bools for an (L, m) array of component ids (equal ids
     for equal partitions): whether the relabeling by sigma_k fixes each
@@ -451,18 +441,14 @@ def _labels_fixed(comp: np.ndarray, m: int, ks) -> np.ndarray:
 
 
 def _table_fixed(m: int, a: int, ks) -> np.ndarray:
-    """(len(ks), #labels) Galois fixedness of every character of C_m wr S_a
-    by the label route, labels in the order of ``irr_labels(m, a)``."""
+    """(len(ks), #labels) Galois fixedness of every character of C_m wr S_a,
+    labels in the order of ``irr_labels(m, a)``."""
     _check_label_count(m, a)
     return _labels_fixed(_label_ranks(m, a), m, ks)
 
 
-def _label_fixed(label, m: int, a: int, ks) -> np.ndarray:
+def _label_fixed(label, m: int, ks) -> np.ndarray:
     """(len(ks), 1) Galois fixedness of the one character chi_label."""
-    if _label_count(m, a) <= VALUES_ROUTE_MAX_LABELS:
-        table = get_table(m, a)
-        i = table.label_index[label]
-        return table.fixed_by(ks)[:, i : i + 1]
     ids: dict = {}
     comp = np.array([[ids.setdefault(p.parts, len(ids)) for p in label]])
     return _labels_fixed(comp, m, ks)
@@ -470,20 +456,16 @@ def _label_fixed(label, m: int, a: int, ks) -> np.ndarray:
 
 def table_conductors(m: int, a: int) -> np.ndarray:
     """Conductors of all characters of C_m wr S_a, in the order of
-    ``irr_labels(m, a)``, by the route ``VALUES_ROUTE_MAX_LABELS`` picks."""
+    ``irr_labels(m, a)``, from the Galois action on their labels."""
     _check_label_count(m, a)
-    if _label_count(m, a) <= VALUES_ROUTE_MAX_LABELS:
-        return get_table(m, a).conductors()
     return conductors_from_fixedness(_table_fixed(m, a, unit_residues(m)), m)
 
 
 def table_hd_fixed(m: int, a: int, d: int) -> np.ndarray:
     """For every character of C_m wr S_a (order of ``irr_labels(m, a)``),
-    whether it is fixed by every sigma_k with k = 1 mod d, by the route
-    ``VALUES_ROUTE_MAX_LABELS`` picks."""
+    whether it is fixed by every sigma_k with k = 1 mod d, from the Galois
+    action on their labels."""
     _check_label_count(m, a)
-    if _label_count(m, a) <= VALUES_ROUTE_MAX_LABELS:
-        return get_table(m, a).hd_fixed_rows(d)
     return _table_fixed(m, a, hd_residues(m, d)).all(axis=0)
 
 
@@ -500,15 +482,11 @@ def _check_label(label, m: int):
 
 
 def conductor_of_char(label, m: int) -> int:
-    """Smallest c | m with all values of chi_label in Q(zeta_c).
-
-    When C_m wr S_a has at most VALUES_ROUTE_MAX_LABELS characters (counted,
-    not listed), the label's row of the full table is tested for Galois
-    fixedness; above that, the component-permutation stabilizer of the label
-    answers, without building the table.
-    """
-    label, a = _check_label(label, m)
-    fixed = _label_fixed(label, m, a, unit_residues(m))
+    """Smallest c | m with all values of chi_label in Q(zeta_c): the least
+    c such that every sigma_k, k = 1 mod c, fixes the label, read from the
+    label alone (no table and no other label is built)."""
+    label, _ = _check_label(label, m)
+    fixed = _label_fixed(label, m, unit_residues(m))
     return int(conductors_from_fixedness(fixed, m)[0])
 
 
@@ -517,10 +495,10 @@ def h_d_invariant(label, m: int, d: int) -> bool:
 
     The subgroup is {k in (Z/NZ)^x : k = 1 mod d} at the common modulus
     N = lcm(m, d); its residues act on Q(zeta_m) through their reductions
-    mod m.  The route is chosen as in :func:`conductor_of_char`.
+    mod m.  Read from the label alone, as in :func:`conductor_of_char`.
     """
-    label, a = _check_label(label, m)
-    return bool(_label_fixed(label, m, a, hd_residues(m, d)).all())
+    label, _ = _check_label(label, m)
+    return bool(_label_fixed(label, m, hd_residues(m, d)).all())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Scalar oracles shared by the tests: one value at a time, through
-``cyclotomic.conductor`` and ``cyclotomic.is_fixed_by``; orthogonality as
+``conductor`` and ``is_fixed_by`` on ``CyclotomicNumber`` values, among
+them ``root_of_unity``; orthogonality as
 sums of ``CyclotomicNumber`` products; groups given by elements and a Python
 multiplication (``FiniteGroup``), one group element at a time, and their
 regular representations as colored-permutation groups; one label at a time,
@@ -33,12 +34,12 @@ import numpy as np
 import charverify.fields as fields_mod
 from charverify.cyclotomic import (
     CyclotomicNumber,
+    GaloisSubgroup,
     _check_fixedness_int64,
     _column_orders,
     _peak,
     _reduction_matrix,
-    conductor,
-    is_fixed_by,
+    divisors,
     unit_residues,
 )
 from charverify.grouptable import ColoredPermGroup, _check_group_order
@@ -75,6 +76,41 @@ from charverify.wreath import (
     get_subgroup_table,
     get_table,
 )
+
+
+def root_of_unity(n: int, k: int = 1) -> CyclotomicNumber:
+    """zeta_n^k as an element of Q(zeta_n)."""
+    return CyclotomicNumber(n, {k % n: Fraction(1)})
+
+
+def is_fixed_by(x: CyclotomicNumber, subgroup: GaloisSubgroup) -> bool:
+    """Whether every sigma_k, k in the subgroup, fixes x.
+
+    The subgroup modulus must equal the order x is written in; a mismatch is
+    an error rather than a silent lift.
+    """
+    if subgroup.modulus != x.order:
+        raise ValueError(
+            f"subgroup modulus {subgroup.modulus} != element order {x.order}"
+        )
+    return all(x.galois(k) == x for k in subgroup.residues)
+
+
+def conductor(x: CyclotomicNumber) -> int:
+    """The smallest c such that x lies in Q(zeta_c).
+
+    Sweeps divisors c of the ambient order ascending and returns the first c
+    for which every sigma_k with k = 1 mod c fixes x.  Intersections of
+    cyclotomic fields are cyclotomic, so this divisor sweep attains the global
+    minimum.  Convention: the smallest such integer is returned, so the result
+    is never 2 * (odd).
+    """
+    n = x.order
+    units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
+    for c in divisors(n):
+        if all(x.galois(k) == x for k in units if k % c == 1 % c):
+            return c
+    raise AssertionError("unreachable: c = n always fixes x")
 
 
 def scalar_row_answers(rows, ds):

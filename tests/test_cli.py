@@ -7,6 +7,7 @@ import sys
 import jsonschema
 import pytest
 
+from charverify import wreath
 from charverify.cli import main, parse_params, run_query
 from charverify.partitions import d_core
 from charverify.report import (
@@ -173,6 +174,20 @@ class TestQueries:
     def test_conductor(self):
         out = run_query("conductor", ["((2,),(1,),(),())", "4"])
         assert out["conductor"] == 4
+
+    def test_conductor_builds_no_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a wreath table was built")
+
+        monkeypatch.setattr(wreath, "get_table", refuse)
+        monkeypatch.setattr(wreath, "WreathTable", refuse)
+        assert run_query("conductor", ["((2,),(1,),(),())", "4"]) == {
+            "kind": "conductor",
+            "label": "((2,), (1,), (), ())",
+            "m": 4,
+            "conductor": 4,
+            "text": "4",
+        }
 
     def test_generic_degree(self):
         assert run_query("generic-degree", ["(2,1)"])["text"] == "q^2 + q"

@@ -20,16 +20,15 @@ from charverify.cyclotomic import (
     _check_fixedness_int64,
     _column_orders,
     _reduction_rows,
-    conductor,
     conductors_from_fixedness,
     divisors,
     galois_fixed_rows,
-    is_fixed_by,
-    root_of_unity,
     unit_residues,
 )
 from charverify.grouptable import CharacterTable
 from charverify.ladic import hd_subgroup
+
+from scalar_oracles import conductor, is_fixed_by, root_of_unity
 
 
 def test_divisors_and_phi():

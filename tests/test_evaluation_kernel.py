@@ -4,10 +4,11 @@ Galois fixedness (``cyclotomic.galois_fixed_rows``) and both orthogonality
 relations (``grouptable._orthogonal``) evaluate ``raw`` at every embedding
 of Z[zeta_N] into F_p, p = 1 mod N.  The oracles in ``scalar_oracles`` are
 the reduction through the power basis (``fixed_rows_by_reduction``) and the
-float64 convolution (``conjugate_products``).  They are compared on every
-exact table of the default run, on those tables with one entry changed by
-+1, and on seeded random arrays: at the int8 extremes, over several row
-chunks, and with peaks that need two or more primes.
+float64 convolution (``conjugate_products``).  They are compared on the
+Murnaghan-Nakayama tables of the thm41 grid of at most 400 characters, on
+every Dixon table of the default run, on all of these with one entry
+changed by +1, and on seeded random arrays: at the int8 extremes, over
+several row chunks, and with peaks that need two or more primes.
 """
 
 import math
@@ -31,21 +32,27 @@ from charverify.cyclotomic import (
 )
 from charverify.grouptable import CharacterTable, _conjugate_evaluations
 from charverify.suites import run_suite
-from charverify.wreath import VALUES_ROUTE_MAX_LABELS, _label_count, get_subgroup_table, get_table
+from charverify.wreath import _label_count, get_subgroup_table, get_table
 
 from scalar_oracles import conjugate_products, fixed_rows_by_reduction
+
+# The wreath tables compared are those of the thm41 grid up to this many
+# characters; the run itself reads their conductors and fixedness from
+# labels and builds none of them.
+MAX_WREATH_LABELS = 400
 
 
 @pytest.fixture(scope="module")
 def default_tables():
-    """Every exact table of the default run: the 40 values-route wreath
-    tables, the 9 G(m,2,a) tables and the Dixon tables weyl-match reads,
-    the last recorded from the suite's own calls of ``weyl._dixon_of``."""
+    """The 40 wreath tables of at most ``MAX_WREATH_LABELS`` characters on
+    the thm41 grid, and every Dixon table of the default run: the 9
+    G(m,2,a) tables and those weyl-match reads, the last recorded from the
+    suite's own calls of ``weyl._dixon_of``."""
     tables = {
         f"C{m}wrS{a}": get_table(m, a)
         for m in range(1, 13)
         for a in range(1, 5)
-        if _label_count(m, a) <= VALUES_ROUTE_MAX_LABELS
+        if _label_count(m, a) <= MAX_WREATH_LABELS
     }
     tables.update(
         (f"G({m},2,{a})", get_subgroup_table(m, a)) for m in (2, 4, 6) for a in (1, 2, 3)

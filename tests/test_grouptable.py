@@ -13,7 +13,6 @@ from charverify.cyclotomic import (
     _peak,
     conductors_from_fixedness,
     galois_fixed_rows,
-    root_of_unity,
     unit_residues,
 )
 from charverify.grouptable import (
@@ -34,6 +33,7 @@ from scalar_oracles import (
     conjugate_products,
     fixed_rows_by_reduction,
     regular_representation,
+    root_of_unity,
     scalar_orthogonality,
     table_rows,
 )

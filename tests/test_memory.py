@@ -2,17 +2,21 @@
 transients of one fixedness pass and of one Dixon construction.
 
 thm41, lemma42 and weyl-match build every exact character table of the
-default run (wreath tables by Murnaghan-Nakayama, Dixon tables of G(m,2,a)
-and of Weyl centralizers) and keep them cached.  With ``raw`` stored in the
-narrowest integer type, Galois fixedness evaluated at a split prime in
-bounded row chunks, Dixon lifting straight into the compact type with its
-group passes in row chunks, and no label listed unless a check fails, the
-three suites raise the process's peak resident set (VmHWM) by about 10 MiB
-over its figure after import, and never import ``numpy.ma`` (a plain
-``np.unique`` does, for 1.3 MiB).  Lifting Dixon's values in int64 and
-forming each class matrix in one gather, as before, took it to 15 MiB
-(reducing every column-order block of the fixedness pass at once, before
-that, to 19.5-21.5 MiB); the gate sits just above the current band.
+default run (Dixon tables of G(m,2,a) and of Weyl centralizers, and the
+wreath tables of the relative Weyl groups weyl-match predicts) and keep them
+cached; thm41 and lemma42 read the conductors and H_d-fixedness of
+C_m wr S_a from labels and build no Murnaghan-Nakayama table.  With ``raw``
+stored in the narrowest integer type, Galois fixedness evaluated at a split
+prime in bounded row chunks, Dixon lifting straight into the compact type
+with its group passes in row chunks, and no label listed unless a check
+fails, the three suites raise the process's peak resident set (VmHWM) by
+about 5.1 MiB over its figure after import, and never import ``numpy.ma``
+(a plain ``np.unique`` does, for 1.3 MiB).  The figure reads 3.7 MiB when
+the child byte-compiles the package on import, which raises its baseline
+by about 1.8 MiB.  Building the 40 tables of at most 400 characters for
+thm41 and lemma42, as before, took it to 10.1 MiB (8.4 MiB compiling;
+lifting Dixon's values in int64 and forming each class matrix in one
+gather, before that, to 15 MiB); the gate sits just above the current band.
 
 The fixedness pass over C_10 wr S_3, whose ``raw`` takes 1.0 MiB, allocates
 at most 2 MiB beyond the table under tracemalloc (the reduction pass: 12.0
@@ -33,7 +37,7 @@ from charverify.cyclotomic import galois_fixed_rows, unit_residues
 from charverify.grouptable import CharacterTable
 from charverify.wreath import get_full_group, get_table
 
-MAX_GROWTH_MIB = 11
+MAX_GROWTH_MIB = 6
 MAX_FIXEDNESS_TRANSIENT_MIB = 2
 MAX_DIXON_TRANSIENT_MIB = 1
 

@@ -26,7 +26,6 @@ EXEMPT = {
     "grouptable.CharacterTable.verify_row_orthogonality": "run by acceptance criterion 04",
     "grouptable.CharacterTable.verify_column_orthogonality": "run by acceptance criterion 04",
     "grouptable.CharacterTable.sum_of_degree_squares": "run by acceptance criterion 04",
-    "cyclotomic.conductor": "the public scalar conductor of one cyclotomic number",
     "partitions.partitions_of": "the public list of the partitions of n",
     "report.load_schema": "the published report schema, which the CLI tests validate against",
 }

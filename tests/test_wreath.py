@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ import pytest
 from charverify import cli, partitions, wreath
 from charverify.cyclotomic import (
     CyclotomicNumber,
-    conductor,
     conductors_from_fixedness,
     unit_residues,
 )
@@ -23,7 +23,6 @@ from charverify.suites import run_suite
 from charverify.wreath import (
     MAX_LABELS,
     MAX_TABLE_BYTES,
-    VALUES_ROUTE_MAX_LABELS,
     _build_raw,
     _check_label_count,
     _check_table_bytes,
@@ -51,6 +50,7 @@ from scalar_oracles import (
     IndexTwoConstituent,
     char_value,
     colored_type,
+    conductor,
     galois_permuted_label,
     hook_op_entries,
     mn_raw_by_hooks,
@@ -253,11 +253,10 @@ class TestGaloisAction:
 
     @pytest.mark.parametrize("m,a", [(3, 2), (4, 2), (5, 2), (6, 2), (6, 3)])
     def test_label_route_matches_values_route(self, m, a):
-        # these tables are small, so conductor_of_char reads their values
-        assert _label_count(m, a) <= VALUES_ROUTE_MAX_LABELS
-        by_labels = conductors_from_fixedness(_table_fixed(m, a, unit_residues(m)), m)
+        # conductor_of_char reads the label; the table's own pass its values
+        by_values = get_table(m, a).conductors()
         for i, lab in enumerate(irr_labels(m, a)):
-            assert conductor_of_char(lab, m) == by_labels[i]
+            assert conductor_of_char(lab, m) == by_values[i]
 
     @pytest.mark.parametrize("m,a", [(3, 2), (4, 2), (6, 2)])
     def test_values_route_matches_elementwise_conductor(self, m, a):
@@ -420,7 +419,9 @@ class TestIndexTwoRestriction:
 # ---------------------------------------------------------------------------
 
 SUITE_CELLS = [(m, a) for m in range(1, 13) for a in range(1, 5)]
-VALUES_CELLS = [(m, a) for m, a in SUITE_CELLS if _label_count(m, a) <= VALUES_ROUTE_MAX_LABELS]
+# the 40 suite cells of at most 400 characters, whose full tables the tests
+# build to check the label action against the values
+TABLE_CELLS = [(m, a) for m, a in SUITE_CELLS if _label_count(m, a) <= 400]
 SUBGROUP_CELLS = [(m, a) for m in (2, 4, 6) for a in (1, 2, 3)]
 
 
@@ -437,7 +438,7 @@ def wreath_value_rows(table):
 
 
 class TestWholeTableFixedness:
-    @pytest.mark.parametrize("m,a", [(m, a) for m, a in VALUES_CELLS if m <= 6])
+    @pytest.mark.parametrize("m,a", [(m, a) for m, a in TABLE_CELLS if m <= 6])
     def test_wreath_tables_against_scalar_oracles(self, m, a):
         table = get_table(m, a)
         ds = range(1, 13)
@@ -456,7 +457,7 @@ class TestWholeTableFixedness:
         for d in ds:
             assert table.hd_fixed_rows(d).tolist() == [f[d] for _, f in expected], d
 
-    @pytest.mark.parametrize("m,a", VALUES_CELLS)
+    @pytest.mark.parametrize("m,a", TABLE_CELLS)
     def test_label_route_matches_values_route(self, m, a):
         table = get_table(m, a)
         assert (
@@ -471,9 +472,9 @@ class TestWholeTableFixedness:
 
     def test_per_label_wrappers_match_table_passes(self):
         """The per-label and whole-table entries agree with the table's own
-        passes, on both sides of VALUES_ROUTE_MAX_LABELS: C_11 wr S_3, with
-        418 characters, takes the label route."""
-        assert _label_count(11, 3) == 418 > VALUES_ROUTE_MAX_LABELS
+        passes, on tables inside and outside TABLE_CELLS: C_11 wr S_3 has
+        418 characters."""
+        assert _label_count(11, 3) == 418
         for m, a in [(4, 3), (6, 2), (12, 2), (11, 3)]:
             table = get_table(m, a)
             conductors = table.conductors().tolist()
@@ -509,11 +510,11 @@ class TestLabelCount:
         assert capsys.readouterr().out.strip().endswith("12")
 
 
-# The tables the default thm41, lemma42 and weyl-match grids build: the
-# values-route cells, and C_1 wr S_5, C_1 wr S_6 and C_2 wr S_5, factors of
-# predicted relative Weyl groups.  Their recursions use every c-hook map
-# with c <= s <= a.
-BUILT_TABLES = VALUES_CELLS + [(1, 5), (1, 6), (2, 5)]
+# The tables the tests build on the suite grid (TABLE_CELLS), and C_1 wr S_5,
+# C_1 wr S_6 and C_2 wr S_5, factors of the relative Weyl groups that
+# weyl-match predicts.  Their recursions use every c-hook map with
+# c <= s <= a.
+BUILT_TABLES = TABLE_CELLS + [(1, 5), (1, 6), (2, 5)]
 HOOK_OPS = sorted(
     {(m, s, c) for m, a in BUILT_TABLES for s in range(1, a + 1) for c in range(1, s + 1)}
 )
@@ -638,13 +639,13 @@ class TestTableBytesCap:
         assert _max_degree(m, a) == max(wreath_degree(label) for label in partition_tuples(a, m))
 
     def test_largest_degree_of_the_built_tables(self):
-        for m, a in VALUES_CELLS:
+        for m, a in TABLE_CELLS:
             table = get_table(m, a)
             assert _max_degree(m, a) == max(table.degrees), (m, a)
             assert table.raw.nbytes == self.table_bytes(m, a), (m, a)
 
     def test_boundary(self):
-        largest = max(VALUES_CELLS, key=lambda cell: self.table_bytes(*cell))
+        largest = max(TABLE_CELLS, key=lambda cell: self.table_bytes(*cell))
         assert largest == (10, 3) and self.table_bytes(10, 3) == 330 * 330 * 10
         # every degree of C_m wr S_4 is at most 4! = 24: int8
         assert self.table_bytes(12, 4) == 2535 * 2535 * 12
@@ -668,8 +669,7 @@ class TestTableBytesCap:
             monkeypatch.setattr(wreath, name, refuse)
 
     def test_refused_before_building(self, no_building):
-        # the values route of every whole-table and per-label entry is
-        # get_table(m, a) and its passes
+        # the table's own passes refuse with get_table(m, a)
         for call in (
             lambda: get_table(10, 5),
             lambda: get_table(7, 6),
@@ -692,7 +692,7 @@ class TestSharedColumns:
         compact dtype of the largest degree (int8 on this grid) and agree
         with the int64 table of the one-hook-at-a-time recursion."""
         for a in range(1, 5):
-            if _label_count(m, a) > VALUES_ROUTE_MAX_LABELS:
+            if (m, a) not in TABLE_CELLS:
                 continue
             table = get_table(m, a)
             shared = table.raw
@@ -776,8 +776,8 @@ def test_subgroup_rows_and_restrictions_frozen(m, a):
 
 class TestSuiteLabelMessages:
     """thm41 and lemma42 look a character's label up only when its check
-    fails, and then name it, on the values route (C_6 wr S_3) and on the
-    label route (C_12 wr S_4, which builds no table)."""
+    fails, and then name it, on a cell of TABLE_CELLS (C_6 wr S_3) and on
+    the largest cell of the default grid (C_12 wr S_4)."""
 
     @pytest.mark.parametrize("m,a", [(6, 3), (12, 4)])
     def test_one_flipped_entry_names_its_label(self, monkeypatch, m, a):
@@ -800,7 +800,6 @@ class TestSuiteLabelMessages:
 
         monkeypatch.setattr(wreath, "table_conductors", flipped_conductors)
         monkeypatch.setattr(wreath, "table_hd_fixed", flipped_hd_fixed)
-        assert (_label_count(m, a) <= VALUES_ROUTE_MAX_LABELS) == (m == 6)
         grid = {"max_m": m, "max_a": a, "sub_max_m": 2, "sub_max_a": 1}
         label = wreath.irr_labels(m, a)[i]
         assert run_suite("thm41", grid).counterexamples == (
@@ -809,3 +808,21 @@ class TestSuiteLabelMessages:
         assert run_suite("lemma42", grid).counterexamples == (
             f"C_{m} wr S_{a}: {label} not fixed at d={m}",
         )
+
+
+def test_thm41_and_lemma42_build_no_wreath_table(monkeypatch):
+    """The default thm41 and lemma42 runs read every C_m wr S_a conductor
+    and H_d-fixedness from labels: with an empty table cache they construct
+    no ``WreathTable``."""
+    monkeypatch.setattr(wreath, "get_table", lru_cache(maxsize=None)(get_table.__wrapped__))
+    built = []
+    init = wreath.WreathTable.__init__
+
+    def counted(self, m, a):
+        built.append((m, a))
+        init(self, m, a)
+
+    monkeypatch.setattr(wreath.WreathTable, "__init__", counted)
+    for name in ("thm41", "lemma42"):
+        assert run_suite(name).counterexamples == ()
+    assert built == []
