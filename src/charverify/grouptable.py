@@ -26,11 +26,24 @@ eigenspace is kept as a basis in reduced row echelon form with its pivot
 columns, so the coordinates of a class-matrix image in that basis are its
 entries at the pivots; the construction checks that those coordinates
 rebuild the image and raises AssertionError if they do not.  A space on
-which a class matrix acts as a scalar is kept as it is.  Every kernel
-reduces mod p after at most max(r, exponent) products of two residues, and
-the construction refuses up front (OverflowError) a field in which that sum
-could leave int64.  The lift to exact values is one matmul per class with
-the discrete Fourier matrix of the representative's order.
+which a class matrix acts as a scalar is kept as it is.  The first split is
+made once, by a seed combination sum_i z^i M_i of the smallest classes (z
+the field's primitive root; Schneider, "Dixon's character table algorithm
+revisited", J. Symb. Comput. 9, 1990), built in one pass over their rows;
+the class matrices, one at a time, then split only what it left.  Each
+space also keeps the component u in it of the identity-class row
+e_0 = sum_chi (chi(1)^2/|G|) omega_chi, whose coefficients are nonzero mod
+p since p > 2|G|.  A split reads the components of u in the new spaces off
+one Krylov pass (u A^e) and the Lagrange basis of the roots; for a simple
+root that component is omega_chi times chi(1)^2/|G|, so dividing it by its
+entry at the identity class gives the normalized eigenvector with no
+elimination.  Only a repeated root takes a nullspace and an RREF.  The
+degrees found from the norms of the omega_chi are checked against
+u[0] |G| = chi(1)^2 mod p.  Every kernel reduces mod p after at most
+max(r, exponent) products of two residues, and the construction refuses up
+front (OverflowError) a field in which that sum could leave int64.  The
+lift to exact values is one matmul per class with the discrete Fourier
+matrix of the representative's order.
 
 ``CharacterTable`` is the one exact table class: Dixon builds one, and
 ``wreath.WreathTable`` is one.  It keeps its values as ``raw``, an (L, C, N)
@@ -303,16 +316,28 @@ class ColoredPermGroup:
 
     def class_matrix(self, i: int) -> np.ndarray:
         """(M_i)_{jk} = #{x in C_i : x^-1 rep_k in C_j}, rep_k the smallest
-        row of class k: the inverses of C_i times every representative, a
-        chunk of rows of C_i at a time, counted by ``np.bincount``."""
-        classes = self.conjugacy_classes()
-        r = len(classes)
-        reps = np.array([c[0] for c in classes])
-        x = self.inverses()[classes[i]]
+        row of class k."""
+        return self.class_combination([i], [1])
+
+    def class_combination(self, classes, weights) -> np.ndarray:
+        """sum_t weights[t] M_{classes[t]} as int64, in one pass over the
+        rows of those classes: their inverses times every representative, a
+        chunk of rows at a time, counted by a weighted ``np.bincount``.  The
+        float64 counts are exact while |G| max(weights) < 2^53, which is
+        checked up front (OverflowError)."""
+        if self.order * max(weights) >= 2**53:
+            raise OverflowError("weighted class counts leave the exact float64 range")
+        classes_all = self.conjugacy_classes()
+        r = len(classes_all)
+        reps = np.array([c[0] for c in classes_all])
+        x = self.inverses()[np.concatenate([classes_all[i] for i in classes])]
+        w = np.repeat(np.asarray(weights, dtype=np.float64), [len(classes_all[i]) for i in classes])
         counts = np.zeros(r * r, dtype=np.int64)
         for s in _row_chunks(len(x), _ROW_ARRAYS * r * self.perm.shape[1]):
             hits = self.class_of[self.product(x[s, None], reps)]
-            counts += np.bincount((hits * r + np.arange(r)).ravel(), minlength=r * r)
+            counts += np.bincount(
+                (hits * r + np.arange(r)).ravel(), np.repeat(w[s], r), minlength=r * r
+            ).astype(np.int64)
         return counts.reshape(r, r)
 
 
@@ -399,6 +424,89 @@ def _poly_roots(coeffs: Sequence[int], p: int) -> list[int]:
     return np.flatnonzero(acc == 0).tolist()
 
 
+def _lagrange_basis(roots: Sequence[int], p: int) -> np.ndarray:
+    """(s, s) array over F_p: row t holds the coefficients, lowest first, of
+    the Lagrange polynomial of the s distinct roots that is 1 at roots[t]
+    and 0 at the others.  P(x)/(x - roots[t]) comes from one synthetic
+    division of P = prod (x - root), vectorized over t, and its value at
+    roots[t] is the denominator."""
+    s = len(roots)
+    lam = np.array(roots, dtype=np.int64)
+    P = np.array([1], dtype=np.int64)
+    for a in roots:
+        P = (np.concatenate(([0], P)) - a * np.concatenate((P, [0]))) % p
+    Q = np.zeros((s, s), dtype=np.int64)
+    if s:
+        Q[:, s - 1] = 1
+    for j in range(s - 1, 0, -1):
+        Q[:, j - 1] = (P[j] + lam * Q[:, j]) % p
+    at_root = np.zeros(s, dtype=np.int64)
+    for j in range(s - 1, -1, -1):
+        at_root = (at_root * lam + Q[:, j]) % p
+    inverses = np.array([pow(int(v), -1, p) for v in at_root], dtype=np.int64)
+    return Q * inverses[:, None] % p
+
+
+def _split_space(B: np.ndarray, pivots: list[int], u: np.ndarray, A: np.ndarray, p: int) -> list:
+    """Split the span of B (RREF rows, pivot columns ``pivots``) into the
+    eigenspaces of A, which acts on coordinates by c -> c A, one per root in
+    F_p of its characteristic polynomial, ascending; ``u`` is a vector of
+    the span.  Each new space is (RREF rows, pivots, component of u in it):
+    the components are u L_t(A), one Krylov pass over u's coordinates
+    (u A^e for e < s) times the Lagrange basis of the s roots.  A simple
+    root's eigenspace is its component divided by its entry at column 0
+    (AssertionError when that is 0); a repeated root's is the RREF of the
+    kernel of A - lam.  A that is not diagonalizable over F_p loses
+    dimensions here, which the caller checks."""
+    c = u[pivots]
+    if not np.array_equal(c @ B % p, u):
+        raise AssertionError("identity-class component leaves its eigenspace")
+    charpoly = _charpoly(A, p)
+    roots = _poly_roots(charpoly, p)
+    krylov = np.empty((len(roots), len(pivots)), dtype=np.int64)
+    for e in range(len(roots)):
+        krylov[e] = krylov[e - 1] @ A % p if e else c
+    parts = _lagrange_basis(roots, p) @ krylov % p @ B % p
+    # the derivative of the charpoly at each root: nonzero iff the root is simple
+    slope = np.zeros(len(roots), dtype=np.int64)
+    x = np.array(roots, dtype=np.int64)
+    for e in range(len(charpoly) - 1, 0, -1):
+        slope = (slope * x + e * charpoly[e]) % p
+    out = []
+    eye = np.eye(len(pivots), dtype=np.int64)
+    for lam, part, simple in zip(roots, parts, slope != 0):
+        if simple:
+            if part[0] == 0:
+                raise AssertionError("eigenvector vanishes on the identity class")
+            out.append((part[None] * pow(int(part[0]), -1, p) % p, [0], part))
+        else:
+            out.append((*_rref(_nullspace((A.T - lam * eye) % p, p) @ B % p, p), part))
+    return out
+
+
+def _refine(spaces: list, M_T: np.ndarray, p: int) -> list:
+    """Split every space of dimension above 1 by the matrix acting as
+    v -> v M_T (``_split_space``); a space on which it acts as a scalar is
+    kept as it is.  AssertionError if the coordinates of an image do not
+    rebuild it, or if the split loses dimensions."""
+    new_spaces = []
+    for B, pivots, u in spaces:
+        if len(pivots) == 1:
+            new_spaces.append((B, pivots, u))
+            continue
+        images = B @ M_T % p
+        A = images[:, pivots]  # row j: coordinates of the image of b_j
+        if not np.array_equal(A @ B % p, images):
+            raise AssertionError("class matrix leaves an eigenspace")
+        if (A == A[0, 0] * np.eye(len(pivots), dtype=np.int64)).all():
+            new_spaces.append((B, pivots, u))
+        else:
+            new_spaces += _split_space(B, pivots, u, A, p)
+    if sum(len(pivots) for _, pivots, _ in new_spaces) != M_T.shape[0]:
+        raise AssertionError("eigenspace refinement lost dimensions")
+    return new_spaces
+
+
 # ---------------------------------------------------------------------------
 # exact character tables and the Dixon construction
 # ---------------------------------------------------------------------------
@@ -469,44 +577,37 @@ class CharacterTable:
 
         # Split the simultaneous eigenspaces.  Each space is an RREF basis
         # (rows) with its pivot columns, so the coordinates of a vector of
-        # the span are its entries at the pivots.
-        spaces = [(np.eye(r, dtype=np.int64), list(range(r)))]
+        # the span are its entries at the pivots, and the component u in it
+        # of the identity-class row e_0 = sum_chi (chi(1)^2/|G|) omega_chi.
+        # The seed, sum_i z^i M_i over the classes 1 <= i < t (the smallest,
+        # up to 8r elements with the identity, and at least one), splits F_p^r
+        # once; the class matrices then split what it left.
+        e_0 = np.zeros(r, dtype=np.int64)
+        e_0[0] = 1
+        spaces = [(np.eye(r, dtype=np.int64), list(range(r)), e_0)]
+        if r > 1:
+            t = max(2, int(np.searchsorted(np.cumsum(sizes), 8 * r, "right")))
+            seed = group.class_combination(range(1, t), [pow(z, i, p) for i in range(1, t)])
+            spaces = _refine(spaces, seed.T % p, p)
         for i in range(1, r):
-            if all(len(pivots) == 1 for _, pivots in spaces):
+            if all(len(pivots) == 1 for _, pivots, _ in spaces):
                 break
-            M_T = group.class_matrix(i).T % p
-            new_spaces = []
-            for B, pivots in spaces:
-                if len(pivots) == 1:
-                    new_spaces.append((B, pivots))
-                    continue
-                images = B @ M_T % p
-                A = images[:, pivots]  # row j: coordinates of M_i b_j
-                if not np.array_equal(A @ B % p, images):
-                    raise AssertionError("class matrix leaves an eigenspace")
-                eye = np.eye(len(pivots), dtype=np.int64)
-                if (A == A[0, 0] * eye).all():
-                    new_spaces.append((B, pivots))  # M_i acts on it as a scalar
-                    continue
-                for lam in _poly_roots(_charpoly(A, p), p):
-                    kern = _nullspace((A.T - lam * eye) % p, p)
-                    if len(kern):
-                        new_spaces.append(_rref(kern @ B % p, p))
-            if sum(len(pivots) for _, pivots in new_spaces) != r:
-                raise AssertionError("eigenspace refinement lost dimensions")
-            spaces = new_spaces
-        if not all(len(pivots) == 1 for _, pivots in spaces):
+            spaces = _refine(spaces, group.class_matrix(i).T % p, p)
+        if not all(len(pivots) == 1 for _, pivots, _ in spaces):
             raise AssertionError("class matrices failed to separate characters")
 
         # An RREF row is normalized at its pivot: omega(identity) = 1 exactly
         # when the pivot is the identity class.
-        if any(pivots != [0] for _, pivots in spaces):
+        if any(pivots != [0] for _, pivots, _ in spaces):
             raise AssertionError("eigenvector vanishes on the identity class")
-        omegas = np.array([B[0] for B, _ in spaces], dtype=np.int64)
+        omegas = np.array([B[0] for B, _, _ in spaces], dtype=np.int64)
 
-        # degrees and values mod p: chi(1)^2 = |G| / sum_k omega_k omega_k' / |C_k|
+        # degrees and values mod p: chi(1)^2 = |G| / sum_k omega_k omega_k' / |C_k|,
+        # and independently chi(1)^2 = |G| u[0], u = (chi(1)^2/|G|) omega_chi
         inv_sizes = np.array([pow(s, -1, p) for s in sizes], dtype=np.int64)
         norms = (omegas * omegas[:, inv_class] % p) @ inv_sizes % p
+        if not norms.all():
+            raise AssertionError("eigenvector has norm 0 mod p")
         squares = np.arange(1, math.isqrt(n_g) + 1, dtype=np.int64) ** 2 % p
         degrees = []
         for s in norms.tolist():
@@ -515,6 +616,8 @@ class CharacterTable:
                 raise AssertionError("no integer degree matches mod p")
             degrees.append(int(match[0]) + 1)
         deg_col = np.array(degrees, dtype=np.int64)[:, None]
+        if any((n_g * int(u[0]) - d * d) % p for (_, _, u), d in zip(spaces, degrees)):
+            raise AssertionError("identity-class component disagrees with the degree")
         rows_mod_p = deg_col * omegas % p * inv_sizes % p
 
         # exact lift: the multiplicity of w^j on <g> is a Fourier sum over
@@ -645,15 +748,15 @@ def _orthogonal(values: np.ndarray, weights, diagonal) -> bool:
 def _row_keys(raw: np.ndarray, orders) -> list[tuple]:
     """Per row, the nonzero (exponent, coordinate) pairs of each value in
     the power basis of Q(zeta_o), o the order of its class: the order of
-    these keys is the order of the values' canonical serializations."""
-    n = raw.shape[2]
-    columns = [
-        [
-            tuple((e, c) for e, c in enumerate(row) if c)
-            for row in (
-                raw[:, ci, :: n // o].astype(np.int64) @ _reduction_matrix(o)
-            ).tolist()
-        ]
-        for ci, o in enumerate(orders)
-    ]
+    these keys is the order of the values' canonical serializations.  A
+    column's pairs come from ``np.nonzero`` of its reduced block, in row
+    order, cut at the row boundaries."""
+    L, _, n = raw.shape
+    columns = []
+    for ci, o in enumerate(orders):
+        block = raw[:, ci, :: n // o].astype(np.int64) @ _reduction_matrix(o)
+        rows, exps = np.nonzero(block)
+        pairs = list(zip(exps.tolist(), block[rows, exps].tolist()))
+        cuts = np.searchsorted(rows, np.arange(L + 1)).tolist()
+        columns.append([tuple(pairs[a:b]) for a, b in zip(cuts, cuts[1:])])
     return list(zip(*columns))

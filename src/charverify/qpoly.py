@@ -159,20 +159,6 @@ def cyclotomic_poly(d: int) -> QPolynomial:
     return num
 
 
-def phi_d_valuation(poly: QPolynomial, d: int) -> int:
-    """Multiplicity of Phi_d as a factor, by repeated exact division."""
-    if poly.is_zero():
-        raise ValueError("zero polynomial has no Phi_d valuation")
-    phi = cyclotomic_poly(d)
-    val = 0
-    while True:
-        quo, rem = poly.divmod(phi)
-        if not rem.is_zero():
-            return val
-        poly = quo
-        val += 1
-
-
 def generic_degree_typeA(lam) -> QPolynomial:
     """Generic degree of the unipotent character labelled by a partition of n.
 

@@ -26,7 +26,8 @@ a colored permutation with m = 2 (m = 1 in type A), so W is a permutation
 array and a sign array, rows in the order of the sorted words.  For each d,
 a canonical element with maximal multiplicity is constructed from cycles of
 the appropriate length and sign; its centralizer is cut out of W by one
-vectorized commutation test (wx and xw for every row w, as two gathers),
+vectorized commutation test (wx and xw for every row w, as two gathers, a
+row chunk of W at a time),
 tabulated by Burnside-Dixon, and identified by its fingerprint (order,
 sorted degrees, sorted (class size, element order) pairs) with the
 predicted product of wreath products C_b wr S_k.  That fingerprint is read
@@ -46,13 +47,14 @@ from functools import lru_cache
 
 import numpy as np
 
+from .cyclotomic import _row_chunks
 from .grouptable import (
+    _ROW_ARRAYS,
     CharacterTable,
     ColoredPermGroup,
     _check_group_order,
     _permutations,
 )
-from .qpoly import QPolynomial, phi_d_valuation
 from .wreath import get_full_group, get_table
 
 SERIES = ("A", "B", "C", "D")
@@ -269,13 +271,15 @@ def generic_degrees(series: str, r: int, twisted: bool) -> list[tuple[int, int]]
 
 @lru_cache(maxsize=None)
 def generic_order_phid_valuation(series: str, r: int, twisted: bool, d: int) -> int:
-    """Phi_d-valuation of prod (q^d_i - eps_i), computed exactly, once."""
-    poly = QPolynomial([1])
-    q = QPolynomial.monomial(1)
-    one = QPolynomial([1])
-    for deg, eps in generic_degrees(series, r, twisted):
-        poly = poly * (q**deg - one if eps == 1 else q**deg + one)
-    return phi_d_valuation(poly, d)
+    """Phi_d-valuation of prod (q^deg - eps), read off the degrees:
+    q^deg - 1 is the product of Phi_e over e | deg, and q^deg + 1 that over
+    e | 2 deg with e not dividing deg.  ValueError unless d >= 1."""
+    if d < 1:
+        raise ValueError(f"d must be positive, got {d}")
+    return sum(
+        deg % d == 0 if eps == 1 else (2 * deg % d == 0 and deg % d != 0)
+        for deg, eps in generic_degrees(series, r, twisted)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +378,16 @@ _WORD_GROUPS: dict[tuple, ColoredPermGroup] = {}
 
 @lru_cache(maxsize=None)
 def _centralizer_of_word(series: str, r: int, x: tuple) -> ColoredPermGroup:
-    """One commutation test over all of W: wx and xw as two gathers."""
+    """One commutation test over all of W, wx and xw as two gathers, in the
+    row chunks of the group passes (``cyclotomic._row_chunks``)."""
     group = weyl_group(series, r)
     px, cx = (np.array(v) for v in group.encoding.encode(x))
     P, C = group.perm, group.color
-    commute = (P[:, px] == px[P]).all(axis=1) & (
-        (cx + C[:, px]) % group.m == (C + cx[P]) % group.m
-    ).all(axis=1)
+    commute = np.empty(group.order, dtype=bool)
+    for s in _row_chunks(group.order, _ROW_ARRAYS * P.shape[1]):
+        commute[s] = (P[s][:, px] == px[P[s]]).all(axis=1) & (
+            (cx + C[s][:, px]) % group.m == (C[s] + cx[P[s]]) % group.m
+        ).all(axis=1)
     if commute.all():
         return group
     key = (len(x), group.keys[commute].tobytes())

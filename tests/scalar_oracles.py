@@ -9,10 +9,12 @@ one-label hook removals; the C_m wr S_a labels as sorted tuples of
 partitions, their degrees by the hook length formula, the Galois action on
 them checked value by value, and the restriction of a character to
 G(m,2,a) by Clifford theory and inner products; polynomial long division
-over ``Fraction``, generic degrees by the quotient of q-integer products and
-characteristic polynomials of Weyl elements on the reflection
-representation; the words of Weyl groups and their cosets, listed as
-tuples, and the signed cycle types found by scanning them or listed from
+over ``Fraction``, generic degrees by the quotient of q-integer products,
+Phi_d-valuations by repeated exact division (among them that of the
+generic order of a Weyl group) and characteristic polynomials of Weyl
+elements on the reflection representation; the words of Weyl groups and
+their cosets, listed as tuples, and the signed cycle types found by
+scanning them or listed from
 partitions, with a(d) read off that list; the whole direct
 product of wreath groups, with its generators; rim-hook and symbol-hook
 removal in every order; powers in F_{p^e}, and the Lang images built from them,
@@ -59,7 +61,7 @@ from charverify.partitions import (
     partitions_of,
     remove_rim_hook,
 )
-from charverify.qpoly import QPolynomial
+from charverify.qpoly import QPolynomial, cyclotomic_poly
 from charverify.symbols import remove_symbol_hook, symbol_hooks
 from charverify.weyl import (
     _canon_series,
@@ -67,6 +69,7 @@ from charverify.weyl import (
     _check_weyl_order,
     _Product,
     _type_multiplicity,
+    generic_degrees,
     sp_cycles,
 )
 from charverify.wreath import (
@@ -537,6 +540,32 @@ def evaluate(poly, x):
     for c in reversed(poly.coeffs):
         acc = acc * x + c
     return acc
+
+
+def phi_d_valuation(poly, d):
+    """Multiplicity of Phi_d as a factor of a QPolynomial, by repeated exact
+    division."""
+    if poly.is_zero():
+        raise ValueError("zero polynomial has no Phi_d valuation")
+    phi = cyclotomic_poly(d)
+    val = 0
+    while True:
+        quo, rem = poly.divmod(phi)
+        if not rem.is_zero():
+            return val
+        poly = quo
+        val += 1
+
+
+def generic_order_phid_valuation_by_division(series, r, twisted, d):
+    """The Phi_d-valuation of the generic order prod (q^deg - eps), by
+    forming the product and dividing it by Phi_d."""
+    poly = QPolynomial([1])
+    q = QPolynomial.monomial(1)
+    one = QPolynomial([1])
+    for deg, eps in generic_degrees(series, r, twisted):
+        poly = poly * (q**deg - one if eps == 1 else q**deg + one)
+    return phi_d_valuation(poly, d)
 
 
 def reflection_charpoly(series, r, twisted, w):

@@ -1,12 +1,19 @@
 """Tests for the generic exact character-table machinery."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import charverify
+import charverify.grouptable as grouptable
 from charverify.cyclotomic import (
     CyclotomicNumber,
     _column_orders,
@@ -17,6 +24,7 @@ from charverify.cyclotomic import (
 )
 from charverify.grouptable import (
     CharacterTable,
+    ColoredPermGroup,
     _charpoly,
     _check_int64,
     _compact_dtype,
@@ -24,9 +32,11 @@ from charverify.grouptable import (
     _nullspace,
     _poly_roots,
     _rref,
+    _split_space,
 )
 from charverify.ladic import hd_residues
 from charverify.weyl import group_fingerprint, weyl_group
+from charverify.wreath import get_subgroup
 
 from scalar_oracles import (
     FiniteGroup,
@@ -219,6 +229,108 @@ class TestDixon:
         table = dixon(quaternion_group())
         for row, deg in zip(table_rows(table), table.degrees):
             assert row[0] == Fraction(deg)
+
+
+# The three table suites in a fresh interpreter, counting per Dixon table its
+# class count and the class matrices its per-class loop computed.
+SPLIT_CHILD = """
+import json
+from charverify import fields, suites
+from charverify.grouptable import CharacterTable, ColoredPermGroup
+
+made = [0]
+class_matrix = ColoredPermGroup.class_matrix
+dixon = CharacterTable.dixon.__func__
+tables = []
+
+def counted(self, i):
+    made[0] += 1
+    return class_matrix(self, i)
+
+def recorded(cls, group):
+    before = made[0]
+    table = dixon(cls, group)
+    tables.append((len(table.degrees), made[0] - before))
+    return table
+
+ColoredPermGroup.class_matrix = counted
+CharacterTable.dixon = classmethod(recorded)
+fields.load_cuspidal_field_data()
+failed = [name for name in ("thm41", "lemma42", "weyl-match")
+          if suites.run_suite(name).counterexamples]
+print(json.dumps({"failed": failed, "tables": tables}))
+"""
+
+
+PERTURBED_GROUPS = {
+    "W(B3)": lambda: weyl_group("B", 3),
+    "W(B4)": lambda: weyl_group("B", 4),
+    "W(A4)": lambda: weyl_group("A", 4),
+    "G(4,2,3)": lambda: get_subgroup(4, 3),
+    "G(6,2,2)": lambda: get_subgroup(6, 2),
+}
+
+
+class TestDixonSplit:
+    def test_seed_and_fallback_both_run_on_the_default_grids(self):
+        """Over thm41, lemma42 and weyl-match, the seed combination alone
+        separates the characters of some tables and leaves spaces to the
+        per-class loop in others, which computes fewer than 100 class
+        matrices in all."""
+        src = str(Path(charverify.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", SPLIT_CHILD], capture_output=True, text=True, env=env, check=True
+        )
+        out = json.loads(result.stdout.strip().splitlines()[-1])
+        assert out["failed"] == []
+        made = [m for r, m in out["tables"] if r > 1]
+        assert 0 in made and any(made)
+        assert sum(made) < 100
+
+    @pytest.mark.parametrize("name", list(PERTURBED_GROUPS))
+    def test_perturbed_seed_is_refused(self, name, monkeypatch):
+        """One entry of the seed combination (the first class combination
+        Dixon forms) raised by 1 mod p: Dixon raises AssertionError, on
+        every one of eight seeded entries, and returns no table."""
+        group = PERTURBED_GROUPS[name]()
+        r = len(group.conjugacy_classes())
+        combination = ColoredPermGroup.class_combination
+        rng = random.Random(r)
+        for j, k in rng.sample(list(itertools.product(range(r), repeat=2)), 8):
+            calls = []
+
+            def perturbed(self, classes, weights):
+                out = combination(self, classes, weights)
+                if not calls:
+                    out[j, k] += 1
+                calls.append(classes)
+                return out
+
+            monkeypatch.setattr(ColoredPermGroup, "class_combination", perturbed)
+            with pytest.raises(AssertionError):
+                CharacterTable.dixon(group)
+            assert list(calls[0]) == list(range(1, len(calls[0]) + 1)), (name, j, k)
+        monkeypatch.undo()
+        assert CharacterTable.dixon(group).sum_of_degree_squares() == group.order
+
+
+    def test_identity_component_is_checked_against_the_degrees(self, monkeypatch):
+        """u[0] |G| = chi(1)^2 mod p holds on every table; with the
+        identity-class components doubled (the eigenvectors kept), Dixon
+        refuses the table."""
+        group = weyl_group("B", 3)
+        split = grouptable._split_space
+
+        def doubled(*args):
+            p = args[-1]
+            return [(R, piv, 2 * part % p) for R, piv, part in split(*args)]
+
+        monkeypatch.setattr(grouptable, "_split_space", doubled)
+        with pytest.raises(AssertionError, match="disagrees with the degree"):
+            CharacterTable.dixon(group)
+        monkeypatch.undo()
+        assert CharacterTable.dixon(group).degrees == [1, 1, 1, 1, 2, 2, 3, 3, 3, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +641,29 @@ def random_matrices(p, seed, count=12):
     return out
 
 
+def random_diagonalizable(p, seed, count=12):
+    """Seeded (A, P, D, a): A = P^-1 diag(D) P over F_p, so row t of P is a
+    left eigenvector of A with eigenvalue D[t] (c -> c A), every row
+    nonzero in column 0; eigenvalues drawn from a few values so that some
+    repeat; a holds nonzero weights of the rows."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        k = rng.randint(1, 6)
+        P = [[rng.randrange(1, p)] + [rng.randrange(p) for _ in range(k - 1)] for _ in range(k)]
+        if len(rref_oracle(P, p)[1]) < k:
+            continue
+        values = [rng.randrange(p) for _ in range(rng.randint(1, k))]
+        D = [rng.choice(values) for _ in range(k)]
+        P_inv = [row[k:] for row in rref_oracle([row + [int(i == j) for j in range(k)] for i, row in enumerate(P)], p)[0]]
+        A = [
+            [sum(P_inv[i][t] * D[t] * P[t][j] for t in range(k)) % p for j in range(k)]
+            for i in range(k)
+        ]
+        out.append((A, P, D, [rng.randrange(1, p) for _ in range(k)]))
+    return out
+
+
 PRIMES = (7, 101, 7681)
 
 
@@ -585,6 +720,43 @@ class TestFpKernels:
         # (x - 1)(x - 3)^2 (x - 5) over F_7
         coeffs = charpoly_oracle([[1, 0, 0, 0], [0, 3, 1, 0], [0, 0, 3, 0], [0, 0, 0, 5]], 7)
         assert _poly_roots(coeffs, 7) == [1, 3, 5]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_split_space_matches_oracle(self, p):
+        """Each space ``_split_space`` returns is the RREF of the kernel of
+        A^T - lam (``nullspace_oracle``), one per eigenvalue, ascending, and
+        holds the component of u = sum_t a_t P_t in it: on the whole space
+        and on a space of F_p^(k+2) spanned by an RREF basis B."""
+        repeated = 0
+        for A, P, D, a in random_diagonalizable(p, seed=3 * p, count=30):
+            k = len(A)
+            rng = random.Random(k * p)
+            wide = [[rng.randrange(1, p)] + [rng.randrange(p) for _ in range(k + 1)]] + [
+                [rng.randrange(p) for _ in range(k + 2)] for _ in range(k - 1)
+            ]
+            spans = [(np.eye(k, dtype=np.int64), list(range(k)))]
+            rows, pivots = rref_oracle(wide, p)
+            if len(pivots) == k:
+                spans.append((np.array(rows), pivots))
+            for B, pivots in spans:
+                u = np.array(a) @ np.array(P) @ B % p
+                spaces = _split_space(B, pivots, u, np.array(A), p)
+                assert len(spaces) == len(set(D))
+                for lam, (R, piv, part) in zip(sorted(set(D)), spaces):
+                    kernel = nullspace_oracle(
+                        [[(A[j][i] - lam * (i == j)) % p for j in range(k)] for i in range(k)], p
+                    )
+                    want_rows, want_pivots = rref_oracle((np.array(kernel) @ B % p).tolist(), p)
+                    assert (R.tolist(), piv) == (want_rows, want_pivots)
+                    mine = [a[t] * np.array(P[t]) for t in range(k) if D[t] == lam]
+                    assert part.tolist() == (sum(mine) % p @ B % p).tolist()
+            repeated += len(set(D)) < k
+        assert repeated >= 5
+
+    def test_split_space_refuses_a_component_off_its_space(self):
+        B, pivots = np.array([[1, 0, 2], [0, 1, 3]]), [0, 1]
+        with pytest.raises(AssertionError):
+            _split_space(B, pivots, np.array([1, 0, 0]), np.array([[1, 0], [0, 2]]), 7)
 
     def test_int64_guard(self):
         _check_int64(49, 7681)  # the largest field the suites use

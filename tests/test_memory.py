@@ -22,7 +22,11 @@ The fixedness pass over C_10 wr S_3, whose ``raw`` takes 1.0 MiB, allocates
 at most 2 MiB beyond the table under tracemalloc (the reduction pass: 12.0
 MiB).  Dixon on a fresh W(B5) = C_2 wr S_5, classes and inverses included,
 allocates about 0.6 MiB (2.8 MiB with the int64 lift and unchunked group
-passes).
+passes), and on a fresh G(6,2,3) about 0.5 MiB: its seed combination runs
+over 42 of the 49 classes (377 of 648 elements) in one pass, in the same
+row chunks as a class matrix.  The commutation test that cuts the
+centralizer of the d = 4 word out of W(B6) (46080 rows) allocates about
+0.16 MiB in those row chunks (6.4 MiB over all of W at once).
 """
 
 import json
@@ -35,11 +39,13 @@ from pathlib import Path
 import charverify
 from charverify.cyclotomic import galois_fixed_rows, unit_residues
 from charverify.grouptable import CharacterTable
-from charverify.wreath import get_full_group, get_table
+from charverify.weyl import _centralizer_of_word, canonical_regular_word, weyl_group
+from charverify.wreath import get_full_group, get_subgroup, get_table
 
 MAX_GROWTH_MIB = 6
 MAX_FIXEDNESS_TRANSIENT_MIB = 2
 MAX_DIXON_TRANSIENT_MIB = 1
+MAX_CENTRALIZER_TRANSIENT_MIB = 1
 
 # The child reads its peak resident set from VmHWM, which starts afresh at
 # exec.  ``ru_maxrss`` does not: Linux carries the peak of the forking
@@ -78,25 +84,41 @@ def test_table_suites_peak_rss_growth():
     assert growth_mib <= MAX_GROWTH_MIB, f"peak RSS grew by {growth_mib:.1f} MiB"
 
 
-def test_fixedness_pass_transient():
-    table = get_table(10, 3)
-    assert table.raw.nbytes == 330 * 330 * 10
+def traced_peak(build):
+    """build() and the tracemalloc peak of the call."""
     tracemalloc.start()
     try:
-        galois_fixed_rows(table.raw, unit_residues(10))
+        out = build()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return out, peak
+
+
+def test_fixedness_pass_transient():
+    table = get_table(10, 3)
+    assert table.raw.nbytes == 330 * 330 * 10
+    _, peak = traced_peak(lambda: galois_fixed_rows(table.raw, unit_residues(10)))
     assert peak <= MAX_FIXEDNESS_TRANSIENT_MIB * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 def test_dixon_transient():
     group = get_full_group.__wrapped__(2, 5)  # fresh: no classes or inverses yet
-    tracemalloc.start()
-    try:
-        table = CharacterTable.dixon(group)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    table, peak = traced_peak(lambda: CharacterTable.dixon(group))
     assert len(table.degrees) == 36
     assert peak <= MAX_DIXON_TRANSIENT_MIB * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+def test_dixon_transient_seed_over_most_classes():
+    group = get_subgroup.__wrapped__(6, 3)  # fresh: no classes or inverses yet
+    table, peak = traced_peak(lambda: CharacterTable.dixon(group))
+    assert len(table.degrees) == 49
+    assert peak <= MAX_DIXON_TRANSIENT_MIB * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+def test_centralizer_transient():
+    weyl_group("B", 6)  # built, with its keys, before tracing starts
+    word = canonical_regular_word("B", 6, False, 4)
+    group, peak = traced_peak(lambda: _centralizer_of_word.__wrapped__("B", 6, word))
+    assert group.order == 384
+    assert peak <= MAX_CENTRALIZER_TRANSIENT_MIB * 2**20, f"{peak / 2**20:.2f} MiB"

@@ -11,13 +11,13 @@ from charverify.qpoly import (
     QPolynomial,
     cyclotomic_poly,
     generic_degree_typeA,
-    phi_d_valuation,
 )
 from scalar_oracles import (
     evaluate,
     fraction_divmod,
     generic_degree_typeA_by_division,
     num_standard_tableaux,
+    phi_d_valuation,
     q_int_product,
 )
 

@@ -16,6 +16,7 @@ from charverify.weyl import (
     centralizer_group,
     character_values_hd_fixed,
     eigen_multiplicity,
+    generic_degrees,
     generic_order_phid_valuation,
     group_fingerprint,
     max_eigen_multiplicity,
@@ -28,7 +29,7 @@ from charverify.weyl import (
     weyl_group,
     weyl_order,
 )
-from charverify.qpoly import QPolynomial, phi_d_valuation
+from charverify.qpoly import QPolynomial
 from charverify.wreath import get_full_group
 from charverify.suites import suite_defaults
 from scalar_oracles import (
@@ -38,7 +39,9 @@ from scalar_oracles import (
     max_eigen_multiplicity_by_listing,
     coset_elements,
     full_product_group,
+    generic_order_phid_valuation_by_division,
     group_elements,
+    phi_d_valuation,
     reflection_charpoly,
     regular_representation,
     scalar_row_answers,
@@ -228,11 +231,32 @@ class TestEigenvalueCounts:
             for d in range(1, 21):
                 args = (series, r, twisted, d)
                 assert generic_order_phid_valuation(*args) == (
-                    generic_order_phid_valuation.__wrapped__(*args)
+                    generic_order_phid_valuation_by_division(*args)
                 )
         hits = generic_order_phid_valuation.cache_info().hits
         generic_order_phid_valuation("B", 5, False, 4)
         assert generic_order_phid_valuation.cache_info().hits == hits + 1
+
+    def test_closed_form_valuation_matches_division_everywhere(self):
+        """Every series and twist up to rank 8, every d up to four times
+        the largest degree plus 2, against the product of the generic
+        degrees divided by Phi_d."""
+        cases = [("A", r, tw) for r in range(1, 9) for tw in (False, True)]
+        cases += [(s, r, False) for s in ("B", "C") for r in range(1, 9)]
+        cases += [("D", r, tw) for r in range(2, 9) for tw in (False, True)]
+        checked = positive = 0
+        for series, r, twisted in cases:
+            top = max(deg for deg, _ in generic_degrees(series, r, twisted))
+            for d in range(1, 4 * top + 3):
+                want = generic_order_phid_valuation_by_division(series, r, twisted, d)
+                assert generic_order_phid_valuation(series, r, twisted, d) == want, (
+                    series, r, twisted, d
+                )
+                checked += 1
+                positive += want > 0
+        assert checked == 1468 and 0 < positive < checked
+        with pytest.raises(ValueError):
+            generic_order_phid_valuation("B", 2, False, 0)
 
 
 class TestRelativeWeyl:
