@@ -41,11 +41,26 @@ QUERY_KINDS = (
 )
 
 
+def _int_sequence(value) -> bool:
+    return isinstance(value, (tuple, list)) and all(type(x) is int for x in value)
+
+
 def _parse_partition(text: str) -> Partition:
+    """A partition written as a tuple (or list) of integers, or one integer."""
     value = ast.literal_eval(text)
-    if isinstance(value, int):
+    if type(value) is int:
         value = (value,)
+    if not _int_sequence(value):
+        raise ValueError(f"a partition is a tuple of integers, got {text!r}")
     return Partition(tuple(value))
+
+
+def _parse_label(text: str) -> tuple:
+    """A C_m wr S_a label written as a tuple of m partitions."""
+    value = ast.literal_eval(text)
+    if not isinstance(value, (tuple, list)) or not all(map(_int_sequence, value)):
+        raise ValueError(f"a label is a tuple of partitions, got {text!r}")
+    return tuple(tuple(component) for component in value)
 
 
 def _parse_scalar(text: str):
@@ -143,9 +158,7 @@ def run_query(kind: str, args: list[str]) -> dict:
             raise ValueError(
                 "usage: --query conductor '((p1),(p2),...)' m"
             )
-        label = tuple(
-            tuple(component) for component in ast.literal_eval(args[0])
-        )
+        label = _parse_label(args[0])
         m = int(args[1])
         c = wreath_mod.conductor_of_char(label, m)
         return {"kind": kind, "label": repr(label), "m": m, "conductor": c,

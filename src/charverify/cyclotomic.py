@@ -19,6 +19,11 @@ _reduction_rows(n)| * n < 2^63 at N and at each column order) raises
 OverflowError up front.  It is the one routine of the package that tests
 Galois fixedness of values; the scalar conductor and fixedness of one
 number are the tests' oracles.
+
+``CyclotomicNumber`` and ``GaloisSubgroup`` are the scalar types of those
+oracles: no module of the package constructs one (``ladic`` hands out its
+Galois subgroups as frozen sets of residues).  They stay here because the
+benchmark's tracer (``perfbench/tracer.py``) names their methods.
 """
 
 from __future__ import annotations
@@ -286,19 +291,6 @@ class GaloisSubgroup:
 
     def __setattr__(self, name, value):
         raise AttributeError("GaloisSubgroup is immutable")
-
-    @classmethod
-    def _closed(cls, modulus: int, residues: Iterable[int]) -> "GaloisSubgroup":
-        """A subgroup from residues that are closed by construction.
-
-        For callers that build units containing 1 and closed under
-        multiplication; skips the O(|H|^2) checks of ``__init__`` but still
-        reduces the residues mod ``modulus`` (mod 1, the residue 1 is 0).
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "residues", frozenset(r % modulus for r in residues))
-        return self
 
     @classmethod
     def full(cls, n: int) -> "GaloisSubgroup":

@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from importlib import resources
 from typing import Callable
 
@@ -45,7 +45,6 @@ import numpy as np
 
 from .cyclotomic import galois_fixed_rows
 from .ladic import (
-    PrimePower,
     hd_residues,
     is_prime,
     is_square_mod,
@@ -70,11 +69,8 @@ __all__ = [
 ]
 
 
-def _q_value(q) -> int:
-    """Accept an int or a PrimePower and return the plain integer value."""
-    if isinstance(q, PrimePower):
-        return q.value
-    q = int(q)
+def _q_value(q: int) -> int:
+    """q itself, once checked to be at least 2."""
     if q < 2:
         raise ValueError(f"q must be at least 2, got {q}")
     return q
@@ -92,7 +88,7 @@ class FrobeniusClass(Enum):
     ONE = "one"
     MINUS_Q = "minus_q"
 
-    def integer_value(self, q) -> int:
+    def integer_value(self, q: int) -> int:
         """The eigenvalue as an integer once q is supplied."""
         return 1 if self is FrobeniusClass.ONE else -_q_value(q)
 
@@ -148,7 +144,7 @@ class FieldDescriptor:
             raise TypeError(f"cannot join with {other!r}")
         return FieldDescriptor(self.parts | other.parts)
 
-    def resolve(self, ell: int, q) -> "FieldDescriptor":
+    def resolve(self, ell: int, q: int) -> "FieldDescriptor":
         """Drop every part already contained in the ell-adic field.
 
         ``ell`` must be an odd prime not dividing ``q`` (ValueError
@@ -156,7 +152,7 @@ class FieldDescriptor:
         the root index -- the tame case.  Resolution only ever
         removes parts, so it is idempotent and monotone: supplying (ell, q)
         data never un-trivializes a descriptor.  Memoized on (descriptor,
-        ell, value of q).
+        ell, q).
         """
         return _resolve(self, ell, _q_value(q))
 
@@ -233,7 +229,7 @@ def extension_field_typeA(
     eps: int,
     lam,
     ell: int,
-    q,
+    q: int,
     r: int,
     rule: Callable[[Partition], FrobeniusClass] = default_omega_rule,
 ) -> FieldDescriptor:
@@ -320,7 +316,7 @@ class Prop75Report:
     Holds the partitions of ``n``, their d'-cores, the interned field id of
     every partition met (by parts) and the indices of the ``failed``
     partitions; the :class:`Prop75Case` objects are built only for
-    ``failures`` and on first access to ``cases``."""
+    ``failures``."""
 
     eps: int
     n: int
@@ -338,10 +334,6 @@ class Prop75Report:
         """Number of partitions compared with their cores."""
         return len(self.partitions)
 
-    @property
-    def passed(self) -> bool:
-        return not self.failed
-
     def _case(self, i: int) -> Prop75Case:
         lam, core = self.partitions[i].parts, self.cores[i].parts
         return Prop75Case(
@@ -350,10 +342,6 @@ class Prop75Report:
             field_char=_FIELDS[self.field_ids[lam]],
             field_core=_FIELDS[self.field_ids[core]],
         )
-
-    @cached_property
-    def cases(self) -> tuple:
-        return tuple(self._case(i) for i in range(self.checked))
 
     @property
     def failures(self) -> tuple:
@@ -364,7 +352,7 @@ def check_prop75(
     eps: int,
     n: int,
     ell: int,
-    q,
+    q: int,
     r: int = 1,
     rule: Callable[[Partition], FrobeniusClass] = default_omega_rule,
 ) -> Prop75Report:
@@ -432,8 +420,11 @@ _SWEEP_QS = (2, 3, 4, 5, 7, 8, 9)
 def load_cuspidal_field_data(path: str | None = None) -> dict:
     """Load the curated data file (or a caller-supplied replacement)."""
     if path is not None:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+        try:
+            with open(path, encoding="utf-8") as handle:
+                return json.load(handle)
+        except OSError as exc:
+            raise ValueError(f"cannot read data file {path!r}: {exc.strerror}") from exc
     text = (
         resources.files("charverify").joinpath(_DATA_RESOURCE).read_text("utf-8")
     )
@@ -448,10 +439,6 @@ class Table1Report:
     exceptions_checked: int
     numeric_checks: int
     violations: tuple
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
 
 
 def _check_root_of_unity_row(row: dict, violations: list) -> int:
@@ -514,6 +501,37 @@ def _check_sqrt_row(
     return checks
 
 
+def _checked_rows(data) -> tuple[list, list]:
+    """The main rows and the exception rows of the data, once their shape is
+    checked (ValueError otherwise): the data is an object with a nonempty
+    'rows' list and, optionally, an 'exceptions' list; every row is an
+    object with a 'group' name, a 'field' object and a 'd_values' list of
+    positive integers (optional on an exception); a root-of-unity field has
+    a positive integer 'order'.  What the fields say is checked later, as
+    violations."""
+    if not isinstance(data, dict):
+        raise ValueError("the data must be a JSON object")
+    rows, exceptions = data.get("rows"), data.get("exceptions", [])
+    if not isinstance(rows, list) or not rows:
+        raise ValueError("data file has no 'rows' list")
+    if not isinstance(exceptions, list):
+        raise ValueError("data file's 'exceptions' is not a list")
+    for where, row in [("row", r) for r in rows] + [("exception", r) for r in exceptions]:
+        if not isinstance(row, dict) or not isinstance(row.get("group"), str):
+            raise ValueError(f"{where} {row!r} has no 'group' name")
+        field = row.get("field")
+        if not isinstance(field, dict):
+            raise ValueError(f"{where} {row['group']}: no 'field' object")
+        d_values = row.get("d_values", [] if where == "exception" else None)
+        if not isinstance(d_values, list) or not all(type(d) is int and d > 0 for d in d_values):
+            raise ValueError(f"{where} {row['group']}: 'd_values' is not a list of positive integers")
+        if field.get("kind") == "root_of_unity":
+            order = field.get("order")
+            if type(order) is not int or order < 1:
+                raise ValueError(f"{where} {row['group']}: root order {order!r} is not positive")
+    return rows, exceptions
+
+
 def table1_consistency(data: dict | None = None) -> Table1Report:
     """Check the curated table of cuspidal characters with irrational fields.
 
@@ -526,33 +544,30 @@ def table1_consistency(data: dict | None = None) -> Table1Report:
     """
     if data is None:
         data = load_cuspidal_field_data()
+    rows, exceptions = _checked_rows(data)
     violations: list[str] = []
     numeric = 0
-    rows = data.get("rows")
-    if not isinstance(rows, list) or not rows:
-        raise ValueError("data file has no 'rows' list")
     for row in rows:
-        kind = row["field"]["kind"]
+        kind = row["field"].get("kind")
         if kind == "root_of_unity":
             numeric += _check_root_of_unity_row(row, violations)
-        elif kind == "sqrt" and row["field"]["sign"] == -1:
+        elif kind == "sqrt" and row["field"].get("sign") == -1:
             numeric += _check_sqrt_row(
                 row, violations, sign=-1, parity="2 mod 4"
             )
         else:
             violations.append(
-                f"{row.get('group', '?')}: unexpected field kind {row['field']}"
+                f"{row['group']}: unexpected field kind {row['field']}"
             )
-    exceptions = data.get("exceptions", [])
     for row in exceptions:
         if row["field"] != {"kind": "sqrt", "sign": 1}:
             violations.append(
-                f"{row.get('group', '?')}: exception field must be sqrt(q)"
+                f"{row['group']}: exception field must be sqrt(q)"
             )
             continue
         if row.get("d_parity") != "odd":
             violations.append(
-                f"{row.get('group', '?')}: exception d-parity must be 'odd'"
+                f"{row['group']}: exception d-parity must be 'odd'"
             )
             continue
         numeric += _check_sqrt_row(row, violations, sign=1, parity="odd")

@@ -60,8 +60,8 @@ type.  Conductors and H_d-fixedness read one
 table.  Both orthogonality relations run on the same split-prime
 evaluations: one mod-p product per pair of embeddings {j, -j} and prime,
 the primes' product above twice the coordinate bound (``_orthogonal``).
-Cyclotomic values are read from ``raw`` in Q(zeta_o), o the order of
-their column, only when asked for.
+No value is ever read out of ``raw`` as a scalar cyclotomic number: that
+value view is the tests' oracle (``tests/scalar_oracles.py``).
 """
 
 from __future__ import annotations
@@ -73,8 +73,6 @@ from typing import Sequence
 import numpy as np
 
 from .cyclotomic import (
-    CyclotomicNumber,
-    _column_orders,
     _matmul_mod,
     _peak,
     _reduction_matrix,
@@ -136,8 +134,8 @@ class ColoredPermGroup:
     colored permutations to digit vectors whose lexicographic order is that
     of the native elements, ``encode``/``decode`` convert one element, and
     ``radices`` bound the digits.  A row's key is its digit vector read in
-    that mixed radix; rows are sorted by key, i.e. in the order of
-    ``sorted(elements)``, and ``rows`` finds any element's row with
+    that mixed radix; rows are sorted by key, i.e. in the order of the
+    sorted native elements, and ``rows`` finds any element's row with
     ``np.searchsorted``.
 
     Everything Dixon needs before its F_p algebra comes from gathers:
@@ -171,7 +169,6 @@ class ColoredPermGroup:
         self._classes = None
         self.class_of = None  # row -> class index, set with the classes
         self._inverses = None
-        self._elements = None
 
     @property
     def order(self) -> int:
@@ -192,13 +189,6 @@ class ColoredPermGroup:
     def element(self, g: int):
         """Row g as a native element."""
         return self.encoding.decode(self.perm[g], self.color[g])
-
-    @property
-    def elements(self) -> list:
-        """Every row as a native element, sorted."""
-        if self._elements is None:
-            self._elements = [self.element(g) for g in range(self.order)]
-        return self._elements
 
     def product(self, x, y) -> np.ndarray:
         """Rows of the products of rows x and y (broadcast)."""
@@ -533,8 +523,8 @@ class CharacterTable:
     hand over an array that is compact already).  Passes over it widen before any
     arithmetic.  The identity class is the class of element order 1,
     wherever it stands; its values are the degrees.  Every whole-table pass
-    is defined here once, on ``raw``: the value view, conductors,
-    H_d-fixedness, both orthogonality relations and the degree-square sum.
+    is defined here once, on ``raw``: conductors, H_d-fixedness, both
+    orthogonality relations and the degree-square sum.
     A table built by :meth:`dixon` also keeps its ``group`` and the
     ``class_reps`` of its columns.
     """
@@ -553,7 +543,6 @@ class CharacterTable:
         if np.any(raw[:, identity, 1:]):
             raise AssertionError("identity-class values must be integers")
         self.degrees = raw[:, identity, 0].tolist()
-        self._column_orders = None
         self._unit_fixed = None
 
     @classmethod
@@ -644,28 +633,6 @@ class CharacterTable:
         table.group = group
         table.class_reps = [group.element(g) for g in rep_rows]
         return table
-
-    # -- the value view ------------------------------------------------------
-
-    @property
-    def column_orders(self) -> list[int]:
-        """Per class, the least o | N such that every nonzero coefficient of
-        the column sits at a multiple of N/o (``cyclotomic._column_orders``).
-        On a Dixon table that is the order of the class: its coefficients
-        are eigenvalue multiplicities, and some character (a constituent of
-        the regular one) has a primitive o-th root there.  On C_m wr S_a it
-        divides m.  Computed on first read."""
-        if self._column_orders is None:
-            self._column_orders = _column_orders(self.raw).tolist()
-        return self._column_orders
-
-    def value(self, i: int, j: int) -> CyclotomicNumber:
-        """The value of character i at class j, written in Q(zeta_o) for o
-        the order of column j; the coefficients leave ``raw`` as Python
-        integers."""
-        o = self.column_orders[j]
-        coeffs = self.raw[i, j, :: self.raw.shape[2] // o].tolist()
-        return CyclotomicNumber(o, {e: c for e, c in enumerate(coeffs) if c})
 
     # -- Galois fixedness, one pass over the whole table -------------------
 

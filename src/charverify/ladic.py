@@ -1,9 +1,10 @@
 """Multiplicative number theory modulo odd primes.
 
 Orders d_ell(q), quadratic-residue fixedness of sqrt(q) and sqrt(-q), the
-Galois subgroups generated by powers of ell and by k = 1 mod d, and
-root-existence predicates for X^r - zeta_a over the ell-adic numbers (decided
-at the residue level; Hensel lifting applies since ell does not divide r).
+Galois subgroups generated by powers of ell and by k = 1 mod d (as frozen
+sets of residues mod n), and root-existence predicates for X^r - zeta_a over
+the ell-adic numbers (decided at the residue level; Hensel lifting applies
+since ell does not divide r).  q is a plain integer throughout.
 
 The suites ask the same few thousand questions many times over, so the pure
 integer functions (orders mod ell, elements of given order, the subgroups
@@ -14,10 +15,9 @@ the cache is consulted, and a call that raises is never cached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import GaloisSubgroup, is_prime, unit_residues
+from .cyclotomic import is_prime, unit_residues
 
 
 def _check_odd_prime(ell: int) -> None:
@@ -25,46 +25,20 @@ def _check_odd_prime(ell: int) -> None:
         raise ValueError(f"ell must be an odd prime, got {ell}")
 
 
-@dataclass(frozen=True)
-class PrimePower:
-    """q = p^exponent with p prime."""
-
-    p: int
-    exponent: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.exponent < 1:
-            raise ValueError(f"exponent must be positive, got {self.exponent}")
-
-    @property
-    def value(self) -> int:
-        return self.p**self.exponent
-
-    @classmethod
-    def from_value(cls, q: int) -> "PrimePower":
-        for p in range(2, q + 1):
-            if q % p == 0:
-                e = 0
-                m = q
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                if m != 1:
-                    raise ValueError(f"{q} is not a prime power")
-                return cls(p, e)
-        raise ValueError(f"{q} is not a prime power")
+def is_prime_power(q: int) -> bool:
+    """Whether q = p^e for a prime p and e >= 1."""
+    if q < 2:
+        return False
+    p = next(p for p in range(2, q + 1) if q % p == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
 
 
-def _as_int(q) -> int:
-    return q.value if isinstance(q, PrimePower) else int(q)
-
-
-def mult_order(q, ell: int) -> int:
+def mult_order(q: int, ell: int) -> int:
     """The multiplicative order of q modulo ell (an odd prime)."""
     _check_odd_prime(ell)
-    q = _as_int(q) % ell
+    q = q % ell
     if q == 0:
         raise ValueError(f"ell = {ell} divides q")
     return _order_mod(q, ell)
@@ -90,19 +64,20 @@ def is_square_mod(a: int, ell: int) -> bool:
     return pow(a, (ell - 1) // 2, ell) == 1
 
 
-def sqrt_q_fixed(q, ell: int) -> bool:
+def sqrt_q_fixed(q: int, ell: int) -> bool:
     """Whether sqrt(q) lies in (and is fixed over) Q_ell, i.e. q is a square mod ell."""
-    return is_square_mod(_as_int(q), ell)
+    return is_square_mod(q, ell)
 
 
-def sqrt_minus_q_fixed(q, ell: int) -> bool:
+def sqrt_minus_q_fixed(q: int, ell: int) -> bool:
     """Whether sqrt(-q) lies in Q_ell, i.e. -q is a square mod ell."""
-    return is_square_mod(-_as_int(q), ell)
+    return is_square_mod(-q, ell)
 
 
-def hell_subgroup(ell: int, n: int) -> GaloisSubgroup:
+def hell_subgroup(ell: int, n: int) -> frozenset[int]:
     """The subgroup of (Z/nZ)^x of residues congruent to a power of ell
-    modulo the ell'-part of n (and arbitrary modulo the ell-part)."""
+    modulo the ell'-part of n (and arbitrary modulo the ell-part), as its
+    residues mod n."""
     _check_odd_prime(ell)
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
@@ -116,30 +91,25 @@ def hell_subgroup(ell: int, n: int) -> GaloisSubgroup:
     while acc not in powers:
         powers.add(acc)
         acc = (acc * ell) % n_prime
-    # Units whose image mod n_prime lies in the cyclic group <ell>: closed.
-    return GaloisSubgroup._closed(
-        n, [k for k in unit_residues(n) if k % n_prime in powers]
-    )
+    return frozenset(k for k in unit_residues(n) if k % n_prime in powers)
 
 
 @lru_cache(maxsize=None)
-def hd_subgroup(d: int, n: int) -> GaloisSubgroup:
-    """The subgroup {k in (Z/nZ)^x : k = 1 mod d}; requires d | n."""
+def hd_subgroup(d: int, n: int) -> frozenset[int]:
+    """The subgroup {k in (Z/nZ)^x : k = 1 mod d}, as its residues mod n
+    (mod 1, the residue 1 is 0); requires d | n."""
     if n < 1 or d < 1:
         raise ValueError("d and n must be positive")
     if n % d != 0:
         raise ValueError(f"d = {d} must divide the modulus n = {n}")
-    # The kernel of (Z/nZ)^x -> (Z/dZ)^x: closed.
-    return GaloisSubgroup._closed(
-        n, [k for k in range(1, n + 1, d) if math.gcd(k, n) == 1]
-    )
+    return frozenset(k % n for k in range(1, n + 1, d) if math.gcd(k, n) == 1)
 
 
 def hd_residues(n: int, d: int) -> list[int]:
     """H_d = {k in (Z/NZ)^x : k = 1 mod d} at the common modulus
     N = lcm(n, d), as the sorted residues mod n through which it acts on
     Q(zeta_n); ValueError unless d >= 1."""
-    return sorted({k % n for k in hd_subgroup(d, math.lcm(n, d)).residues})
+    return sorted({k % n for k in hd_subgroup(d, math.lcm(n, d))})
 
 
 @lru_cache(maxsize=None)

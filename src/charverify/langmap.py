@@ -21,11 +21,14 @@ represented as polynomials modulo a fixed, documented irreducible: for odd
 ``p`` the modulus is ``x^2 - t`` with ``t`` the smallest quadratic
 non-residue mod ``p``; for ``p = 2`` it is ``x^2 + x + 1``.
 
-Powers are square-and-multiply on coefficient integers.  The cocharacter
-value and its Lang image are computed on (c0, c1) coefficient pairs, their
-determinant is checked to be 1 on the pairs, and the result is built
-through trusted constructors that skip the checks already made; a
+``FiniteFieldElement`` is a value type with no arithmetic of its own:
+products and powers are square-and-multiply on coefficient integers.  The
+cocharacter value and its Lang image are computed on (c0, c1) coefficient
+pairs, their determinant is checked to be 1 on the pairs, and the result is
+built through trusted constructors that skip the checks already made; a
 ``DiagonalTorusElement`` built directly still checks its determinant.
+Element multiplication and powers are the tests' oracle
+(``tests/scalar_oracles.py``).
 """
 
 from __future__ import annotations
@@ -131,38 +134,6 @@ class FiniteFieldElement:
     @property
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
-
-    def lift(self) -> "FiniteFieldElement":
-        """The same element viewed inside the quadratic extension."""
-        if self.e == 2:
-            return self
-        return FiniteFieldElement(self.p, (self.coeffs[0], 0))
-
-    def _pair(self, other: "FiniteFieldElement"):
-        if not isinstance(other, FiniteFieldElement) or other.p != self.p:
-            raise TypeError(f"cannot combine {self!r} with {other!r}")
-        if self.e == other.e:
-            return self, other
-        return self.lift(), other.lift()
-
-    def __mul__(self, other: "FiniteFieldElement") -> "FiniteFieldElement":
-        a, b = self._pair(other)
-        p = a.p
-        if a.e == 1:
-            return FiniteFieldElement(p, ((a.coeffs[0] * b.coeffs[0]) % p,))
-        return FiniteFieldElement(p, _mul_quadratic(p, *a.coeffs, *b.coeffs))
-
-    def __pow__(self, exponent: int) -> "FiniteFieldElement":
-        """Square-and-multiply on the coefficients; a negative exponent is
-        reduced modulo the order p^e - 1 of the unit group."""
-        if self.is_zero and exponent <= 0:
-            raise ZeroDivisionError("zero to a non-positive power")
-        p = self.p
-        if exponent < 0:
-            exponent %= p**self.e - 1
-        if self.e == 1:
-            return FiniteFieldElement(p, (pow(self.coeffs[0], exponent, p),))
-        return FiniteFieldElement(p, _pow_quadratic(p, *self.coeffs, exponent))
 
     def __repr__(self) -> str:
         if self.e == 1 or self.coeffs[1] == 0:
@@ -298,10 +269,6 @@ class DiagonalTorusElement:
         self = object.__new__(cls)
         object.__setattr__(self, "entries", entries)
         return self
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
 
     @property
     def p(self) -> int:

@@ -208,13 +208,7 @@ def _abacus_core(parts: tuple[int, ...], d: int) -> tuple[Partition, int]:
     length = len(parts) + d
     beads = [p + length - 1 - i for i, p in enumerate(parts)]
     beads += range(d - 1, -1, -1)
-    counts = [0] * d
-    for b in beads:
-        counts[b % d] += 1
-    core_beads = sorted(
-        (runner + d * level for runner in range(d) for level in range(counts[runner])),
-        reverse=True,
-    )
+    core_beads = _slid_beads(beads, d)[::-1]
     weight = (sum(beads) - sum(core_beads)) // d
     core = Partition._trusted(
         tuple(p for p in (b - (length - 1 - i) for i, b in enumerate(core_beads)) if p > 0)
@@ -223,6 +217,16 @@ def _abacus_core(parts: tuple[int, ...], d: int) -> tuple[Partition, int]:
     assert removed % d == 0
     assert removed // d == weight
     return core, weight
+
+
+def _slid_beads(beads: Iterable[int], d: int) -> list[int]:
+    """The beads once each has slid up its runner of the d-abacus as far as
+    it goes: on every runner, as many beads as before at its lowest
+    positions; increasing."""
+    counts = [0] * d
+    for b in beads:
+        counts[b % d] += 1
+    return sorted(runner + d * level for runner in range(d) for level in range(counts[runner]))
 
 
 def two_core(lam) -> Partition:

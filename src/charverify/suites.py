@@ -33,6 +33,7 @@ what each one verifies:
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 
@@ -43,11 +44,11 @@ from . import symbols as symbols_mod
 from . import weyl as weyl_mod
 from . import wreath as wreath_mod
 from .ladic import (
-    PrimePower,
     central_product_splits,
     hd_subgroup,
     hell_subgroup,
     is_prime,
+    is_prime_power,
     mult_order,
     root_exists_in_Qell,
     sqrt_minus_q_fixed,
@@ -62,17 +63,6 @@ def _primes(lo: int, hi: int) -> list[int]:
     return [p for p in range(lo, hi + 1) if is_prime(p)]
 
 
-def _prime_powers(hi: int) -> list[int]:
-    out = []
-    for q in range(2, hi + 1):
-        try:
-            PrimePower.from_value(q)
-        except ValueError:
-            continue
-        out.append(q)
-    return out
-
-
 # --------------------------------------------------------------------------
 # Suite implementations.  Each returns (checks, counterexamples).
 # --------------------------------------------------------------------------
@@ -80,7 +70,7 @@ def _prime_powers(hi: int) -> list[int]:
 
 def _suite_lemma22(max_ell=200, max_q=200, max_modulus=120, max_d=12):
     checks, bad = 0, []
-    prime_powers = _prime_powers(max_q)
+    prime_powers = [q for q in range(2, max_q + 1) if is_prime_power(q)]
     for ell in _primes(3, max_ell):
         for q in prime_powers:
             if q % ell == 0:
@@ -114,7 +104,7 @@ def _suite_lemma22(max_ell=200, max_q=200, max_modulus=120, max_d=12):
                 if H_ell is None:
                     H_ell = hell_subgroup(ell, n)
                 checks += 1
-                if not H_ell.residues <= hd_subgroup(d, n).residues:
+                if not H_ell <= hd_subgroup(d, n):
                     bad.append(
                         f"ell-power subgroup (ell={ell}, n={n}) not inside "
                         f"the d={d} subgroup"
@@ -320,6 +310,8 @@ def _suite_lemma72(max_rank=6, max_defect=3, max_d=7):
 
 
 def _suite_prop75(max_n=10, max_ell=31, qs=(2, 3, 4, 5, 7, 8, 9), rs=(1, 2)):
+    """The claim is checked for rs = (1, 2).  An r that some ell of the
+    sweep divides (r = 3 at ell = 3) is refused with ValueError."""
     checks, bad = 0, []
     for ell in _primes(3, max_ell):
         for q in qs:
@@ -396,60 +388,29 @@ def _suite_weyl_match(max_rank=5, max_rank_d=4):
 # Registry
 # --------------------------------------------------------------------------
 
+# Each suite's defaults are the defaults of its function's signature.
 _REGISTRY = {
-    "lemma22": (
-        _suite_lemma22,
-        {"max_ell": 200, "max_q": 200, "max_modulus": 120, "max_d": 12},
-        "quadratic-residue loci and Galois-subgroup containments",
-    ),
+    "lemma22": (_suite_lemma22, "quadratic-residue loci and Galois-subgroup containments"),
     "lemma71": (
         _suite_lemma71,
-        {"max_ell": 100, "max_r": 20, "max_p0": 50, "max_r_implication": 12},
         "root-existence predicate vs brute force, order-divisor implication",
     ),
-    "lemma82": (
-        _suite_lemma82,
-        {"max_p": 23, "max_r0": 8, "max_ell": 61},
-        "central-product splitting over the full parameter grid",
-    ),
+    "lemma82": (_suite_lemma82, "central-product splitting over the full parameter grid"),
     "thm41": (
         _suite_thm41,
-        {"max_m": 12, "max_a": 4, "sub_max_m": 6, "sub_max_a": 3},
         "wreath-product and index-2-subgroup character conductors divide m",
     ),
-    "lemma42": (
-        _suite_lemma42,
-        {"max_m": 12, "max_a": 4, "sub_max_m": 6, "sub_max_a": 3, "max_d": 12},
-        "the same characters are Galois-fixed whenever m | lcm(2, d)",
-    ),
+    "lemma42": (_suite_lemma42, "the same characters are Galois-fixed whenever m | lcm(2, d)"),
     "cor74": (
         _suite_cor74,
-        {"max_n": 12, "max_d": 12},
         "equal even-d-cores share a 2-core; 2-step decompositions recompose",
     ),
-    "lemma72": (
-        _suite_lemma72,
-        {"max_rank": 6, "max_defect": 3, "max_d": 7},
-        "symbols with equal odd-d-cores share a 1-core",
-    ),
-    "prop75": (
-        _suite_prop75,
-        {"max_n": 10, "max_ell": 31, "qs": (2, 3, 4, 5, 7, 8, 9), "rs": (1, 2)},
-        "type-A extension fields constant along d'-cores",
-    ),
-    "table1": (
-        _suite_table1,
-        {"data_path": None},
-        "curated cuspidal-field table consistency",
-    ),
-    "cor55": (
-        _suite_cor55,
-        {"max_p": 23, "max_n": 6},
-        "Lang-map images match the Jacobi-symbol formula and are central",
-    ),
+    "lemma72": (_suite_lemma72, "symbols with equal odd-d-cores share a 1-core"),
+    "prop75": (_suite_prop75, "type-A extension fields constant along d'-cores"),
+    "table1": (_suite_table1, "curated cuspidal-field table consistency"),
+    "cor55": (_suite_cor55, "Lang-map images match the Jacobi-symbol formula and are central"),
     "weyl-match": (
         _suite_weyl_match,
-        {"max_rank": 5, "max_rank_d": 4},
         "relative-Weyl oracle vs wreath prediction, with fixed characters",
     ),
 }
@@ -457,24 +418,46 @@ _REGISTRY = {
 SUITE_NAMES = tuple(_REGISTRY)
 
 
-def suite_defaults(name: str) -> dict:
-    """The default parameters of a suite (a copy)."""
+def _entry(name: str):
+    """(function, description) of a suite; ValueError for an unknown name."""
     if name not in _REGISTRY:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return dict(_REGISTRY[name][1])
+    return _REGISTRY[name]
+
+
+def suite_defaults(name: str) -> dict:
+    """The default parameters of a suite, read off its function's signature."""
+    func, _ = _entry(name)
+    return {k: v.default for k, v in inspect.signature(func).parameters.items()}
 
 
 def suite_description(name: str) -> str:
-    if name not in _REGISTRY:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return _REGISTRY[name][2]
+    return _entry(name)[1]
+
+
+def _typed(name: str, key: str, value, default):
+    """An override typed by its default: an int for an int, a tuple of ints
+    for a tuple (an int given alone is a 1-tuple), a string for a path that
+    defaults to None.  ValueError otherwise."""
+    if isinstance(default, tuple) and type(value) is int:
+        value = (value,)
+    if isinstance(default, tuple):
+        ok = isinstance(value, tuple) and all(type(v) is int for v in value)
+    elif default is None:
+        ok = value is None or isinstance(value, str)
+    else:
+        ok = type(value) is type(default)
+    if not ok:
+        raise ValueError(
+            f"parameter {key!r} of suite {name!r} takes a value like {default!r}, got {value!r}"
+        )
+    return value
 
 
 def run_suite(name: str, params: dict | None = None) -> CheckReport:
     """Run one named suite with optional parameter overrides."""
-    if name not in _REGISTRY:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    func, defaults, _ = _REGISTRY[name]
+    func, _ = _entry(name)
+    defaults = suite_defaults(name)
     effective = dict(defaults)
     for key, value in (params or {}).items():
         if key not in defaults:
@@ -482,7 +465,7 @@ def run_suite(name: str, params: dict | None = None) -> CheckReport:
                 f"unknown parameter {key!r} for suite {name!r}; "
                 f"valid keys: {sorted(defaults)}"
             )
-        effective[key] = value
+        effective[key] = _typed(name, key, value, defaults[key])
     start = time.perf_counter()
     checks, counterexamples = func(**effective)
     elapsed = time.perf_counter() - start

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .partitions import IllegalHookError
+from .partitions import _slid_beads
 
 
 def _check_row(row: Iterable[int]) -> tuple[int, ...]:
@@ -67,9 +67,6 @@ class SymbolBCD:
         fmt = lambda row: "{" + ",".join(map(str, row)) + "}"
         return f"({fmt(self.row1)},{fmt(self.row2)})"
 
-    def rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return (self.row1, self.row2)
-
 
 def parse_symbol(text: str) -> SymbolBCD:
     """Parse '({0,2},{1})' (spaces allowed, empty rows '{}' allowed)."""
@@ -94,59 +91,17 @@ def parse_symbol(text: str) -> SymbolBCD:
     return SymbolBCD(rows[0], rows[1])
 
 
-def remove_symbol_hook(S: SymbolBCD, row: int, entry: int, d: int) -> SymbolBCD:
-    """Replace entry by entry - d in the chosen row (1 or 2), renormalized.
-
-    d must be odd and positive; the move must be legal (entry present, target
-    non-negative and free in the same row).
-    """
-    if d <= 0 or d % 2 == 0:
-        raise ValueError(f"d must be odd and positive, got {d}")
-    if row not in (1, 2):
-        raise ValueError(f"row must be 1 or 2, got {row}")
-    target_row = S.row1 if row == 1 else S.row2
-    if entry not in target_row:
-        raise IllegalHookError(f"entry {entry} not in row {row} of {S}")
-    if entry - d < 0:
-        raise IllegalHookError(f"entry {entry} - {d} would be negative")
-    if entry - d in target_row:
-        raise IllegalHookError(f"target {entry - d} occupied in row {row} of {S}")
-    new_row = sorted(x for x in target_row if x != entry) + [entry - d]
-    new_row.sort()
-    if row == 1:
-        return SymbolBCD(new_row, S.row2)
-    return SymbolBCD(S.row1, new_row)
-
-
-def symbol_hooks(S: SymbolBCD, d: int) -> list[tuple[int, int]]:
-    """All legal (row, entry) moves of length d, sorted deterministically."""
-    out = []
-    for row_idx, row in ((1, S.row1), (2, S.row2)):
-        for entry in row:
-            if entry - d >= 0 and (entry - d) not in row:
-                out.append((row_idx, entry))
-    out.sort(key=lambda move: (-move[1], move[0]))
-    return out
-
-
 def symbol_d_core(S: SymbolBCD, d: int) -> SymbolBCD:
-    """Repeated d-hook removal (d odd) until no legal move remains.
-
-    Greedy order: always remove at the largest movable entry (row 1 first on
-    ties).  Removal in every order is the tests' oracle
+    """The d-core (d odd): the beads of each row slid up that row's own
+    d-abacus (James-Kerber 2.7), row order kept, then renormalized.  Removal
+    of d-hooks in every order is the tests' oracle
     (``all_terminal_symbols`` in ``tests/scalar_oracles.py``).
     """
     if d <= 0 or d % 2 == 0:
         raise ValueError(f"d must be odd and positive, got {d}")
-    state = S
-    while True:
-        moves = symbol_hooks(state, d)
-        if not moves:
-            break
-        row, entry = moves[0]
-        state = remove_symbol_hook(state, row, entry, d)
-    assert (S.rank - state.rank) % d == 0
-    return state
+    core = SymbolBCD(_slid_beads(S.row1, d), _slid_beads(S.row2, d))
+    assert (S.rank - core.rank) % d == 0
+    return core
 
 
 def _rows_with_sum(length: int, total: int, min_val: int = 0) -> Iterator[tuple[int, ...]]:

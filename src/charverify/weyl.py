@@ -400,7 +400,8 @@ class _Product:
     """Tuples of native elements of the factor groups, as colored
     permutations of the disjoint union of their points with colors in the
     common C_m (factor colors scaled by m / m_i); tuples sort factor by
-    factor."""
+    factor.  A product group is built from arrays and gets no generators,
+    so no tuple is ever encoded one at a time."""
 
     def __init__(self, factors, m: int):
         self.parts = []
@@ -418,14 +419,6 @@ class _Product:
             ],
             axis=-1,
         )
-
-    def encode(self, x: tuple):
-        perm, color = [], []
-        for (enc, o, _, s), xi in zip(self.parts, x):
-            p, c = enc.encode(xi)
-            perm += [v + o for v in p]
-            color += [v * s for v in c]
-        return perm, color
 
     def decode(self, perm, color) -> tuple:
         return tuple(

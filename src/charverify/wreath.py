@@ -4,11 +4,10 @@ Irreducible characters are labelled by m-tuples of partitions of total size a;
 conjugacy classes by colored cycle types (multisets of (length, color) pairs).
 Values are computed by the wreath-product Murnaghan-Nakayama recursion with
 the cyclic base case j -> zeta_m^{jk}, carried out over the group ring
-Z[t]/(t^m - 1) in vectorized integer arithmetic and reduced to canonical
-cyclotomic form on demand.  ``WreathTable`` is a ``grouptable.CharacterTable``
-whose ``raw`` is the (L, C, m) array of those group-ring coefficients, so its
-value view, conductors, H_d-fixedness and orthogonality are the table
-class's own; it adds the labels and classes.  ``raw`` is compact and
+Z[t]/(t^m - 1) in vectorized integer arithmetic.  ``WreathTable`` is a
+``grouptable.CharacterTable`` whose ``raw`` is the (L, C, m) array of those
+group-ring coefficients, so its conductors, H_d-fixedness and orthogonality
+are the table class's own; it adds the labels and classes.  ``raw`` is compact and
 read-only, as every table's is: each column is computed in int64 and
 written straight into an array of the smallest signed integer type that
 holds the largest degree, which bounds every coefficient.  Recursion

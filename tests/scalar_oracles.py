@@ -17,13 +17,17 @@ their cosets, listed as tuples, and the signed cycle types found by
 scanning them or listed from
 partitions, with a(d) read off that list; the whole direct
 product of wreath groups, with its generators; rim-hook and symbol-hook
-removal in every order; powers in F_{p^e}, and the Lang images built from them,
-through repeated ``FiniteFieldElement`` multiplication, and square roots by
-exhaustive search; one partition at a time for prop75, through
-``extension_field_typeA``; the l-power subgroup by a gcd scan; and, for
-whole value arrays, Galois fixedness by reduction through the power basis
-and the conjugate products of the orthogonality relations by float64
-convolution, the references for the split-prime evaluation kernel."""
+removal in every order, and greedy symbol-hook removal; products and
+powers of ``FiniteFieldElement`` values (``ff_mul``, ``ff_pow``), powers
+and the Lang images built from them through repeated multiplication, and
+square roots by exhaustive search; one partition at a time for prop75,
+through ``extension_field_typeA``, and every case of a prop75 report; the
+value view of a ``CharacterTable`` (``table_value``) and the elements of
+a ``ColoredPermGroup`` (``listed_elements``); the l-power subgroup by a
+gcd scan; and, for whole value arrays, Galois fixedness by reduction
+through the power basis and the conjugate products of the orthogonality
+relations by float64 convolution, the references for the split-prime
+evaluation kernel."""
 
 import itertools
 import math
@@ -48,12 +52,15 @@ from charverify.grouptable import ColoredPermGroup, _check_group_order
 from charverify.ladic import hd_subgroup
 from charverify.langmap import (
     FiniteFieldElement,
+    _mul_quadratic,
+    _pow_quadratic,
     enumerate_field,
     jacobi_symbol,
     sqrt_in_quadratic,
 )
 from charverify.partitions import (
     BetaSet,
+    IllegalHookError,
     Partition,
     _partitions_of,
     beta_set,
@@ -62,7 +69,7 @@ from charverify.partitions import (
     remove_rim_hook,
 )
 from charverify.qpoly import QPolynomial, cyclotomic_poly
-from charverify.symbols import remove_symbol_hook, symbol_hooks
+from charverify.symbols import SymbolBCD
 from charverify.weyl import (
     _canon_series,
     _check_rank,
@@ -128,7 +135,7 @@ def scalar_row_answers(rows, ds):
             fixed = {}
             for d in ds:
                 n = math.lcm(x.order, d)
-                fixed[d] = is_fixed_by(x.lift(n), hd_subgroup(d, n))
+                fixed[d] = is_fixed_by(x.lift(n), GaloisSubgroup(n, hd_subgroup(d, n)))
             cache[key] = (conductor(x), fixed)
         return cache[key]
 
@@ -278,17 +285,38 @@ def regular_representation(group):
     )
 
 
+def table_value(table, i, j):
+    """The value of character i at class j of a CharacterTable, written in
+    Q(zeta_o) for o the order of column j (``_column_orders``): on a Dixon
+    table the order of the class, on C_m wr S_a a divisor of m.  The
+    coefficients leave ``raw`` as Python integers."""
+    return _column_value(table.raw, i, j, int(_column_orders(table.raw[:, j : j + 1])[0]))
+
+
+def _column_value(raw, i, j, o):
+    coeffs = raw[i, j, :: raw.shape[2] // o].tolist()
+    return CyclotomicNumber(o, {e: c for e, c in enumerate(coeffs) if c})
+
+
 def table_rows(table):
-    """Every row of a CharacterTable as a tuple of its ``value``s."""
-    L, C, _ = table.raw.shape
-    return [tuple(table.value(i, j) for j in range(C)) for i in range(L)]
+    """Every row of a CharacterTable as a tuple of its ``table_value``s."""
+    orders = _column_orders(table.raw).tolist()
+    return [
+        tuple(_column_value(table.raw, i, j, o) for j, o in enumerate(orders))
+        for i in range(table.raw.shape[0])
+    ]
+
+
+def listed_elements(group):
+    """Every row of a ColoredPermGroup as a native element, sorted."""
+    return [group.element(g) for g in range(group.order)]
 
 
 def python_group(group, mul):
     """The FiniteGroup on the elements and generators of a
     ColoredPermGroup, multiplied by ``mul``."""
     return FiniteGroup(
-        group.elements,
+        listed_elements(group),
         mul,
         group.element(group.identity),
         generators=[group.element(t) for t in group.generators],
@@ -335,7 +363,7 @@ def char_value(label, cls, m):
     if cls.total != a:
         raise ValueError(f"class weight {cls.total} does not match label size {a}")
     table = get_table(m, a)
-    return table.value(table.label_index[label], table.class_index[cls.cycles])
+    return table_value(table, table.label_index[label], table.class_index[cls.cycles])
 
 
 def galois_permuted_label(label, m, s):
@@ -421,7 +449,7 @@ def restrict_index2(label, m):
     parent = get_table(m, a)
     row = parent.label_index[label]
     chi_values = [
-        parent.value(row, parent.class_index[colored_type(rep, m).cycles])
+        table_value(parent, row, parent.class_index[colored_type(rep, m).cycles])
         for rep in sub_table.class_reps
     ]
     found = []
@@ -665,6 +693,19 @@ def max_eigen_multiplicity_by_listing(series, r, twisted, d):
     )
 
 
+class _EncodedProduct(_Product):
+    """``weyl._Product`` with a tuple of native elements encoded one at a
+    time, factor by factor."""
+
+    def encode(self, x: tuple):
+        perm, color = [], []
+        for (enc, o, _, s), xi in zip(self.parts, x):
+            p, c = enc.encode(xi)
+            perm += [v + o for v in p]
+            color += [v * s for v in c]
+        return perm, color
+
+
 def full_product_group(factors):
     """The whole direct product of the colored-permutation groups
     ``factors``, listed one tuple of native elements at a time and encoded
@@ -672,8 +713,8 @@ def full_product_group(factors):
     a time; refused above the cap before anything is listed."""
     _check_group_order(math.prod(g.order for g in factors), "the product group")
     m = math.lcm(*(g.m for g in factors))
-    encoding = _Product(factors, m)
-    pairs = [encoding.encode(x) for x in itertools.product(*(g.elements for g in factors))]
+    encoding = _EncodedProduct(factors, m)
+    pairs = [encoding.encode(x) for x in itertools.product(*map(listed_elements, factors))]
     identity = [g.element(g.identity) for g in factors]
     gens = [
         tuple(identity[:i] + [g.element(t)] + identity[i + 1 :])
@@ -717,6 +758,49 @@ def symbol_defect(S):
     return abs(len(S.row1) - len(S.row2))
 
 
+def remove_symbol_hook(S: SymbolBCD, row: int, entry: int, d: int) -> SymbolBCD:
+    """Replace entry by entry - d in the chosen row (1 or 2), renormalized.
+
+    d must be odd and positive; the move must be legal (entry present, target
+    non-negative and free in the same row).
+    """
+    if d <= 0 or d % 2 == 0:
+        raise ValueError(f"d must be odd and positive, got {d}")
+    if row not in (1, 2):
+        raise ValueError(f"row must be 1 or 2, got {row}")
+    target_row = S.row1 if row == 1 else S.row2
+    if entry not in target_row:
+        raise IllegalHookError(f"entry {entry} not in row {row} of {S}")
+    if entry - d < 0:
+        raise IllegalHookError(f"entry {entry} - {d} would be negative")
+    if entry - d in target_row:
+        raise IllegalHookError(f"target {entry - d} occupied in row {row} of {S}")
+    new_row = sorted(x for x in target_row if x != entry) + [entry - d]
+    new_row.sort()
+    if row == 1:
+        return SymbolBCD(new_row, S.row2)
+    return SymbolBCD(S.row1, new_row)
+
+
+def symbol_hooks(S: SymbolBCD, d: int) -> list[tuple[int, int]]:
+    """All legal (row, entry) moves of length d, sorted deterministically."""
+    out = []
+    for row_idx, row in ((1, S.row1), (2, S.row2)):
+        for entry in row:
+            if entry - d >= 0 and (entry - d) not in row:
+                out.append((row_idx, entry))
+    out.sort(key=lambda move: (-move[1], move[0]))
+    return out
+
+
+def greedy_symbol_core(S, d):
+    """The d-core of S (d odd) by repeated removal at the largest movable
+    entry, row 1 first on ties, renormalizing after every move."""
+    while moves := symbol_hooks(S, d):
+        S = remove_symbol_hook(S, *moves[0], d)
+    return S
+
+
 def all_terminal_symbols(S, d):
     """The terminal symbols of every maximal d-hook removal sequence from
     the symbol S (d odd)."""
@@ -735,10 +819,33 @@ def all_terminal_symbols(S, d):
     return terminals
 
 
+def ff_mul(a, b):
+    """The product of two ``FiniteFieldElement`` over one prime, in the
+    larger of their degrees (a prime-field value is lifted to (c0, 0))."""
+    if a.p != b.p:
+        raise TypeError(f"cannot combine {a!r} with {b!r}")
+    p = a.p
+    if a.e == b.e == 1:
+        return FiniteFieldElement(p, ((a.coeffs[0] * b.coeffs[0]) % p,))
+    return FiniteFieldElement(p, _mul_quadratic(p, *a._as_pair(), *b._as_pair()))
+
+
+def ff_pow(x, exponent):
+    """x**exponent by the package's square-and-multiply on the coefficient
+    integers (``langmap._pow_quadratic``); a negative exponent is reduced
+    modulo the order p^e - 1 of the unit group."""
+    if x.is_zero and exponent <= 0:
+        raise ZeroDivisionError("zero to a non-positive power")
+    p = x.p
+    if exponent < 0:
+        exponent %= p**x.e - 1
+    return FiniteFieldElement(p, _pow_quadratic(p, *x._as_pair(), exponent)[: x.e])
+
+
 def power_by_multiplication(x, exponent):
-    """x**exponent by square-and-multiply through ``FiniteFieldElement``
-    multiplication, one element per step; a negative exponent first inverts
-    x as x**(p^e - 2) by the same loop."""
+    """x**exponent by square-and-multiply through ``ff_mul``, one element
+    per step; a negative exponent first inverts x as x**(p^e - 2) by the
+    same loop."""
     if x.is_zero and exponent <= 0:
         raise ZeroDivisionError("zero to a non-positive power")
     if exponent < 0:
@@ -747,8 +854,8 @@ def power_by_multiplication(x, exponent):
     result = FiniteFieldElement(x.p, (1,) + (0,) * (x.e - 1))
     while exponent:
         if exponent & 1:
-            result = result * x
-        x = x * x
+            result = ff_mul(result, x)
+        x = ff_mul(x, x)
         exponent >>= 1
     return result
 
@@ -773,10 +880,10 @@ def cor55_by_multiplication(n, p, e, k):
 
 def sqrt_by_search(p, k):
     """The first c of ``enumerate_field(p, 2)`` with c * c = k, by testing
-    every element with ``FiniteFieldElement`` multiplication."""
+    every element with ``ff_mul``."""
     target = FiniteFieldElement(p, (k % p, 0))
     for c in enumerate_field(p, 2):
-        if c * c == target:
+        if ff_mul(c, c) == target:
             return c
     raise AssertionError(f"no square root of {k} in F_{p}^2")
 
@@ -786,8 +893,7 @@ def prop75_by_partition(eps, n, ell, q, r=1, rule=fields_mod.default_omega_rule)
     partition of n, in ``partitions_of`` order: cores from ``fields.d_core``
     (so a patched one is seen), fields from ``extension_field_typeA``, one
     partition at a time."""
-    qv = q if isinstance(q, int) else q.value
-    d_prime = fields_mod.mult_order(eps * qv, ell)
+    d_prime = fields_mod.mult_order(eps * q, ell)
     out = []
     for lam in partitions_of(n):
         core, _ = fields_mod.d_core(lam, d_prime)
@@ -795,11 +901,17 @@ def prop75_by_partition(eps, n, ell, q, r=1, rule=fields_mod.default_omega_rule)
             (
                 lam.parts,
                 core.parts,
-                fields_mod.extension_field_typeA(eps, lam, ell, qv, r, rule),
-                fields_mod.extension_field_typeA(eps, core, ell, qv, r, rule),
+                fields_mod.extension_field_typeA(eps, lam, ell, q, r, rule),
+                fields_mod.extension_field_typeA(eps, core, ell, q, r, rule),
             )
         )
     return out
+
+
+def prop75_cases(report):
+    """The ``Prop75Case`` of every partition a prop75 report checked, in
+    its order (the report itself builds them only for its failures)."""
+    return tuple(report._case(i) for i in range(report.checked))
 
 
 def hell_residues_by_scan(ell, n):

@@ -110,6 +110,15 @@ class TestSuiteRegistry:
         with pytest.raises(ValueError):
             run_suite("lemma22", {"bogus": 1})
 
+    def test_defaults_are_the_signature_defaults(self):
+        """The defaults the report records are those of the suite functions'
+        signatures, with their types."""
+        assert suite_defaults("prop75") == {
+            "max_n": 10, "max_ell": 31, "qs": (2, 3, 4, 5, 7, 8, 9), "rs": (1, 2),
+        }
+        assert suite_defaults("table1") == {"data_path": None}
+        assert suite_defaults("weyl-match") == {"max_rank": 5, "max_rank_d": 4}
+
     def test_descriptions_nonempty(self):
         for name in SUITE_NAMES:
             assert suite_description(name)
@@ -283,6 +292,51 @@ class TestMainEntry:
         code = main(["--suite", "table1", "--data", str(broken)])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def _exits_two(self, capsys, argv, message):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+
+    def test_missing_data_file_exits_two(self, tmp_path, capsys):
+        missing = str(tmp_path / "nonexistent.json")
+        self._exits_two(capsys, ["--suite", "table1", "--data", missing], "cannot read")
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ({"rows": [{"group": "G2", "field": {"kind": "root_of_unity", "order": 3}}]},
+             "d_values"),
+            ([1, 2], "JSON object"),
+        ],
+        ids=["row-without-d_values", "top-level-list"],
+    )
+    def test_malformed_data_file_exits_two(self, tmp_path, capsys, payload, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(payload))
+        self._exits_two(capsys, ["--suite", "table1", "--data", str(path)], message)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--query", "conductor", "(2,1)", "4"],
+            ["--query", "d-core", "[[1]]", "2"],
+            ["--query", "2-core", "(1.5,)"],
+            ["--query", "field", "eps=1", "lambda=('a',)", "ell=7", "q=3", "r=1"],
+        ],
+        ids=["conductor-flat-label", "d-core-nested", "2-core-float", "field-string-part"],
+    )
+    def test_malformed_query_exits_two(self, capsys, argv):
+        self._exits_two(capsys, argv, "is a tuple of")
+
+    def test_int_for_a_tuple_parameter_is_a_one_tuple(self, capsys):
+        assert main(["--suite", "prop75", "--params", "rs=1,max_n=3,max_ell=7,qs=2"]) == 0
+        assert run_suite("prop75", {"qs": 2, "max_n": 2}).params["qs"] == [2]
+
+    @pytest.mark.parametrize("params", ["max_m=abc", "max_m=true", "rs=1,x", "qs=none"])
+    def test_parameter_of_the_wrong_type_exits_two(self, capsys, params):
+        suite = "thm41" if params.startswith("max_m") else "prop75"
+        self._exits_two(capsys, ["--suite", suite, "--params", params], "takes a value like")
 
     def test_seed_recorded(self, tmp_path):
         path = tmp_path / "seeded.json"

@@ -315,7 +315,7 @@ def test_row_conductors_and_subgroup_fixedness_against_oracles(n):
     assert table.conductors().tolist() == expected
     for d in range(1, 13):
         N = math.lcm(n, d)
-        H = hd_subgroup(d, N)
+        H = GaloisSubgroup(N, hd_subgroup(d, N))
         want = [all(is_fixed_by(x.lift(N), H) for x in row) for row in rows]
         assert table.hd_fixed_rows(d).tolist() == want, d
 

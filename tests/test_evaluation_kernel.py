@@ -91,8 +91,9 @@ def plus_one(table):
     plus zeta_o, which is rational only for o <= 2."""
     raw = table.raw.astype(np.int64)
     n = raw.shape[2]
-    j = int(np.argmax(table.column_orders))
-    raw[-1, j, n // table.column_orders[j] % n] += 1
+    orders = _column_orders(table.raw)
+    j = int(np.argmax(orders))
+    raw[-1, j, n // orders[j] % n] += 1
     return CharacterTable(raw, table.class_sizes, table.class_orders, table.order)
 
 

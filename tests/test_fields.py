@@ -20,7 +20,7 @@ from charverify.ladic import is_prime, mult_order
 from charverify.partitions import Partition, d_core, partitions_of, two_core
 from charverify.symbols import SymbolBCD, enumerate_symbols, symbol_d_core
 
-from scalar_oracles import prop75_by_partition, symbol_defect
+from scalar_oracles import prop75_by_partition, prop75_cases, symbol_defect
 
 TRIVIAL = FieldDescriptor.trivial()
 SQRT_Q = FieldDescriptor.adjoin_sqrt(1)
@@ -224,22 +224,22 @@ class TestProp75:
     def test_frozen_example(self):
         report = check_prop75(-1, 4, 5, 2, r=2)
         assert report.d_prime == mult_order(-2, 5) == 4
-        assert report.passed
-        assert len(report.cases) == 5  # partitions of 4
+        assert report.failed == ()
+        assert len(prop75_cases(report)) == 5  # partitions of 4
 
     def test_d_prime_one_collapses_everything(self):
         # ell = 3, q = 4: order of 4 mod 3 is 1, every core is empty.
         report = check_prop75(1, 6, 3, 4, r=1)
         assert report.d_prime == 1
-        assert report.passed
-        assert all(c.core == () for c in report.cases)
+        assert report.failed == ()
+        assert all(c.core == () for c in prop75_cases(report))
 
     def test_self_core_cases_trivially_pass(self):
         # When d' > n every partition is its own core.
         report = check_prop75(1, 3, 11, 2, r=1)  # order of 2 mod 11 is 10
         assert report.d_prime == 10
-        assert all(c.partition == c.core for c in report.cases)
-        assert report.passed
+        assert all(c.partition == c.core for c in prop75_cases(report))
+        assert report.failed == ()
 
     @pytest.mark.parametrize("eps", [1, -1])
     def test_full_sweep(self, eps):
@@ -247,7 +247,7 @@ class TestProp75:
         for ell, q in _prop75_grid():
             for n in range(1, 11):
                 report = check_prop75(eps, n, ell, q, r=2)
-                assert report.passed, (
+                assert report.failed == (), (
                     f"eps={eps} n={n} ell={ell} q={q}: "
                     f"{report.failures[:3]}"
                 )
@@ -274,9 +274,10 @@ class TestProp75:
         fields_mod._symbolic_classes.cache_clear()
         for _ in range(2):
             report = check_prop75(eps, n, ell, q, r=r)
-        sizes = {sum(c.partition) for c in report.cases} | {sum(c.core) for c in report.cases}
+        cases = prop75_cases(report)
+        sizes = {sum(c.partition) for c in cases} | {sum(c.core) for c in cases}
         assert sorted(calls) == sorted(p.parts for s in sizes for p in partitions_of(s))
-        for case in report.cases:
+        for case in cases:
             expected = original(eps, Partition(case.core), ell, q, r)
             assert case.field_core == expected, case
             assert case.field_char == original(eps, Partition(case.partition), ell, q, r)
@@ -293,7 +294,7 @@ class TestProp75:
         )
         report = check_prop75(1, 3, 5, 2, r=1)
         assert report.d_prime == 4
-        assert not report.passed
+        assert report.failed
         assert (2, 1) in {case.partition for case in report.failures}
 
     def test_no_partitions_of(self, monkeypatch):
@@ -305,7 +306,7 @@ class TestProp75:
         monkeypatch.setattr(partitions_mod, "partitions_of", refuse)
         partitions_mod._partition_objects.cache_clear()
         report = check_prop75(-1, 10, 7, 3, r=2)
-        assert len(report.cases) == 42 and report.passed
+        assert len(prop75_cases(report)) == 42 and report.failed == ()
 
     def test_memo_key_includes_rule(self):
         # (3,) has 2-core (1): graph part trivial.  At ell = 7, q = 2 the root
@@ -324,7 +325,7 @@ class TestProp75:
         # (2, 1) is its own 2-core, of size 3: sqrt(-q) = sqrt(-2) is not
         # 7-adic either.
         one, minus_q = (
-            {c.partition: c.field_char for c in check_prop75(-1, 3, 7, 2, 3, rule).cases}
+            {c.partition: c.field_char for c in prop75_cases(check_prop75(-1, 3, 7, 2, 3, rule))}
             for rule in (always_one, always_minus_q)
         )
         assert one == {(3,): TRIVIAL, (2, 1): SQRT_MINUS_Q, (1, 1, 1): TRIVIAL}
@@ -332,7 +333,7 @@ class TestProp75:
 
     def test_failure_reporting_shape(self):
         report = check_prop75(-1, 5, 7, 2, r=3)
-        for case in report.cases:
+        for case in prop75_cases(report):
             lam = Partition(case.partition)
             core, _ = d_core(lam, report.d_prime)
             assert core.parts == case.core
@@ -347,7 +348,7 @@ def _always_minus_q(core):
 
 
 def _as_tuples(report):
-    return [(c.partition, c.core, c.field_char, c.field_core) for c in report.cases]
+    return [(c.partition, c.core, c.field_char, c.field_core) for c in prop75_cases(report)]
 
 
 class TestProp75Oracle:
@@ -367,7 +368,7 @@ class TestProp75Oracle:
                             expected = prop75_by_partition(eps, n, ell, q, r)
                             assert _as_tuples(report) == expected, (eps, n, ell, q, r)
                             assert report.checked == len(expected)
-                            assert report.passed
+                            assert report.failed == ()
                             assert report.failures == ()
 
     @pytest.mark.parametrize("rule", [_always_one, _always_minus_q])
@@ -380,7 +381,7 @@ class TestProp75Oracle:
                             report = check_prop75(eps, n, ell, q, r, rule)
                             expected = prop75_by_partition(eps, n, ell, q, r, rule)
                             assert _as_tuples(report) == expected, (eps, n, ell, q, r)
-                            assert report.passed == all(
+                            assert (not report.failed) == all(
                                 fc == fk for _, _, fc, fk in expected
                             )
 
@@ -402,7 +403,7 @@ class TestProp75Oracle:
                         (c.partition, c.core, c.field_char, c.field_core)
                         for c in report.failures
                     ] == failed
-                    assert report.passed == (not failed)
+                    assert (not report.failed) == (not failed)
                     seen_failure |= bool(failed)
         assert seen_failure
 
@@ -418,9 +419,9 @@ class TestProp75Oracle:
 
         monkeypatch.setattr(fields_mod.Prop75Case, "__init__", counting)
         report = check_prop75(-1, 10, 7, 3, r=2)
-        assert report.passed and report.failures == () and report.checked == 42
+        assert report.failed == () and report.failures == () and report.checked == 42
         assert built == []
-        assert len(report.cases) == 42 and report.cases is report.cases
+        assert len(prop75_cases(report)) == 42
         assert len(built) == 42
 
 
@@ -435,7 +436,7 @@ class TestTable1:
 
     def test_consistency_passes(self):
         report = table1_consistency()
-        assert report.passed, report.violations
+        assert report.violations == ()
         assert report.rows_checked == 10
         assert report.exceptions_checked == 2
         assert report.numeric_checks > 100
@@ -463,14 +464,32 @@ class TestTable1:
         broken = json.loads(json.dumps(data))
         broken["rows"][0]["d_values"].append(4)  # 4 not divisible by 3
         report = table1_consistency(broken)
-        assert not report.passed
+        assert report.violations
         assert any("d = 4" in v for v in report.violations)
 
     def test_malformed_data_rejected(self):
-        with pytest.raises(ValueError):
-            table1_consistency({"rows": []})
-        with pytest.raises(KeyError):
-            table1_consistency({"rows": [{"group": "X"}]})
+        """A data file of the wrong shape is refused with ValueError before
+        any row is checked, never with a KeyError or AttributeError."""
+        good = load_cuspidal_field_data()
+        row = good["rows"][0]
+        no_d_values = {k: v for k, v in row.items() if k != "d_values"}
+        malformed = [
+            {"rows": []},
+            [1, 2],
+            {"rows": [{"group": "X"}]},
+            {"rows": [no_d_values]},
+            {"rows": [dict(row, d_values=[3, "6"])]},
+            {"rows": [dict(row, d_values=[0])]},
+            {"rows": [dict(row, field={"kind": "root_of_unity"})]},
+            {"rows": [row], "exceptions": {"group": "E7"}},
+            {"rows": [row], "exceptions": [{"field": {"kind": "sqrt", "sign": 1}}]},
+        ]
+        for data in malformed:
+            with pytest.raises(ValueError):
+                table1_consistency(data)
+        # an exception row need not list its d values
+        assert table1_consistency(good).violations == ()
+        assert "d_values" not in good["exceptions"][0]
 
 
 class TestCorollary76:

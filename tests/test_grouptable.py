@@ -46,6 +46,7 @@ from scalar_oracles import (
     root_of_unity,
     scalar_orthogonality,
     table_rows,
+    table_value,
 )
 
 
@@ -544,7 +545,7 @@ class TestCompactStore:
         for i, j in np.ndindex(*wide.shape[:2]):
             o = orders[j]
             coeffs = {e: int(wide[i, j, e * n // o]) for e in range(o)}
-            assert table.value(i, j) == CyclotomicNumber(o, coeffs), (i, j)
+            assert table_value(table, i, j) == CyclotomicNumber(o, coeffs), (i, j)
 
         assert not narrow.flags.writeable
         with pytest.raises(ValueError):

@@ -10,11 +10,11 @@ import pytest
 
 from charverify.cyclotomic import GaloisSubgroup
 from charverify.ladic import (
-    PrimePower,
     central_product_splits,
     hd_subgroup,
     hell_subgroup,
     is_prime,
+    is_prime_power,
     is_square_mod,
     mult_order,
     root_exists_for_integer,
@@ -41,13 +41,11 @@ def test_is_prime_against_sieve():
 
 
 def test_prime_power_type():
-    q = PrimePower(3, 2)
-    assert q.value == 9
-    assert PrimePower.from_value(8) == PrimePower(2, 3)
-    with pytest.raises(ValueError):
-        PrimePower(6, 1)
-    with pytest.raises(ValueError):
-        PrimePower.from_value(12)
+    assert is_prime_power(9) and is_prime_power(8) and is_prime_power(2)
+    assert not is_prime_power(6) and not is_prime_power(12)
+    assert not is_prime_power(1) and not is_prime_power(0)
+    factorizations = {p**e for p in range(200) if is_prime(p) for e in range(1, 8)}
+    assert {q for q in range(200) if is_prime_power(q)} == {q for q in factorizations if q < 200}
 
 
 def test_mult_order_frozen_examples():
@@ -89,7 +87,7 @@ def test_sqrt_fixedness_frozen_examples():
     assert sqrt_q_fixed(4, 7)  # perfect square
     assert sqrt_minus_q_fixed(3, 7)  # d_7(3) = 6 = 2*3, -3 = 4 = 2^2 mod 7
     assert not sqrt_minus_q_fixed(2, 5)  # -2 = 3 non-residue mod 5
-    assert sqrt_minus_q_fixed(PrimePower(2, 2), 5)  # -4 = 1 mod 5
+    assert sqrt_minus_q_fixed(4, 5)  # -4 = 1 mod 5
 
 
 def test_odd_order_implies_sqrt_fixed_sweep():
@@ -99,7 +97,7 @@ def test_odd_order_implies_sqrt_fixed_sweep():
     dividing q.
     """
     primes = [p for p in range(3, 201) if is_prime(p)]
-    prime_powers = [q for q in range(2, 201) if _is_prime_power(q)]
+    prime_powers = [q for q in range(2, 201) if is_prime_power(q)]
     checked = 0
     for ell in primes:
         for q in prime_powers:
@@ -115,26 +113,18 @@ def test_odd_order_implies_sqrt_fixed_sweep():
     assert checked > 1000
 
 
-def _is_prime_power(q):
-    try:
-        PrimePower.from_value(q)
-        return True
-    except ValueError:
-        return False
-
-
 def test_hell_subgroup_frozen_examples():
-    assert hell_subgroup(5, 8).residues == frozenset({1, 5})
-    assert hell_subgroup(7, 12).residues == frozenset({1, 7})
+    assert hell_subgroup(5, 8) == frozenset({1, 5})
+    assert hell_subgroup(7, 12) == frozenset({1, 7})
     # ell = 1 mod n gives the trivial subgroup
-    assert hell_subgroup(13, 12).residues == frozenset({1})
-    assert hell_subgroup(13, 4).residues == frozenset({1})
+    assert hell_subgroup(13, 12) == frozenset({1})
+    assert hell_subgroup(13, 4) == frozenset({1})
 
 
 def test_hell_subgroup_matches_gcd_scan():
     for ell in ODD_PRIMES_TO_100:
         for n in range(1, 121):
-            assert hell_subgroup(ell, n).residues == hell_residues_by_scan(ell, n), (ell, n)
+            assert hell_subgroup(ell, n) == hell_residues_by_scan(ell, n), (ell, n)
 
 
 def test_hell_subgroup_contains_powers_of_ell_brute_force():
@@ -151,32 +141,32 @@ def test_hell_subgroup_contains_powers_of_ell_brute_force():
                 for k in range(1, n + 1)
                 if math.gcd(k, n) == 1 and (k % n_prime) in powers
             }
-            assert H.residues == frozenset(expected)
-            assert H == GaloisSubgroup(n, expected)  # closed under products
+            assert H == frozenset(expected)
+            assert H == GaloisSubgroup(n, expected).residues  # closed under products
             if math.gcd(ell, n) == 1:
                 assert (ell % n) in H or n == 1
 
 
 def test_hd_subgroup_frozen_examples():
-    assert hd_subgroup(4, 8).residues == frozenset({1, 5})
-    assert hd_subgroup(6, 12).residues == frozenset({1, 7})
-    assert hd_subgroup(3, 12).residues == frozenset({1, 7})
-    assert hd_subgroup(1, 12) == GaloisSubgroup.full(12)
+    assert hd_subgroup(4, 8) == frozenset({1, 5})
+    assert hd_subgroup(6, 12) == frozenset({1, 7})
+    assert hd_subgroup(3, 12) == frozenset({1, 7})
+    assert hd_subgroup(1, 12) == GaloisSubgroup.full(12).residues
     with pytest.raises(ValueError):
         hd_subgroup(5, 12)
 
 
 def test_hd_subgroup_brute_force():
-    """hd_subgroup skips the closure check; rebuilding it from its definition
-    through the checking constructor gives the same subgroup, n = 1 (where
+    """hd_subgroup makes no closure check; rebuilding it from its definition
+    through the checking constructor gives the same residues, n = 1 (where
     the residue 1 is 0) included."""
     for n in range(1, 61):
         units = [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
         for d in range(1, n + 1):
             if n % d == 0:
                 expected = GaloisSubgroup(n, [k for k in units if k % d == 1 % d])
-                assert hd_subgroup(d, n) == expected, (d, n)
-    assert hd_subgroup(1, 1).residues == frozenset({0})
+                assert hd_subgroup(d, n) == expected.residues, (d, n)
+    assert hd_subgroup(1, 1) == frozenset({0})
 
 
 def test_memoized_functions_raise_on_every_call():
@@ -210,7 +200,7 @@ def test_hell_inside_hd_when_d_divides_order_sweep():
                     continue
                 Hell = hell_subgroup(ell, n)
                 Hd = hd_subgroup(d, n)
-                assert Hell.residues <= Hd.residues, (ell, n, d)
+                assert Hell <= Hd, (ell, n, d)
 
 
 def test_root_exists_in_Qell_frozen_examples():

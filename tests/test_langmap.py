@@ -22,6 +22,8 @@ from charverify.langmap import (
 
 from scalar_oracles import (
     cor55_by_multiplication,
+    ff_mul,
+    ff_pow,
     power_by_multiplication,
     sqrt_by_search,
 )
@@ -42,7 +44,7 @@ def test_sqrt_memo_raises_on_every_call():
     # keyed on k mod p; the cached element is immutable
     c = sqrt_in_quadratic(7, 3)
     assert sqrt_in_quadratic(7, 10) is c
-    assert c * c == ff(7, 3, 2)
+    assert ff_mul(c, c) == ff(7, 3, 2)
 
 
 class TestFieldArithmetic:
@@ -59,21 +61,21 @@ class TestFieldArithmetic:
         assert t not in squares
 
     def test_prime_field_mul(self):
-        assert ff(7, 3) * ff(7, 5) == ff(7, 1)
-        assert ff(5, 2) * ff(5, 4) == ff(5, 3)
+        assert ff_mul(ff(7, 3), ff(7, 5)) == ff(7, 1)
+        assert ff_mul(ff(5, 2), ff(5, 4)) == ff(5, 3)
 
     def test_generator_squares_to_nonresidue(self):
         # x * x = t in F_{p^2} = F_p[x]/(x^2 - t).
         p = 7
         x = FiniteFieldElement(p, (0, 1))
-        assert x * x == ff(p, quadratic_nonresidue(p))
+        assert ff_mul(x, x) == ff(p, quadratic_nonresidue(p))
 
     def test_char2_modulus_relation(self):
         # x^2 = x + 1 in F_4.
         x = FiniteFieldElement(2, (0, 1))
-        assert x * x == FiniteFieldElement(2, (1, 1))
+        assert ff_mul(x, x) == FiniteFieldElement(2, (1, 1))
         # x has multiplicative order 3.
-        assert x**3 == ff(2, 1)
+        assert ff_pow(x, 3) == ff(2, 1)
 
     def test_cross_degree_equality(self):
         assert ff(7, 3) == ff(7, 3, 2)
@@ -87,18 +89,18 @@ class TestFieldArithmetic:
         for c in enumerate_field(p, 2):
             if c.is_zero:
                 continue
-            assert c ** (p * p - 1) == one
-            assert c * power_by_multiplication(c, -1) == one
+            assert ff_pow(c, p * p - 1) == one
+            assert ff_mul(c, power_by_multiplication(c, -1)) == one
 
     def test_pow_negative(self):
         c = FiniteFieldElement(7, (2, 3))
-        assert c**-2 == power_by_multiplication(c, -1) ** 2
-        assert c**0 == ff(7, 1, 2)
+        assert ff_pow(c, -2) == ff_pow(power_by_multiplication(c, -1), 2)
+        assert ff_pow(c, 0) == ff(7, 1, 2)
 
     def test_zero_rejections(self):
         zero = ff(7, 0)
         with pytest.raises(ZeroDivisionError):
-            zero**-1
+            ff_pow(zero, -1)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -114,7 +116,7 @@ class TestSqrtSearch:
     def test_all_units_have_roots(self, p):
         for k in range(1, p):
             c = sqrt_in_quadratic(p, k)
-            assert c * c == ff(p, k, 2)
+            assert ff_mul(c, c) == ff(p, k, 2)
 
     def test_residues_stay_in_prime_field(self):
         # 2 is a square mod 7 (4^2 = 2), so its root is a prime-field value.
@@ -140,7 +142,7 @@ class TestSqrtSearch:
                 q = p**e
                 for k in range(1, p):
                     c = sqrt_in_quadratic(p, k)
-                    assert c ** (2 * (q - 1)) == ff(p, 1, 2)
+                    assert ff_pow(c, 2 * (q - 1)) == ff(p, 1, 2)
 
 
 class TestJacobiSymbol:
@@ -214,7 +216,7 @@ class TestPrincipalCochar:
     def test_exponent_vector(self):
         c = FiniteFieldElement(11, (4, 9))
         t = principal_cochar_value(4, c)
-        assert t.entries == (c**3, c**1, c**-1, c**-3)
+        assert t.entries == tuple(ff_pow(c, m) for m in (3, 1, -1, -3))
 
     def test_determinant_enforced(self):
         c = ff(7, 2)
@@ -253,10 +255,10 @@ class TestPrincipalCochar:
                 continue
             for n in (2, 3, 5):
                 t = principal_cochar_value(n, c)
-                powers = tuple(c**m for m in range(n - 1, -n, -2))
+                powers = tuple(ff_pow(c, m) for m in range(n - 1, -n, -2))
                 assert [x.coeffs for x in t.entries] == [x.coeffs for x in powers]
                 image = lang_image(t, p**e)
-                expected = tuple(x ** (p**e - 1) for x in powers)
+                expected = tuple(ff_pow(x, p**e - 1) for x in powers)
                 assert [x.coeffs for x in image.entries] == [x.coeffs for x in expected]
 
 
@@ -318,7 +320,8 @@ class TestCor55a:
 
 
 class TestIntegerPowers:
-    """``__pow__`` on coefficient integers against repeated multiplication."""
+    """Square-and-multiply on coefficient integers (``_pow_quadratic``,
+    through ``ff_pow``) against repeated multiplication."""
 
     FIELDS = [(2, 1), (3, 1), (7, 1), (23, 1), (2, 2), (3, 2), (7, 2), (23, 2)]
 
@@ -330,31 +333,35 @@ class TestIntegerPowers:
             for k in exponents:
                 if x.is_zero and k <= 0:
                     with pytest.raises(ZeroDivisionError):
-                        x**k
+                        ff_pow(x, k)
                     with pytest.raises(ZeroDivisionError):
                         power_by_multiplication(x, k)
                     continue
-                got = x**k
+                got = ff_pow(x, k)
                 assert got == power_by_multiplication(x, k), (x, k)
                 assert got.coeffs == power_by_multiplication(x, k).coeffs
                 assert got.e == e
 
-    def test_one_element_per_call(self, monkeypatch):
+    def test_one_element_per_entry(self, monkeypatch):
+        """The cocharacter value and its Lang image build each entry once,
+        through the trusted constructor, and no element on the way."""
         import charverify.langmap as langmap_mod
 
         built = []
-        original = langmap_mod.FiniteFieldElement.__post_init__
+        original = langmap_mod.FiniteFieldElement._reduced.__func__
 
-        def counting(self):
-            built.append(self.coeffs)
-            original(self)
+        def counting(cls, p, coeffs):
+            built.append(coeffs)
+            return original(cls, p, coeffs)
 
-        x = FiniteFieldElement(23, (5, 17))
-        monkeypatch.setattr(langmap_mod.FiniteFieldElement, "__post_init__", counting)
-        for k in (0, 1, -1, 528, 10**6 + 3, -(10**6 + 3)):
+        c = FiniteFieldElement(23, (5, 17))
+        monkeypatch.setattr(langmap_mod.FiniteFieldElement, "_reduced", classmethod(counting))
+        for n in (2, 3, 6):
             built.clear()
-            x**k
-            assert len(built) == 1, k
+            t = principal_cochar_value(n, c)
+            assert len(built) == n
+            lang_image(t, 23**2)
+            assert len(built) == 2 * n
 
     def test_cor55_matches_oracle_on_default_grid(self):
         for p in SWEEP_PRIMES:

@@ -6,23 +6,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from charverify.partitions import IllegalHookError
-from charverify.symbols import (
-    SymbolBCD,
-    enumerate_symbols,
-    parse_symbol,
+from charverify.symbols import SymbolBCD, enumerate_symbols, parse_symbol, symbol_d_core
+from scalar_oracles import (
+    all_terminal_symbols,
+    greedy_symbol_core,
     remove_symbol_hook,
-    symbol_d_core,
+    symbol_defect,
     symbol_hooks,
 )
-from scalar_oracles import all_terminal_symbols, symbol_defect
 
 
 def test_construction_and_reduction():
     S = SymbolBCD((0, 2), (1,))
-    assert S.rows() == ((0, 2), (1,))
+    assert (S.row1, S.row2) == ((0, 2), (1,))
     # common zero prefix is stripped with decrement
     T = SymbolBCD((0, 1, 3), (0, 2))
-    assert T.rows() == ((0, 2), (1,))
+    assert (T.row1, T.row2) == ((0, 2), (1,))
     assert S == T
     with pytest.raises(ValueError):
         SymbolBCD((2, 2), (0,))
@@ -117,6 +116,20 @@ def test_symbol_d_core_order_independence():
                 assert symbol_hooks(core, d) == []
 
 
+def test_symbol_d_core_matches_greedy_removal_row_order_included():
+    """Sliding each row's beads up its d-abacus gives the core that greedy
+    hook removal reaches, with the same row order, for every symbol of rank
+    <= 8 and defect <= 3 and every odd d <= 11."""
+    checked = 0
+    for rank in range(0, 9):
+        for S in enumerate_symbols(rank, max_defect=3):
+            for d in range(1, 12, 2):
+                core, greedy = symbol_d_core(S, d), greedy_symbol_core(S, d)
+                assert (core.row1, core.row2) == (greedy.row1, greedy.row2), (S, d)
+                checked += 1
+    assert checked == 6 * 1033
+
+
 def test_even_d_rejected():
     with pytest.raises(ValueError):
         symbol_d_core(SymbolBCD((0, 2), (1,)), 2)
@@ -196,12 +209,12 @@ def test_lemma72_suite_one_core_once_per_symbol(monkeypatch):
 
     def counting(S, d, *args, **kwargs):
         if d == 1:
-            one_core_calls.append(S.rows())
+            one_core_calls.append((S.row1, S.row2))
         return original(S, d, *args, **kwargs)
 
     monkeypatch.setattr(symbols_mod, "symbol_d_core", counting)
     assert _suite_lemma72() == (690, [])
     symbols = {
-        S.rows() for rank in range(7) for S in enumerate_symbols(rank, max_defect=3)
+        (S.row1, S.row2) for rank in range(7) for S in enumerate_symbols(rank, max_defect=3)
     }
     assert sorted(one_core_calls) == sorted(symbols)

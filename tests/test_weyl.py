@@ -41,6 +41,7 @@ from scalar_oracles import (
     full_product_group,
     generic_order_phid_valuation_by_division,
     group_elements,
+    listed_elements,
     phi_d_valuation,
     reflection_charpoly,
     regular_representation,
@@ -327,7 +328,7 @@ class TestRelativeWeyl:
         plain = [
             u for u in group_elements("A", 3) if sp_mul(u, w) == sp_mul(w, u)
         ]
-        assert sorted(cent.elements) == sorted(plain)
+        assert sorted(listed_elements(cent)) == sorted(plain)
 
     @pytest.mark.parametrize(
         "series,r,twisted",
