@@ -13,7 +13,9 @@ permutation array and a color array with one row per element, in the order
 of the sorted native elements.  Classes, inverses, element orders, the
 powers of the class representatives and the class-multiplication matrices
 all come from array gathers and ``np.searchsorted`` on integer row keys,
-never from a multiplication of two elements in Python.  Each such pass over
+never from a multiplication of two elements in Python.  Two groups are
+equal, and hash alike, when they are one set of monomial matrices, whatever
+their encodings (``ColoredPermGroup.element_set``).  Each such pass over
 every element (inverses, conjugation maps, the products behind the greedy
 generators and the class matrices) runs over row chunks
 (``cyclotomic._row_chunks``) sized for the int64 arrays a row lookup holds
@@ -42,8 +44,8 @@ degrees found from the norms of the omega_chi are checked against
 u[0] |G| = chi(1)^2 mod p.  Every kernel reduces mod p after at most
 max(r, exponent) products of two residues, and the construction refuses up
 front (OverflowError) a field in which that sum could leave int64.  The
-lift to exact values is one matmul per class with the discrete Fourier
-matrix of the representative's order.
+lift to exact values is one matmul per distinct class order o, over all
+the classes of that order, with the discrete Fourier matrix of order o.
 
 ``CharacterTable`` is the one exact table class: Dixon builds one, and
 ``wreath.WreathTable`` is one.  It keeps its values as ``raw``, an (L, C, N)
@@ -114,12 +116,10 @@ def _permutations(n: int) -> np.ndarray:
 
 
 def _compose(px, cx, py, cy, m: int):
-    """(xy)(j) = x(y(j)) on broadcastable stacks of colored permutations:
-    the product's permutation and its colors mod m."""
-    return (
-        np.take_along_axis(px, py, -1),
-        (cy + np.take_along_axis(cx, py, -1)) % m,
-    )
+    """(xy)(j) = x(y(j)) on equal stacks of colored permutations, one per
+    row: the product's permutation and its colors mod m."""
+    rows = np.arange(len(py))[:, None]
+    return px[rows, py], (cy + cx[rows, py]) % m
 
 
 class ColoredPermGroup:
@@ -169,10 +169,37 @@ class ColoredPermGroup:
         self._classes = None
         self.class_of = None  # row -> class index, set with the classes
         self._inverses = None
+        self._element_set = None
 
     @property
     def order(self) -> int:
         return len(self.keys)
+
+    @property
+    def element_set(self) -> tuple:
+        """(m', n, rows): the group as a set of monomial matrices on n
+        points, whatever its encoding or the m it was given.  The colors
+        and m are divided by their gcd, so m' is the least modulus the
+        colors need; ``rows`` is the bytes of the (|G|, n) digit array
+        perm m' + color, rows sorted, in the smallest unsigned type that
+        holds n m' - 1.  Made once per group."""
+        if self._element_set is None:
+            n = self.perm.shape[1]
+            g = math.gcd(self.m, int(np.gcd.reduce(self.color, axis=None)))
+            m = self.m // g
+            digits = self.perm * m + self.color // g
+            rows = digits[np.lexsort(digits.T[::-1])]
+            self._element_set = (m, n, rows.astype(np.min_scalar_type(n * m - 1)).tobytes())
+        return self._element_set
+
+    def __eq__(self, other) -> bool:
+        """Groups are equal when their element sets are (``element_set``)."""
+        if not isinstance(other, ColoredPermGroup):
+            return NotImplemented
+        return self is other or self.element_set == other.element_set
+
+    def __hash__(self) -> int:
+        return hash(self.element_set)
 
     def _keys(self, perm, color) -> np.ndarray:
         return self.encoding.digits(perm, color) @ self._place
@@ -222,7 +249,7 @@ class ColoredPermGroup:
 
             def inverse_rows(s):
                 pinv = np.argsort(self.perm[s], axis=1)
-                return self.rows(pinv, -np.take_along_axis(self.color[s], pinv, 1))
+                return self.rows(pinv, -self.color[s][np.arange(len(pinv))[:, None], pinv])
 
             self._inverses = self._chunked_rows(self.order, inverse_rows)
         return self._inverses
@@ -597,34 +624,32 @@ class CharacterTable:
         norms = (omegas * omegas[:, inv_class] % p) @ inv_sizes % p
         if not norms.all():
             raise AssertionError("eigenvector has norm 0 mod p")
-        squares = np.arange(1, math.isqrt(n_g) + 1, dtype=np.int64) ** 2 % p
-        degrees = []
-        for s in norms.tolist():
-            match = np.flatnonzero(squares == n_g * pow(s, -1, p) % p)
-            if match.size == 0:
-                raise AssertionError("no integer degree matches mod p")
-            degrees.append(int(match[0]) + 1)
+        # a degree squared is at most |G| < p, so it is its own residue
+        root_of = {k * k: k for k in range(1, math.isqrt(n_g) + 1)}
+        degrees = [root_of.get(n_g * pow(s, -1, p) % p) for s in norms.tolist()]
+        if None in degrees:
+            raise AssertionError("no integer degree matches mod p")
         deg_col = np.array(degrees, dtype=np.int64)[:, None]
         if any((n_g * int(u[0]) - d * d) % p for (_, _, u), d in zip(spaces, degrees)):
             raise AssertionError("identity-class component disagrees with the degree")
         rows_mod_p = deg_col * omegas % p * inv_sizes % p
 
         # exact lift: the multiplicity of w^j on <g> is a Fourier sum over
-        # the values at the powers of g, one matmul per class; it is the
-        # coefficient of zeta_N^{jN/o} in the raw layout over Z[t]/(t^N - 1)
+        # the values at the powers of g, one matmul per class order o for
+        # all the classes of that order; it is the coefficient of
+        # zeta_N^{jN/o} in the raw layout over Z[t]/(t^N - 1)
         raw = np.zeros((r, r, exponent), dtype=_compact_dtype(max(degrees)))
-        dft: dict[int, np.ndarray] = {}
-        for ci, o in enumerate(rep_orders):
-            power_classes = class_of[powers[ci, :o]]
-            if o not in dft:
-                w = pow(z, (p - 1) // o, p)
-                w_powers = np.array([pow(w, e, p) for e in range(o)], dtype=np.int64)
-                e = np.arange(o)
-                dft[o] = w_powers[-np.outer(e, e) % o] * pow(o, -1, p) % p
-            mults = rows_mod_p[:, power_classes] @ dft[o] % p
-            if (mults > deg_col).any():
+        for o in sorted(set(rep_orders)):
+            cis = [ci for ci, q in enumerate(rep_orders) if q == o]
+            power_classes = class_of[powers[cis, :o]]
+            w = pow(z, (p - 1) // o, p)
+            w_powers = np.array([pow(w, e, p) for e in range(o)], dtype=np.int64)
+            e = np.arange(o)
+            dft = w_powers[-np.outer(e, e) % o] * pow(o, -1, p) % p
+            mults = (rows_mod_p[:, power_classes].reshape(-1, o) @ dft % p).reshape(r, len(cis), o)
+            if (mults > deg_col[:, :, None]).any():
                 raise AssertionError("lifted multiplicity exceeds the degree bound")
-            raw[:, ci, :: exponent // o] = mults
+            raw[:, cis, :: exponent // o] = mults
 
         # rows by degree, then by the power-basis coordinates of their values
         keys = _row_keys(raw, rep_orders)

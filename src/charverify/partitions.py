@@ -15,6 +15,7 @@ Rim-hook removal in every order is the tests' oracle for it
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import index
 from typing import Iterable, Iterator
 
 
@@ -23,12 +24,14 @@ class IllegalHookError(ValueError):
 
 
 class Partition:
-    """An integer partition, stored as a weakly decreasing tuple of parts."""
+    """An integer partition, stored as a weakly decreasing tuple of parts.
+    Parts are read with ``operator.index``: numpy integers are accepted,
+    and a float or any other non-integer raises TypeError."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
-        parts = tuple(int(p) for p in parts if p != 0)
+        parts = tuple(p for p in map(index, parts) if p != 0)
         if any(p < 0 for p in parts):
             raise ValueError(f"negative part in {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -99,12 +102,14 @@ class Partition:
 
 
 class BetaSet:
-    """A finite set of distinct non-negative beads, stored sorted decreasing."""
+    """A finite set of distinct non-negative beads, stored sorted
+    decreasing; beads are read with ``operator.index`` (TypeError for a
+    non-integer)."""
 
     __slots__ = ("beads",)
 
     def __init__(self, beads: Iterable[int]):
-        beads = tuple(sorted({int(b) for b in beads}, reverse=True))
+        beads = tuple(sorted(set(map(index, beads)), reverse=True))
         if beads and beads[-1] < 0:
             raise ValueError(f"beads must be non-negative: {beads}")
         object.__setattr__(self, "beads", beads)

@@ -12,13 +12,17 @@ entries; defect is |len(row1) - len(row2)|.  Both are shift-invariant.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator
 
 from .partitions import _slid_beads
 
 
 def _check_row(row: Iterable[int]) -> tuple[int, ...]:
-    row = tuple(int(x) for x in row)
+    """The row as a tuple of ints, entries read with ``operator.index``
+    (TypeError for a non-integer); ValueError unless it is non-negative
+    and strictly increasing."""
+    row = tuple(map(index, row))
     if any(x < 0 for x in row):
         raise ValueError(f"row entries must be non-negative: {row}")
     if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):

@@ -27,15 +27,26 @@ array and a sign array, rows in the order of the sorted words.  For each d,
 a canonical element with maximal multiplicity is constructed from cycles of
 the appropriate length and sign; its centralizer is cut out of W by one
 vectorized commutation test (wx and xw for every row w, as two gathers, a
-row chunk of W at a time),
-tabulated by Burnside-Dixon, and identified by its fingerprint (order,
-sorted degrees, sorted (class size, element order) pairs) with the
-predicted product of wreath products C_b wr S_k.  That fingerprint is read
-off the factors' cached Murnaghan-Nakayama tables in series A and B/C, and
-comes from Dixon on the even part of the product, built as arrays, in
-series D.  ``sp_mul``, one word product at a time, is the tests' oracle.
-A Weyl group above ``grouptable.MAX_GROUP_ORDER`` is refused, from its
-order, before any word is listed.
+row chunk of W at a time), tabulated by Burnside-Dixon, and identified by
+its fingerprint (order, sorted degrees, sorted (class size, element order)
+pairs) with the predicted product of wreath products C_b wr S_k.
+
+Both fingerprints come from one product helper (``_product_fingerprint``):
+orders and degrees multiply, and a class of a direct product has the
+product of the class sizes and the lcm of the element orders.  The
+predicted one reads the factors' cached Murnaghan-Nakayama tables in
+series A and B/C, and in series D Dixon on the even part of the product,
+built as arrays.  The computed one reads the Dixon tables of the
+centralizer's orbit factors (``_orbit_factors``): the projections onto its
+point orbits, each relabelled 0..k-1, when the group is their direct
+product (their orders multiply to |G|), and otherwise the group alone.
+Its characters are H_d-fixed exactly when every factor's are.  Dixon
+tables are cached on the element set (``ColoredPermGroup.element_set``),
+so equal groups in different encodings (a centralizer and the even
+product it equals, a factor that recurs across cells) share one table.
+``sp_mul``, one word product at a time, is the tests' oracle.  A Weyl
+group above ``grouptable.MAX_GROUP_ORDER`` is refused, from its order,
+before any word is listed.
 """
 
 from __future__ import annotations
@@ -363,17 +374,11 @@ def centralizer_group(series: str, r: int, x: tuple) -> ColoredPermGroup:
     everything, so the condition reduces to commutation of words; in every
     series the twist only names the coset x lies in, and the centralizer
     of a twisted-coset element is that of its word.  The group is cached
-    on (series, rank, word) and, below the whole group, on its rows of W,
-    so a repeated centralizer is the same object and its character table
-    (keyed on the group in ``_dixon_of``) is built once.
+    on (series, rank, word); centralizers of different words that are one
+    set of colored permutations are equal groups, so ``_dixon_of`` builds
+    one table for them.
     """
     return _centralizer_of_word(_canon_series(series), r, x)
-
-
-# Proper centralizers by element set (word length and the words' keys):
-# words with equal centralizers, in any series, share one group and so one
-# character table in ``_dixon_of``.
-_WORD_GROUPS: dict[tuple, ColoredPermGroup] = {}
 
 
 @lru_cache(maxsize=None)
@@ -390,10 +395,57 @@ def _centralizer_of_word(series: str, r: int, x: tuple) -> ColoredPermGroup:
         ).all(axis=1)
     if commute.all():
         return group
-    key = (len(x), group.keys[commute].tobytes())
-    if key not in _WORD_GROUPS:
-        _WORD_GROUPS[key] = group.subgroup(commute, name=f"C({commute.sum()})")
-    return _WORD_GROUPS[key]
+    return group.subgroup(commute, name=f"C({commute.sum()})")
+
+
+class _Points:
+    """Colored permutations of n points with colors mod m as themselves,
+    the digit of point j being perm[j] m + color[j]: the encoding of the
+    orbit factors, which are built from arrays and get no generators."""
+
+    def __init__(self, n: int, m: int):
+        self.m = m
+        self.radices = (n * m,) * n
+
+    def digits(self, perm, color):
+        return perm * self.m + color
+
+    def decode(self, perm, color) -> tuple:
+        return tuple(perm.tolist()), tuple(color.tolist())
+
+
+@lru_cache(maxsize=None)
+def _orbit_factors(group: ColoredPermGroup) -> tuple:
+    """The projections of the group onto its point orbits, each on its
+    points relabelled 0..k-1 in order, when the group is their direct
+    product; otherwise the group alone.
+
+    A group's orbit of a point is the set of that point's images, so one
+    pass over all rows gives every orbit.  The group embeds in the product
+    of its projections, and so equals it exactly when the projections'
+    orders multiply to |G|.  Cached on the element set, like
+    ``_dixon_of``."""
+    P, C, m = group.perm, group.color, group.m
+    n = P.shape[1]
+    reaches = np.zeros((n, n), dtype=bool)
+    reaches[P, np.arange(n)] = True  # [i, j]: some element sends j to i
+    first = reaches.argmax(axis=0)  # the smallest point of each point's orbit
+    if (first == first[0]).all():
+        return (group,)
+    factors = []
+    for start in np.flatnonzero(first == np.arange(n)):
+        points = np.flatnonzero(first == start)
+        k = len(points)
+        relabel = np.zeros(n, dtype=np.int64)
+        relabel[points] = np.arange(k)
+        encoding = _Points(k, m)
+        perm, color = relabel[P[:, points]], C[:, points]
+        keys = encoding.digits(perm, color) @ (k * m) ** np.arange(k - 1, -1, -1)
+        rows = np.unique(keys, return_index=True)[1]  # a plain unique imports numpy.ma
+        factors.append(ColoredPermGroup(perm[rows], color[rows], m, encoding))
+    if math.prod(f.order for f in factors) != group.order:
+        return (group,)
+    return tuple(factors)
 
 
 class _Product:
@@ -456,22 +508,23 @@ def _predicted_factors(series: str, r: int, twisted: bool, d: int) -> list:
 def predicted_relative_weyl(series: str, r: int, twisted: bool, d: int) -> tuple:
     """The fingerprint, as in :func:`group_fingerprint`, of the
     combinatorial model of the centralizer: the product of the
-    ``_predicted_factors`` (its even part in series D)."""
+    ``_predicted_factors``, read off their Murnaghan-Nakayama tables, or in
+    series D the even part of that product, tabulated by Dixon."""
     series = _canon_series(series)
     factors = _predicted_factors(series, r, twisted, d)
     if series == "D":
         groups = tuple(get_full_group(b, k) for b, k in factors)
         return group_fingerprint(_product_group(groups))
-    return _wreath_product_fingerprint(factors)
+    return _product_fingerprint([get_table(b, k) for b, k in factors])
 
 
-def _wreath_product_fingerprint(factors) -> tuple:
-    """Fingerprint of the direct product of C_b wr S_k over the (b, k) in
-    ``factors``, from the factors' Murnaghan-Nakayama tables: irreducible
-    degrees and class sizes multiply, element orders combine by lcm."""
+def _product_fingerprint(tables) -> tuple:
+    """Fingerprint of the direct product of the groups of ``tables``:
+    orders and irreducible degrees multiply, and a class of the product,
+    one class of each factor, has the product of their sizes and the lcm
+    of their element orders."""
     order, degrees, classes = 1, [1], [(1, 1)]
-    for b, k in factors:
-        table = get_table(b, k)
+    for table in tables:
         order *= table.order
         degrees = [x * y for x in degrees for y in table.degrees]
         pairs = list(zip(table.class_sizes, table.class_orders))
@@ -498,24 +551,30 @@ def relative_weyl_descriptor(series: str, r: int, twisted: bool, d: int) -> str:
 
 @lru_cache(maxsize=None)
 def _dixon_of(group: ColoredPermGroup) -> CharacterTable:
+    """The Dixon table of a group, one per element set: equal groups, in
+    any encoding, are one key (``ColoredPermGroup.element_set``)."""
     return CharacterTable.dixon(group)
+
+
+def _factor_tables(group: ColoredPermGroup) -> tuple:
+    """The Dixon tables of the group's ``_orbit_factors``."""
+    return tuple(_dixon_of(factor) for factor in _orbit_factors(group))
 
 
 def group_fingerprint(group) -> tuple:
     """(order, sorted irreducible degrees, sorted (class size,
-    representative order) pairs) -- the identification invariant."""
-    table = _dixon_of(group)
-    return (
-        group.order,
-        tuple(sorted(table.degrees)),
-        tuple(sorted(zip(table.class_sizes, table.class_orders))),
-    )
+    representative order) pairs) -- the identification invariant, read off
+    the tables of the group's orbit factors (``_product_fingerprint``)."""
+    return _product_fingerprint(_factor_tables(group))
 
 
-def character_values_hd_fixed(table: CharacterTable, d: int) -> bool:
-    """Whether every value of every character is fixed by all sigma_k with
-    k = 1 mod d (one pass over the table's value array)."""
-    return bool(table.hd_fixed_rows(d).all())
+def character_values_hd_fixed(group, d: int) -> bool:
+    """Whether every value of every character of the group is fixed by all
+    sigma_k with k = 1 mod d.  A character of a direct product is a product
+    of characters of the factors, and each character of a factor is one of
+    the product's (with the trivial characters of the others), so that
+    holds exactly when it does for every orbit factor's table."""
+    return all(table.hd_fixed_rows(d).all() for table in _factor_tables(group))
 
 
 @dataclass(frozen=True)
@@ -558,7 +617,7 @@ def analyze_relative_weyl(series: str, r: int, twisted: bool, d: int) -> Relativ
     computed = centralizer_group(series_c, r, word)
     fp_c = group_fingerprint(computed)
     fp_p = predicted_relative_weyl(series_c, r, twisted, d)
-    hd_ok = character_values_hd_fixed(_dixon_of(computed), d)
+    hd_ok = character_values_hd_fixed(computed, d)
     return RelativeWeylReport(
         series=series.upper(),
         rank=r,

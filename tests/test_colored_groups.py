@@ -45,10 +45,11 @@ from test_weyl import _weyl_match_cases
 
 
 def default_groups():
-    """(label, group, mul) for each distinct group the default thm41,
-    lemma42 and weyl-match grids hand to Dixon: the G(m,2,a), the
-    centralizers of the canonical words and the series-D even parts of
-    the predicted products; ``mul`` multiplies native elements."""
+    """(label, group, mul) for each group the default thm41, lemma42 and
+    weyl-match grids build, one per element set and encoding: the
+    G(m,2,a), the centralizers of the canonical words and the series-D
+    even parts of the predicted products; ``mul`` multiplies native
+    elements."""
     params = suite_defaults("thm41")
     assert params["sub_max_m"] == suite_defaults("lemma42")["sub_max_m"]
     assert params["sub_max_a"] == suite_defaults("lemma42")["sub_max_a"]
@@ -68,8 +69,8 @@ def default_groups():
             mul = product_mul([pair_mul(b) for b, _ in factors])
             entries.append((f"even part({case})", _product_group(groups), mul))
         for label, group, mul in entries:
-            if id(group) not in seen:
-                seen.add(id(group))
+            if (type(group.encoding), group) not in seen:
+                seen.add((type(group.encoding), group))
                 out.append((label, group, mul))
     return out
 
@@ -88,8 +89,9 @@ def all_groups():
     return tuple(out)
 
 
-# The default grids give 9 G(m,2,a) and 65 distinct weyl-match groups: one
-# Dixon run each (grouptable.dixon.calls on the benchmark's tables workload).
+# The default grids give 9 G(m,2,a) and 65 weyl-match groups, distinct
+# within their encoding (weyl-match hands Dixon their orbit factors, one per
+# element set: 46 tables).
 N_DEFAULT = 74
 
 
@@ -258,7 +260,9 @@ FROZEN_TABLE_DIGESTS = {
 
 
 def test_tables_frozen():
-    got = {label: table_digest(_dixon_of(group)) for label, group, _ in all_groups()}
+    # Dixon on each group itself: ``_dixon_of`` hands equal groups in other
+    # encodings one table, whose class representatives are in the first's
+    got = {label: table_digest(CharacterTable.dixon(group)) for label, group, _ in all_groups()}
     assert got == FROZEN_TABLE_DIGESTS
 
 

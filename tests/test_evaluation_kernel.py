@@ -47,7 +47,8 @@ def default_tables():
     """The 40 wreath tables of at most ``MAX_WREATH_LABELS`` characters on
     the thm41 grid, and every Dixon table of the default run: the 9
     G(m,2,a) tables and those weyl-match reads, the last recorded from the
-    suite's own calls of ``weyl._dixon_of``."""
+    suite's own calls of ``weyl._dixon_of``: one table per element set of
+    the orbit factors it reads."""
     tables = {
         f"C{m}wrS{a}": get_table(m, a)
         for m in range(1, 13)
@@ -61,7 +62,8 @@ def default_tables():
     seen = {}
 
     def recording(group):
-        return seen.setdefault(id(group), original(group))
+        table = original(group)
+        return seen.setdefault(id(table), table)
 
     weyl._dixon_of = recording
     try:
@@ -101,7 +103,8 @@ def test_default_run_has_every_table(default_tables):
     names = list(default_tables)
     assert sum(name.startswith("C") for name in names) == 40
     assert sum(name.startswith("G") for name in names) == 9
-    assert sum(name.startswith("weyl") for name in names) == 65
+    # one table per element set of the orbit factors weyl-match tabulates
+    assert sum(name.startswith("weyl") for name in names) == 46
 
 
 def test_fixedness_agrees_on_the_default_tables(default_tables):

@@ -1,5 +1,6 @@
 """Beta-sets, rim hooks, d-cores: frozen values and removal-order invariance."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +28,21 @@ def test_partition_validation():
         Partition((1, 3))
     with pytest.raises(ValueError):
         Partition((3, -1))
+
+
+def test_parts_must_be_integers():
+    """Parts and beads are read with ``operator.index``: numpy integers are
+    ints, and a float, even a whole one, is refused instead of truncated."""
+    assert Partition(np.array([3, 1, 0])).parts == (3, 1)
+    assert all(type(p) is int for p in Partition(np.array([2, 2])).parts)
+    assert BetaSet(np.array([4, 1])).beads == (4, 1)
+    for parts in ((2.7, 1.2), (2.0, 1), (2, 1, 0.0), np.array([2.0, 1.0]), ("2", "1")):
+        with pytest.raises(TypeError):
+            Partition(parts)
+    with pytest.raises(TypeError):
+        d_core((2.7, 1.2), 2)
+    with pytest.raises(TypeError):
+        BetaSet((4.0, 1))
 
 
 def test_transpose_and_hooks():

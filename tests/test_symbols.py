@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +28,17 @@ def test_construction_and_reduction():
         SymbolBCD((2, 2), (0,))
     with pytest.raises(ValueError):
         SymbolBCD((-1, 2), (0,))
+
+
+def test_rows_must_be_integers():
+    """Row entries are read with ``operator.index``: numpy integers are
+    ints, and a float is refused instead of truncated."""
+    S = SymbolBCD(np.array([0, 2]), np.array([1]))
+    assert (S.row1, S.row2) == ((0, 2), (1,))
+    assert all(type(x) is int for x in S.row1 + S.row2)
+    for row1, row2 in (((0.5, 2.9), (1,)), ((0, 2), (1.0,))):
+        with pytest.raises(TypeError):
+            SymbolBCD(row1, row2)
 
 
 def test_rank_and_defect_frozen():

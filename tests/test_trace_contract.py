@@ -3,14 +3,16 @@ the ``cache_info()`` of the lru_caches named in its ``CACHES``, the methods
 named in its ``METHODS`` (looked up as ``cls.__dict__[attr]``) and the
 functions named in its ``RENAMED`` and ``UNWRAPPED``, and the spans named in
 its ``DISTINCT``.  If one of them is renamed, moved or loses its cache,
-``perfbench/run.py --trace 1`` fails."""
+``perfbench/run.py --trace 1`` fails.  So it does if a Dixon table is built
+outside the two caches whose misses it counts as Dixon calls."""
 
 import importlib
 import importlib.util
+from functools import lru_cache
 from pathlib import Path
 
-import charverify.weyl  # noqa: F401  (the tracer reads loaded modules)
-import charverify.wreath  # noqa: F401
+from charverify import grouptable, weyl, wreath  # the tracer reads loaded modules
+from charverify.suites import run_suite
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -61,3 +63,29 @@ def test_distinct_spans_are_traced_functions():
         functions = tracer._public_functions(importlib.import_module(f"charverify.{module}"))
         assert attr in functions, name
         assert name not in tracer.RENAMED and name not in tracer.UNWRAPPED, name
+
+
+def test_dixon_calls_are_the_misses_of_its_two_cached_callers(monkeypatch):
+    """``perfbench/run.py --trace 1`` checks that the Dixon calls of a
+    ``tables`` run equal the misses of ``weyl._dixon_of`` and
+    ``wreath.get_subgroup_table``: every Dixon table is built through one
+    of those two caches.  Here on fresh copies of both, around weyl-match
+    and thm41."""
+    fresh = {}
+    for module, attr in ((weyl, "_dixon_of"), (wreath, "get_subgroup_table")):
+        fresh[attr] = lru_cache(maxsize=None)(getattr(module, attr).__wrapped__)
+        monkeypatch.setattr(module, attr, fresh[attr])
+    dixon = grouptable.CharacterTable.__dict__["dixon"].__func__
+    calls = []
+
+    def counted(cls, group):
+        calls.append(group)
+        return dixon(cls, group)
+
+    monkeypatch.setattr(grouptable.CharacterTable, "dixon", classmethod(counted))
+    run_suite("weyl-match")
+    run_suite("thm41")
+    misses = fresh["_dixon_of"].cache_info().misses, fresh["get_subgroup_table"].cache_info().misses
+    assert len(calls) == sum(misses)
+    # one table per element set weyl-match tabulates, one per G(m,2,a)
+    assert misses == (46, 9)

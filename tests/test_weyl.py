@@ -1,14 +1,20 @@
 """Tests for Weyl-group words, eigenvalue counts, and relative Weyl groups."""
 
+import math
 import random
 import time
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
+from charverify import weyl
 from charverify.grouptable import CharacterTable
 from charverify.suites import run_suite
 from charverify.weyl import (
     _dixon_of,
+    _factor_tables,
+    _orbit_factors,
     _predicted_factors,
     _product_group,
     analyze_relative_weyl,
@@ -318,7 +324,7 @@ class TestRelativeWeyl:
         cu = centralizer_group("D", 4, u)
         cv = centralizer_group("D", 4, v)
         assert cu.order == 6
-        assert cu is cv
+        assert cu == cv
         assert _dixon_of(cu) is _dixon_of(cv)
 
     def test_twisted_a_centralizer_is_plain_centralizer(self):
@@ -362,15 +368,106 @@ class TestRelativeWeyl:
 class TestHdFixedness:
     def test_cyclic_table_fixedness(self):
         g = FiniteGroup(range(3), lambda x, y: (x + y) % 3, 0, generators=[1])
-        table = CharacterTable.dixon(regular_representation(g))
+        group = regular_representation(g)
         # values generate Q(zeta_3): fixed by H_[3] but not by H_[1]
-        assert character_values_hd_fixed(table, 3)
-        assert not character_values_hd_fixed(table, 1)
+        assert character_values_hd_fixed(group, 3)
+        assert not character_values_hd_fixed(group, 1)
 
     def test_rational_table_always_fixed(self):
-        table = CharacterTable.dixon(weyl_group("B", 2))
         for d in (1, 2, 3, 4):
-            assert character_values_hd_fixed(table, d)
+            assert character_values_hd_fixed(weyl_group("B", 2), d)
+
+
+def _whole_fingerprint(table):
+    """The fingerprint of a group from its own Dixon table."""
+    return (
+        table.order,
+        tuple(sorted(table.degrees)),
+        tuple(sorted(zip(table.class_sizes, table.class_orders))),
+    )
+
+
+def _product_rows(tables, ds):
+    """Sorted (degree, H_d-fixedness for each d in ``ds``) over the
+    characters of the direct product of the groups of ``tables``: one
+    character of each factor, degrees multiplying, fixed when every one
+    of them is."""
+    rows = [(1, (True,) * len(ds))]
+    for table in tables:
+        fixed = np.array([table.hd_fixed_rows(e) for e in ds]).T.tolist()
+        rows = [
+            (x * y, tuple(a and b for a, b in zip(f, g)))
+            for x, f in rows
+            for y, g in zip(table.degrees, fixed)
+        ]
+    return sorted(rows)
+
+
+class TestOrbitFactors:
+    """Centralizers and series-D products tabulated through their orbit
+    factors, against Dixon on the whole group."""
+
+    def _default_groups(self):
+        out = []
+        for series, r, tw, d in _weyl_match_cases():
+            out.append(centralizer_group(series, r, canonical_regular_word(series, r, tw, d)))
+            if series == "D":
+                factors = _predicted_factors(series, r, tw, d)
+                out.append(_product_group(tuple(get_full_group(b, k) for b, k in factors)))
+        return list(dict.fromkeys(out))
+
+    def test_factored_answers_match_dixon_on_the_whole_group(self):
+        ds = range(1, 13)
+        for group in self._default_groups():
+            whole = CharacterTable.dixon(group)
+            assert math.prod(f.order for f in _orbit_factors(group)) == group.order
+            assert group_fingerprint(group) == _whole_fingerprint(whole), group.name
+            fixed = np.array([whole.hd_fixed_rows(e) for e in ds]).T.tolist()
+            assert _product_rows(_factor_tables(group), ds) == sorted(
+                (x, tuple(f)) for x, f in zip(whole.degrees, fixed)
+            ), group.name
+            for e in ds:
+                assert character_values_hd_fixed(group, e) == bool(whole.hd_fixed_rows(e).all())
+
+    def test_21_of_the_86_cells_have_a_factored_centralizer(self):
+        cells = _weyl_match_cases()
+        split = [
+            case for case in cells
+            if len(_orbit_factors(centralizer_group(case[0], case[1], canonical_regular_word(*case)))) > 1
+        ]
+        assert (len(split), len(cells)) == (21, 86)
+
+    def test_sign_changes_of_b2_factor_into_their_points(self):
+        w = weyl_group("B", 2)
+        signs = centralizer_group("B", 2, (1, -2))
+        assert signs.order == 4
+        factors = _orbit_factors(signs)
+        assert [(f.order, f.perm.shape[1]) for f in factors] == [(2, 1), (2, 1)]
+        # -1 alone: two orbits whose projections have order 2 each, and
+        # 2 * 2 is not 2, so it is its own single factor
+        minus_one = w.subgroup([w.identity, int(w.rows(*map(np.array, w.encoding.encode((-1, -2)))))])
+        (only,) = _orbit_factors.__wrapped__(minus_one)
+        assert only is minus_one
+
+    def test_a_series_d_even_product_does_not_factor(self):
+        factors = _predicted_factors("D", 4, False, 3)
+        assert len(factors) == 2
+        product = _product_group(tuple(get_full_group(b, k) for b, k in factors))
+        (only,) = _orbit_factors.__wrapped__(product)
+        assert only is product
+
+    def test_equal_groups_in_two_encodings_cost_one_dixon_miss(self, monkeypatch):
+        """W(D4) as words and as the even part of C_2 wr S_4: one element
+        set, so one table, whichever is asked for first."""
+        dixon_of = lru_cache(maxsize=None)(weyl._dixon_of.__wrapped__)
+        monkeypatch.setattr(weyl, "_dixon_of", dixon_of)
+        words = weyl_group("D", 4)
+        product = _product_group((get_full_group(2, 4),))
+        assert type(words.encoding) is not type(product.encoding)
+        assert words == product and hash(words) == hash(product)
+        assert predicted_relative_weyl("D", 4, False, 1) == group_fingerprint(words)
+        assert dixon_of(words) is dixon_of(product)
+        assert dixon_of.cache_info().misses == 1
 
 
 def _weyl_match_cases():
@@ -394,9 +491,9 @@ def test_centralizer_tables_against_scalar_oracles():
     seen = set()
     for series, r, tw, d in _weyl_match_cases():
         group = centralizer_group(series, r, canonical_regular_word(series, r, tw, d))
-        if id(group) in seen:
+        if group in seen:
             continue
-        seen.add(id(group))
+        seen.add(group)
         table = _dixon_of(group)
         ds = range(1, 13)
         expected = scalar_row_answers(table_rows(table), ds)
@@ -404,7 +501,7 @@ def test_centralizer_tables_against_scalar_oracles():
         for e in ds:
             got = table.hd_fixed_rows(e).tolist()
             assert got == [f[e] for _, f in expected], (series, r, tw, d, e)
-            assert character_values_hd_fixed(table, e) == all(got)
+            assert character_values_hd_fixed(group, e) == all(got)
     assert len(seen) > 40
 
 
@@ -415,10 +512,11 @@ def test_centralizer_tables_against_scalar_oracles():
 )
 def test_predicted_fingerprint_against_dixon_of_product(series, r, twisted, d):
     """The fingerprint read off the Murnaghan-Nakayama tables of the factors
-    equals that of the explicitly listed product group, tabulated by Dixon."""
+    equals that of the explicitly listed product group, tabulated whole by
+    Dixon."""
     groups = tuple(get_full_group(b, k) for b, k in _predicted_factors(series, r, twisted, d))
     assert predicted_relative_weyl(series, r, twisted, d) == (
-        group_fingerprint(full_product_group(groups))
+        _whole_fingerprint(CharacterTable.dixon(full_product_group(groups)))
     )
 
 
